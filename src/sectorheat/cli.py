@@ -132,7 +132,8 @@ def profile_from_descriptor(spec: SectorSpec, d: dict):
 
 def cache_path(man: RunManifest, cache_dir: str) -> str:
     s, g = man.spec, man.grid
-    name = (f"psi_N{s.N}_m{s.m}_g{s.gamma!r}_L{g.L!r}_n{g.n}.shc"
+    axes = "-".join(g.axes)
+    name = (f"psi_N{s.N}_m{s.m}_g{s.gamma!r}_L{g.L!r}_n{g.n}_ax-{axes}.shc"
             .replace("/", "_"))
     return os.path.join(cache_dir, name)
 
@@ -328,8 +329,6 @@ def main(argv=None) -> int:
         description="Experiments for the semilinear heat equation with "
                     "singular anti-symmetric data on sectors.")
     ap.add_argument("manifest", help="path to a JSON run manifest")
-    ap.add_argument("--workers", type=int, default=1,
-                    help="worker threads for sweep points")
     ap.add_argument("--cache-dir", default=None,
                     help="directory for psi caches "
                          "(default: $SECTORHEAT_CACHE or the output dir)")

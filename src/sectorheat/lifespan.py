@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -342,8 +342,7 @@ def global_smallness_check(spec: SectorSpec, cache: PsiCache,
     thr = global_smallness_threshold(spec, cache, t0)
     if lam is None:
         lam = 0.5 * thr
-    c = controls or EvolveControls()
-    c.horizon = horizon_factor * t0
+    c = replace(controls or EvolveControls(), horizon=horizon_factor * t0)
     f0 = psi_fast(cache, t0, grid)
     f0 = Field(spec, grid, lam * f0.values, time_tag=0.0)
     M = 2.0 * lam

@@ -23,6 +23,7 @@ import numpy as np
 
 from .geometry import Field, GridSpec, SectorSpec, field_from_profile, \
     weighted_sup_ratio
+from .profiles import Psi0Profile
 from .semigroup import (KernelPlan, PsiCache, alpha_time_integral,
                         apply_kernel, psi_fast)
 
@@ -77,7 +78,12 @@ def admissible_constants(spec: SectorSpec, cache: PsiCache, K: float,
     I = alpha_time_integral(cache, T)
     condA = K + 2.0 * (spec.alpha + 1.0) * M ** (spec.alpha + 1.0) * I
     condB = 2.0 * (spec.alpha + 1.0) * M ** spec.alpha * I
-    assert condA <= M * (1.0 + 1e-12) and condB < 1.0
+    if not condA <= M * (1.0 + 1e-12):
+        raise ValueError(f"contraction condition (A) fails: K + Duhamel "
+                         f"term = {condA:.6g} > M = {M:.6g}")
+    if not condB < 1.0:
+        raise ValueError(f"contraction condition (B) fails: contraction "
+                         f"factor {condB:.6g} >= 1")
     return M, T
 
 
@@ -154,15 +160,20 @@ def solve_picard(spec: SectorSpec, profile, cache: PsiCache,
                           tol=tol, margin=margin)
 
     psi_slices = [psi_fast(cache, s, grid).values for s in mesh]
-    lin = [apply_kernel(plan, s, field_from_profile(spec, grid, profile))
-           for s in mesh]
+    if isinstance(profile, Psi0Profile):
+        # data A*psi0: e^{sD}(A psi0) = A Psi(s) by the dilation identity,
+        # so the linear part comes from the cache with no quadrature
+        lin = [profile.amplitude * p for p in psi_slices]
+    else:
+        data = field_from_profile(spec, grid, profile)
+        lin = [apply_kernel(plan, s, data).values for s in mesh]
     weights = [duhamel_weights(spec, mesh, i) for i in range(J)]
 
     def xnorm(deltas):
         return max(float(np.max(np.abs(d) / p))
                    for d, p in zip(deltas, psi_slices))
 
-    u = [f.values.copy() for f in lin]
+    u = [v.copy() for v in lin]
     increments: list[float] = []
     ratios: list[float] = []
     converged = False
@@ -170,7 +181,7 @@ def solve_picard(spec: SectorSpec, profile, cache: PsiCache,
         nl = [Field(spec, grid, _nonlinear_values(spec, v)) for v in u]
         new = []
         for i, s_i in enumerate(mesh):
-            acc = lin[i].values.copy()
+            acc = lin[i].copy()
             w = weights[i]
             for j in range(i + 1):
                 g = _apply_or_identity(plan, s_i - mesh[j], nl[j])

@@ -26,6 +26,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.fft import dst, idst, fft, ifft
 from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import minimize
+from scipy.special import erfc
 
 from .geometry import (AXIS_ANTISYM, AXIS_FULL, AXIS_PERIODIC, AXIS_SYM,
                        Field, GridSpec, SectorSpec)
@@ -202,22 +203,22 @@ def apply_kernel(plan: KernelPlan, t: float, f: Field,
 
 
 def _warn_tail_mass(plan: KernelPlan, t: float, f: Field) -> None:
-    # crude truncation estimate: largest boundary magnitude times the
-    # Gaussian mass that one axis can pull in from beyond the box
-    edge = 0.0
-    for i in range(f.grid.ndim):
+    # crude truncation estimate per axis: largest magnitude on the outer
+    # faces times the Gaussian mass the kernel pulls in from beyond the
+    # box.  Index 0 of an anti-symmetric axis is the sector wall, not an
+    # edge, and periodic axes have no edge at all.
+    est = 0.0
+    for i, kind in enumerate(f.grid.axes):
+        if kind == AXIS_PERIODIC:
+            continue
+        mass = 0.5 * erfc(0.5 * f.grid.axis_spacing(i) / np.sqrt(4.0 * t))
         sl = [slice(None)] * f.grid.ndim
-        for j in (0, -1):
+        for j in ((-1,) if kind == AXIS_ANTISYM else (0, -1)):
             sl[i] = j
-            edge = max(edge, float(np.max(np.abs(f.values[tuple(sl)]))))
-    if edge == 0.0:
-        return
-    from scipy.special import erfc
-    h = f.grid.axis_spacing(0)
-    mass = 0.5 * erfc(0.5 * h / np.sqrt(4.0 * t))
-    if edge * mass > plan.tail_tol * max(f.sup_norm(), 1e-300):
+            est = max(est, mass * float(np.max(np.abs(f.values[tuple(sl)]))))
+    if est > plan.tail_tol * max(f.sup_norm(), 1e-300):
         warnings.warn(
-            f"apply_kernel: boundary truncation mass ~{edge * mass:.2e} "
+            f"apply_kernel: boundary truncation mass ~{est:.2e} "
             "exceeds tolerance; enlarge the box", RuntimeWarning)
 
 

@@ -111,6 +111,16 @@ def test_cache_build_idempotent(tmp_path):
     assert open(cpath, "rb").read() == first    # reused, byte-identical
 
 
+def test_cache_path_depends_on_axes():
+    sym = RunManifest.from_dict(_manifest_dict(
+        spec={"N": 1, "m": 0, "gamma": 0.5, "alpha": 0.5}))
+    periodic = RunManifest.from_dict(_manifest_dict(
+        spec={"N": 1, "m": 0, "gamma": 0.5, "alpha": 0.5},
+        grid={"L": 10.0, "n": 64, "axes": [AXIS_PERIODIC]}))
+    assert sym.grid.axes != periodic.grid.axes
+    assert cache_path(sym, "c") != cache_path(periodic, "c")
+
+
 def test_tmax_constant_profile_matches_ode(tmp_path):
     # spatially constant data on a periodic box: T_max = 1/alpha exactly
     d = {

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from sectorheat import GridSpec, KernelPlan, SectorSpec, build_psi_cache, \
     psi_sup
+from sectorheat.evolve import EvolveControls
 from sectorheat.lifespan import (CRITICAL_THRESHOLD, blowup_criterion_check,
                                  dilation_limits, global_smallness_check,
                                  global_smallness_threshold, lam_for_shift,
@@ -172,6 +173,18 @@ def test_global_smallness_envelope_fails_for_large_data(setup11):
     report = global_smallness_check(sup_spec, sup_cache, sup_plan, t0=0.1,
                                     lam=50.0 * thr, horizon_factor=5.0)
     assert not report["certified"]
+
+
+def test_global_smallness_leaves_controls_untouched(setup11):
+    spec, grid, plan, cache = setup11
+    sup_spec = SectorSpec(spec.N, spec.m, spec.gamma, 2.0)
+    sup_cache = replace(cache, spec=sup_spec)
+    controls = EvolveControls(horizon=123.0)
+    report = global_smallness_check(sup_spec, sup_cache,
+                                    KernelPlan(sup_spec, grid), t0=0.1,
+                                    horizon_factor=1.0, controls=controls)
+    assert report["horizon"] == pytest.approx(0.1)
+    assert controls.horizon == 123.0
 
 
 def test_nonexistence_signature(setup11):

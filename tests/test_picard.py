@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from sectorheat import SectorSpec, alpha_time_integral, apply_kernel, \
-    field_from_profile
+    field_from_profile, psi_fast
+import sectorheat.picard as picard
 from sectorheat.picard import (admissible_constants, contraction_bound,
                                data_x_distance, duhamel_step, duhamel_weights,
                                graded_mesh, lipschitz_bound, lipschitz_check,
@@ -188,3 +189,35 @@ def test_lipschitz_dependence_on_data(setup11):
     run3 = solve_picard(spec, p1, cache, plan=plan, K=1.0, J=8)
     with pytest.raises(ValueError):
         lipschitz_check(run1, run3, dist)
+
+
+def test_admissible_constants_raise_on_failed_condition(setup11,
+                                                        monkeypatch):
+    # the certificate is an exception, not an assert, so it holds under -O;
+    # with M = 2K condition (B) follows from (A), so (A) is the one to break
+    spec, grid, plan, cache = setup11
+    monkeypatch.setattr(picard, "alpha_time_integral",
+                        lambda cache, T: 10.0)
+    with pytest.raises(ValueError, match=r"condition \(A\) fails"):
+        admissible_constants(spec, cache, 1.0)
+
+
+def test_psi0_linear_part_comes_from_cache(setup11, monkeypatch):
+    # with the nonlinearity switched off the fixed point is the linear part:
+    # A * Psi(s_j) from the cache, within the quadrature's accuracy of the
+    # direct kernel apply, down to the smallest node where most grid points
+    # sit in the asymptotic tail branch of psi_values
+    spec, grid, plan, cache = setup11
+    monkeypatch.setattr(picard, "_nonlinear_values",
+                        lambda spec, v: np.zeros_like(v))
+    prof = Psi0Profile(spec, 1.3)
+    run = solve_picard(spec, prof, cache, plan=plan, J=12)
+    mesh = run.config.mesh
+    y = grid.axis_nodes(0) / np.sqrt(mesh[0])
+    assert np.mean(y >= cache.tail_radius) > 0.5
+    data = field_from_profile(spec, grid, prof)
+    for s_j, sl in zip(mesh, run.slices):
+        cached = 1.3 * psi_fast(cache, s_j, grid).values
+        assert np.array_equal(sl.values, cached)
+        direct = apply_kernel(plan, s_j, data).values
+        assert np.max(np.abs(cached - direct) / np.abs(direct)) < 1e-3

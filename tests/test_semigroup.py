@@ -274,3 +274,33 @@ def test_apply_kernel_rejects_nonpositive_time(setup11):
     f = field_from_profile(spec, grid, Psi0Profile(spec))
     with pytest.raises(ValueError):
         apply_kernel(plan, 0.0, f)
+
+
+def test_tail_mass_warning_only_at_outer_faces(setup11):
+    # the criterion-02 bump is ~1e-42 at x = L; its large values next to
+    # the anti-symmetric wall are not a truncation
+    spec, grid, plan, cache = setup11
+    x = grid.axis_nodes(0)
+    bump = Field(spec, grid, x * np.exp(-x * x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        apply_kernel(plan, 0.3, bump)
+    edge = Field(spec, grid, np.exp(-(x - grid.L) ** 2))
+    with pytest.warns(RuntimeWarning, match="truncation mass"):
+        apply_kernel(plan, 0.3, edge)
+
+
+def test_tail_mass_warning_per_axis_in_2d():
+    spec = SectorSpec(2, 1, 1.0, 0.5)
+    grid = GridSpec.for_spec(spec, L=8.0, n=64)
+    plan = KernelPlan(spec, grid)
+    x, y = grid.meshgrid()
+    wall = Field(spec, grid, np.exp(-4.0 * x - y * y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        apply_kernel(plan, 0.3, wall)
+    # O(1) values on either face of the symmetric axis
+    for side in (-1.0, 1.0):
+        f = Field(spec, grid, x * np.exp(-x * x - (y - side * grid.L) ** 2))
+        with pytest.warns(RuntimeWarning, match="truncation mass"):
+            apply_kernel(plan, 0.3, f)
