@@ -8,7 +8,7 @@ from .geometry import (AXIS_ANTISYM, AXIS_FULL, AXIS_PERIODIC, AXIS_SYM,
 from .profiles import (ConstantProfile, CustomProfile,
                        GaussianDerivativeProfile, LogBlockModulation,
                        ModulatedProfile, Psi0Profile, SinSquaredLog,
-                       eval_gaussian_derivative, eval_modulated, eval_psi0,
+                       eval_gaussian_derivative, eval_psi0,
                        leading_constant)
 from .semigroup import (KernelPlan, PsiCache, alpha_time_integral,
                         apply_kernel, apply_spectral, build_psi_cache,

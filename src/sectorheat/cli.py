@@ -11,20 +11,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (AXIS_PERIODIC, Field, GridSpec, SectorSpec,
-                       field_from_profile)
+from .geometry import Field, GridSpec, SectorSpec
 from .profiles import (ConstantProfile, GaussianDerivativeProfile,
                        LogBlockModulation, ModulatedProfile, Psi0Profile,
                        SinSquaredLog)
 from .semigroup import (KernelPlan, apply_kernel, apply_spectral,
-                        build_psi_cache, linear_sup, load_cache, psi_fast,
-                        save_cache)
-from .picard import (admissible_constants, contraction_bound,
-                     lipschitz_bound, solve_picard)
+                        build_psi_cache, linear_sup, load_cache, save_cache)
+from .picard import contraction_bound, lipschitz_bound, solve_picard
 from .evolve import STATUS_BLEWUP, STATUS_GLOBAL, EvolveControls, \
     estimate_tmax
 from . import lifespan as ls
@@ -53,7 +50,6 @@ class RunManifest:
     t0: float = 0.1
     tolerances: dict = field(default_factory=dict)
     output_dir: str = "."
-    seed: int = 0
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
@@ -78,8 +74,7 @@ class RunManifest:
                       horizon=float(d.get("horizon", 50.0)),
                       t0=float(d.get("t0", 0.1)),
                       tolerances=dict(d.get("tolerances", {})),
-                      output_dir=str(d.get("output_dir", ".")),
-                      seed=int(d.get("seed", 0)))
+                      output_dir=str(d.get("output_dir", ".")))
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as e:
@@ -103,7 +98,6 @@ class RunManifest:
             "t0": self.t0,
             "tolerances": self.tolerances,
             "output_dir": self.output_dir,
-            "seed": self.seed,
         }
 
 
@@ -259,8 +253,8 @@ def run_criteria(man, plan, cache, out):
     prof = profile_from_descriptor(man.spec, man.profile)
     report = ls.blowup_criterion_check(man.spec, prof, cache, plan)
     ls.save_report(report, os.path.join(out, "criteria.json"))
-    code = EXIT_OK if report["verdict"] != "undetermined" \
-        or report.get("reason") != "inconclusive" else EXIT_INCONCLUSIVE
+    code = EXIT_INCONCLUSIVE if report["verdict"] == "undetermined" \
+        else EXIT_OK
     return report, code
 
 

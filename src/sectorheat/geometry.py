@@ -8,9 +8,11 @@ sector wall, so singular reference profiles are evaluable everywhere.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -324,69 +326,77 @@ def weighted_sup_ratio(f: Field, g: Field) -> float:
 
 
 # ---------------------------------------------------------------------------
-# serialization: little-endian binary with a fixed header, or CSV
+# on-disk container "SHC1": magic, int32 header length, sorted-key JSON
+# header (spec, grid, extra scalars), SHA-256 hex digest of header+payload,
+# then the little-endian float64 values in C order
 
-_MAGIC = b"SHF1"
-_KIND_CODE = {AXIS_ANTISYM: 0, AXIS_SYM: 1, AXIS_FULL: 2, AXIS_PERIODIC: 3}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
+_PREAMBLE = 4 + 4 + 64   # magic, header length, hex digest
 
 
-def save_field(f: Field, path: str, fmt: str = "bin") -> None:
-    """Write a field to disk.
+def _write_container(path: str, spec: SectorSpec, grid: GridSpec, values,
+                     **extra: float) -> None:
+    header = json.dumps({
+        "N": spec.N, "m": spec.m, "gamma": spec.gamma, "alpha": spec.alpha,
+        "sign_a": spec.sign_a, "L": grid.L, "n": grid.n,
+        "axes": list(grid.axes), **extra,
+    }, sort_keys=True).encode()
+    payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    digest = hashlib.sha256(header + payload).hexdigest().encode()
+    with open(path, "wb") as fh:
+        fh.write(b"SHC1")
+        fh.write(struct.pack("<i", len(header)))
+        fh.write(header)
+        fh.write(digest)
+        fh.write(payload)
 
-    Binary layout (all little-endian): magic "SHF1", int32 N, int32 m,
-    float64 gamma, float64 alpha, int32 sign_a, float64 L, int32 n,
-    int32 ndim, ndim * int32 axis-kind codes, then the row-major float64
-    values.  CSV: one header line with the same metadata, then one value
-    per line in row-major order.
-    """
-    spec, grid = f.spec, f.grid
-    if fmt == "bin":
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<ii", spec.N, spec.m))
-            fh.write(struct.pack("<dd", spec.gamma, spec.alpha))
-            fh.write(struct.pack("<i", spec.sign_a))
-            fh.write(struct.pack("<d", grid.L))
-            fh.write(struct.pack("<ii", grid.n, grid.ndim))
-            for kind in grid.axes:
-                fh.write(struct.pack("<i", _KIND_CODE[kind]))
-            fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
-    elif fmt == "csv":
-        with open(path, "w") as fh:
-            axes = ",".join(grid.axes)
-            fh.write(f"# N={spec.N} m={spec.m} gamma={spec.gamma!r} "
-                     f"alpha={spec.alpha!r} sign_a={spec.sign_a} "
-                     f"L={grid.L!r} n={grid.n} axes={axes}\n")
-            for v in f.values.ravel():
-                fh.write(f"{float(v)!r}\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+
+def _read_container(path: str, extra: tuple[str, ...] = ()):
+    """Read and validate a container; returns (spec, grid, values, extras),
+    extras being the header scalars named in ``extra``, in order.  Every
+    defect raises ValueError naming the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[:4] != b"SHC1":
+        raise ValueError(f"{path}: not a sectorheat container (bad magic)")
+    hlen = struct.unpack("<i", raw[4:8])[0] if len(raw) >= 8 else 0
+    if not 1 <= hlen <= len(raw) - _PREAMBLE:
+        raise ValueError(f"{path}: truncated, or header length {hlen} out of "
+                         f"range for a {len(raw)}-byte file")
+    header = raw[8:8 + hlen]
+    digest = raw[8 + hlen:_PREAMBLE + hlen]
+    payload = raw[_PREAMBLE + hlen:]
+    if hashlib.sha256(header + payload).hexdigest().encode() != digest:
+        raise ValueError(f"{path}: checksum mismatch, file corrupted")
+    try:
+        meta = json.loads(header)
+        if not isinstance(meta, dict):
+            raise ValueError("header is not a JSON object")
+        spec = SectorSpec(meta["N"], meta["m"], meta["gamma"], meta["alpha"],
+                          meta["sign_a"])
+        grid = GridSpec(meta["L"], meta["n"], tuple(meta["axes"]))
+        extras = tuple(float(meta[k]) for k in extra)
+    except KeyError as e:
+        raise ValueError(f"{path}: header lacks key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: bad header: {e}") from e
+    # every axis has at least n nodes, so the first test rules out an
+    # absurd n before grid.shape() builds the node arrays
+    if 8 * grid.n > len(payload) \
+            or len(payload) != 8 * int(np.prod(grid.shape())):
+        raise ValueError(f"{path}: payload of {len(payload)} bytes does not "
+                         f"hold 8 per node of the grid n={grid.n}, "
+                         f"axes={list(grid.axes)}")
+    values = np.frombuffer(payload, dtype="<f8").reshape(grid.shape())
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: payload holds non-finite values")
+    return spec, grid, values.copy(), extras
+
+
+def save_field(f: Field, path: str) -> None:
+    """Write a field as an SHC1 container."""
+    _write_container(path, f.spec, f.grid, f.values)
 
 
 def load_field(path: str) -> Field:
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-        if head == _MAGIC:
-            N, m = struct.unpack("<ii", fh.read(8))
-            gamma, alpha = struct.unpack("<dd", fh.read(16))
-            (sign_a,) = struct.unpack("<i", fh.read(4))
-            (L,) = struct.unpack("<d", fh.read(8))
-            n, ndim = struct.unpack("<ii", fh.read(8))
-            axes = tuple(_CODE_KIND[struct.unpack("<i", fh.read(4))[0]]
-                         for _ in range(ndim))
-            spec = SectorSpec(N, m, gamma, alpha, sign_a)
-            grid = GridSpec(L, n, axes)
-            count = int(np.prod(grid.shape()))
-            values = np.frombuffer(fh.read(8 * count), dtype="<f8")
-            return Field(spec, grid, values.reshape(grid.shape()))
-    # fall through: CSV
-    with open(path) as fh:
-        header = fh.readline().lstrip("# ").split()
-        meta = dict(item.split("=", 1) for item in header)
-        spec = SectorSpec(int(meta["N"]), int(meta["m"]), float(meta["gamma"]),
-                          float(meta["alpha"]), int(meta["sign_a"]))
-        grid = GridSpec(float(meta["L"]), int(meta["n"]),
-                        tuple(meta["axes"].split(",")))
-        values = np.array([float(line) for line in fh])
-    return Field(spec, grid, values.reshape(grid.shape()))
+    spec, grid, values, _ = _read_container(path)
+    return Field(spec, grid, values)

@@ -17,17 +17,17 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Field, GridSpec, SectorSpec, field_from_profile
+from .geometry import Field, SectorSpec, field_from_profile
 from .profiles import (ConstantModulation, LogBlockModulation,
                        ModulatedProfile, Psi0Profile, eval_psi0)
-from .semigroup import (KernelPlan, PsiCache, alpha_time_integral,
-                        apply_kernel, linear_sup, psi_fast, psi_sup)
+from .semigroup import (KernelPlan, PsiCache, apply_kernel, linear_sup,
+                        psi_fast, psi_sup)
 from .evolve import (STATUS_BLEWUP, STATUS_GLOBAL, EvolveControls,
-                     TrajectoryRecord, estimate_tmax, run_trajectory)
+                     estimate_tmax, run_trajectory)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Field, GridSpec, SectorSpec, field_from_profile, \
-    weighted_sup_ratio
+from .geometry import Field, GridSpec, SectorSpec, field_from_profile
 from .profiles import Psi0Profile
 from .semigroup import (KernelPlan, PsiCache, alpha_time_integral,
                         apply_kernel, psi_fast)
@@ -206,20 +205,6 @@ def solve_picard(spec: SectorSpec, profile, cache: PsiCache,
     return PicardRun(config=config, spec=spec, grid=grid, slices=slices,
                      increments=increments, ratios=ratios, xt_norm=xt,
                      converged=converged, psi_slices=psi_slices)
-
-
-def duhamel_step(plan: KernelPlan, spec: SectorSpec, mesh: np.ndarray,
-                 slices: list, lin_i: Field, i: int) -> Field:
-    """One evaluation of the Duhamel map at mesh node i from the given
-    slices (exposed for testing against scalar oracles)."""
-    w = duhamel_weights(spec, mesh, i)
-    acc = lin_i.values.copy()
-    for j in range(i + 1):
-        nl = Field(spec, plan.grid,
-                   _nonlinear_values(spec, slices[j].values))
-        g = _apply_or_identity(plan, mesh[i] - mesh[j], nl)
-        acc = acc + spec.sign_a * w[j] * g.values
-    return Field(spec, plan.grid, acc, time_tag=float(mesh[i]))
 
 
 def lipschitz_check(run1: PicardRun, run2: PicardRun,

@@ -39,15 +39,15 @@ def eval_psi0(spec: SectorSpec, pts) -> np.ndarray:
     pts, r = _split_points(spec, pts)
     if np.any(r == 0.0):
         raise ValueError("psi0 is singular at the origin")
-    coord_prod = np.prod(pts[..., :spec.m], axis=-1) if spec.m else 1.0
-    if spec.m and np.any(coord_prod == 0.0):
+    if np.any(pts[..., :spec.m] == 0.0):
         raise ValueError("psi0 evaluation point lies on a sector wall")
-    return leading_constant(spec) * coord_prod * r ** (-spec.gamma - 2 * spec.m)
+    return _psi0_signed(spec, pts)[()]   # a scalar for a single point
 
 
 def _psi0_signed(spec: SectorSpec, pts) -> np.ndarray:
     """psi0 extended anti-symmetrically: sign flips with the first m
-    coordinates, zero on walls.  Used internally for full-box sampling."""
+    coordinates, zero on walls and at the origin.  The one psi0 formula;
+    eval_psi0 adds the origin/wall check."""
     pts, r = _split_points(spec, pts)
     out = np.zeros(r.shape)
     ok = r > 0.0
@@ -66,20 +66,6 @@ def eval_gaussian_derivative(spec: SectorSpec, t: float, pts) -> np.ndarray:
     for i in range(spec.m):
         g = g * pts[..., i] / (2.0 * t)
     return g
-
-
-def eval_modulated(spec: SectorSpec, g, zeta, pts) -> np.ndarray:
-    """psi0(x) * g(log|x|) * zeta(x/|x|); g bounded, zeta anti-symmetric.
-
-    Pass zeta=None for the default (the angular factor of psi0 is already
-    absorbed in psi0, so zeta is identically 1).
-    """
-    pts, r = _split_points(spec, pts)
-    base = eval_psi0(spec, pts)
-    out = base * g(np.log(r))
-    if zeta is not None:
-        out = out * zeta(pts / r[..., None])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +255,3 @@ class CustomProfile:
     def scaled(self, lam: float) -> "CustomProfile":
         return CustomProfile(self.spec, self.fn, self.tail_degree,
                              self.amplitude * lam)
-
-
-def scale_profile(profile, lam: float):
-    if hasattr(profile, "scaled"):
-        return profile.scaled(lam)
-    return CustomProfile(getattr(profile, "spec"), profile, amplitude=lam,
-                         tail_degree=getattr(profile, "tail_degree", None))

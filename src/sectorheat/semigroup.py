@@ -15,9 +15,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -29,8 +26,9 @@ from scipy.optimize import minimize
 from scipy.special import erfc
 
 from .geometry import (AXIS_ANTISYM, AXIS_FULL, AXIS_PERIODIC, AXIS_SYM,
-                       Field, GridSpec, SectorSpec)
-from .profiles import Psi0Profile, leading_constant
+                       Field, GridSpec, SectorSpec, _read_container,
+                       _write_container)
+from .profiles import Psi0Profile, _psi0_signed
 
 
 @dataclass
@@ -46,7 +44,6 @@ class KernelPlan:
 
     spec: SectorSpec
     grid: GridSpec
-    method: str = "quadrature"
     refine_target: float = 1e-10
     gl_smooth: int = 3
     gl_singular: int = 6
@@ -313,11 +310,6 @@ def _tail_series(spec: SectorSpec, kmax: int = 6) -> np.ndarray:
     return c
 
 
-def _tail_coeffs(spec: SectorSpec) -> tuple[float, float]:
-    c = _tail_series(spec, 2)
-    return float(c[1]), float(c[2])
-
-
 @dataclass
 class PsiCache:
     """Reference field E = e^{D_Omega} psi0 on a fine grid plus its sup-norm."""
@@ -409,12 +401,9 @@ def psi_values(cache: PsiCache, t: float, pts: np.ndarray) -> np.ndarray:
     if np.any(inside):
         out[inside] = cache.interp()(flat_y[inside])
     if np.any(~inside):
-        yo = flat_y[~inside]
-        ro = flat_r[~inside]
         ck = _tail_series(spec)
-        coord = np.prod(yo[:, :spec.m], axis=-1) if spec.m else 1.0
-        psi0v = leading_constant(spec) * coord * ro ** (-spec.gamma - 2 * spec.m)
-        out[~inside] = psi0v * np.polyval(ck[::-1], ro ** -2.0)
+        series = np.polyval(ck[::-1], flat_r[~inside] ** -2.0)
+        out[~inside] = _psi0_signed(spec, flat_y[~inside]) * series
     out = out * t ** (-spec.decay / 2.0)
     return np.maximum(out, 1e-280).reshape(r.shape)
 
@@ -434,8 +423,18 @@ class PsiProfile:
 
 def psi_fast(cache: PsiCache, t: float,
              grid: GridSpec | None = None) -> Field:
-    """Sample Psi(t) on a grid through the dilation identity."""
+    """Sample Psi(t) on a grid through the dilation identity.
+
+    Psi is evaluated on the sector only, so the first m axes of the grid
+    must be anti-symmetric.
+    """
     grid = grid or cache.grid
+    for i, kind in enumerate(grid.axes[:cache.spec.m]):
+        if kind != AXIS_ANTISYM:
+            raise ValueError(
+                f"psi_fast: axis {i} is {kind!r}, but Psi is sampled on the "
+                f"sector only, so the first {cache.spec.m} axes must be "
+                f"{AXIS_ANTISYM!r}")
     vals = psi_values(cache, t, grid.points())
     return Field(cache.spec, grid, vals, time_tag=t,
                  profile=PsiProfile(cache, t))
@@ -465,39 +464,13 @@ def alpha_time_integral(cache: PsiCache, T: float,
 
 
 # ---------------------------------------------------------------------------
-# cache persistence (deterministic layout + checksum)
+# cache persistence: the SHC1 container with C_inf in its header
 
 def save_cache(cache: PsiCache, path: str) -> None:
-    spec, grid = cache.spec, cache.grid
-    header = json.dumps({
-        "N": spec.N, "m": spec.m, "gamma": spec.gamma, "alpha": spec.alpha,
-        "sign_a": spec.sign_a, "L": grid.L, "n": grid.n,
-        "axes": list(grid.axes), "C_inf": cache.C_inf,
-    }, sort_keys=True).encode()
-    payload = np.ascontiguousarray(cache.values, dtype="<f8").tobytes()
-    digest = hashlib.sha256(header + payload).hexdigest().encode()
-    with open(path, "wb") as fh:
-        fh.write(b"SHC1")
-        fh.write(struct.pack("<i", len(header)))
-        fh.write(header)
-        fh.write(digest)
-        fh.write(payload)
+    _write_container(path, cache.spec, cache.grid, cache.values,
+                     C_inf=cache.C_inf)
 
 
 def load_cache(path: str) -> PsiCache:
-    with open(path, "rb") as fh:
-        if fh.read(4) != b"SHC1":
-            raise ValueError(f"{path} is not a psi cache file")
-        (hlen,) = struct.unpack("<i", fh.read(4))
-        header = fh.read(hlen)
-        digest = fh.read(64)
-        payload = fh.read()
-    if hashlib.sha256(header + payload).hexdigest().encode() != digest:
-        raise ValueError(f"{path}: checksum mismatch, cache corrupted")
-    meta = json.loads(header)
-    spec = SectorSpec(meta["N"], meta["m"], meta["gamma"], meta["alpha"],
-                      meta["sign_a"])
-    grid = GridSpec(meta["L"], meta["n"], tuple(meta["axes"]))
-    values = np.frombuffer(payload, dtype="<f8").reshape(grid.shape())
-    return PsiCache(spec=spec, grid=grid, values=values.copy(),
-                    C_inf=meta["C_inf"])
+    spec, grid, values, (C_inf,) = _read_container(path, ("C_inf",))
+    return PsiCache(spec=spec, grid=grid, values=values, C_inf=C_inf)

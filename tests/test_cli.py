@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from sectorheat.cli import (EXIT_CONFIG, EXIT_OK, ConfigError, RunManifest,
-                            cache_path, main, profile_from_descriptor)
+from sectorheat.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK,
+                            ConfigError, RunManifest, cache_path, main,
+                            profile_from_descriptor)
 from sectorheat.geometry import AXIS_PERIODIC, SectorSpec
 from sectorheat.profiles import (ConstantProfile, GaussianDerivativeProfile,
                                  ModulatedProfile, Psi0Profile)
@@ -109,6 +110,42 @@ def test_cache_build_idempotent(tmp_path):
     first = open(cpath, "rb").read()
     assert main([path, "-q", "--cache-dir", cdir]) == EXIT_OK
     assert open(cpath, "rb").read() == first    # reused, byte-identical
+
+
+def test_truncated_cache_is_a_config_error(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    path = _write_manifest(tmp_path, _manifest_dict(output_dir=out))
+    cdir = str(tmp_path / "caches")
+    assert main([path, "-q", "--cache-dir", cdir]) == EXIT_OK
+    cpath = cache_path(RunManifest.from_dict(_manifest_dict()), cdir)
+    raw = open(cpath, "rb").read()
+    for cut in (5, len(raw) // 2):
+        open(cpath, "wb").write(raw[:cut])
+        assert main([path, "-q", "--cache-dir", cdir]) == EXIT_CONFIG
+        assert cpath in capsys.readouterr().err
+
+
+def test_criteria_undetermined_verdict_is_inconclusive(tmp_path):
+    # alpha = 3 > 2/(gamma+m): the criterion does not apply, so the run
+    # must exit 4, not 0
+    d = _manifest_dict(experiment="criteria",
+                       spec={"N": 1, "m": 1, "gamma": 0.5, "alpha": 3.0},
+                       output_dir=str(tmp_path / "out"))
+    code = main([_write_manifest(tmp_path, d), "-q"])
+    blob = json.load(open(tmp_path / "out" / "criteria.json"))
+    assert blob["verdict"] == "undetermined"
+    assert code == EXIT_INCONCLUSIVE
+
+
+def test_picard_rejects_off_sector_grid(tmp_path, capsys):
+    # Psi is positive only on the sector and psi_values clamps it at 1e-280,
+    # so a "full" first axis must be refused before the weighted norm
+    # divides by the clamped values
+    d = _manifest_dict(experiment="picard",
+                       grid={"L": 10.0, "n": 64, "axes": ["full"]},
+                       output_dir=str(tmp_path / "out"))
+    assert main([_write_manifest(tmp_path, d), "-q"]) == EXIT_CONFIG
+    assert "axis 0 is 'full'" in capsys.readouterr().err
 
 
 def test_cache_path_depends_on_axes():

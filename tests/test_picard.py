@@ -8,7 +8,7 @@ from sectorheat import SectorSpec, alpha_time_integral, apply_kernel, \
     field_from_profile, psi_fast
 import sectorheat.picard as picard
 from sectorheat.picard import (admissible_constants, contraction_bound,
-                               data_x_distance, duhamel_step, duhamel_weights,
+                               data_x_distance, duhamel_weights,
                                graded_mesh, lipschitz_bound, lipschitz_check,
                                solve_picard)
 from sectorheat.profiles import (ModulatedProfile, Psi0Profile, SinSquaredLog,
@@ -160,18 +160,6 @@ def test_initial_trace(setup11):
     assert devs[0] < 0.15 * devs[-1]
 
 
-def test_duhamel_step_zero_nonlinearity(setup11):
-    # slices that are identically zero leave the linear part untouched
-    spec, grid, plan, cache = setup11
-    mesh = graded_mesh(spec, 0.02, 6)
-    zero = field_from_profile(spec, grid, Psi0Profile(spec, 0.0))
-    lin = apply_kernel(plan, mesh[3],
-                       field_from_profile(spec, grid, Psi0Profile(spec)))
-    out = duhamel_step(plan, spec, mesh, [zero] * 4, lin, 3)
-    assert np.array_equal(out.values, lin.values)
-    assert out.time_tag == pytest.approx(mesh[3])
-
-
 def test_lipschitz_dependence_on_data(setup11):
     spec, grid, plan, cache = setup11
     p1 = Psi0Profile(spec, 1.0)
@@ -219,5 +207,6 @@ def test_psi0_linear_part_comes_from_cache(setup11, monkeypatch):
     for s_j, sl in zip(mesh, run.slices):
         cached = 1.3 * psi_fast(cache, s_j, grid).values
         assert np.array_equal(sl.values, cached)
+        assert sl.time_tag == s_j
         direct = apply_kernel(plan, s_j, data).values
         assert np.max(np.abs(cached - direct) / np.abs(direct)) < 1e-3

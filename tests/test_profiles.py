@@ -5,8 +5,8 @@ from sectorheat import GridSpec, SectorSpec
 from sectorheat.profiles import (ConstantModulation, GaussianDerivativeProfile,
                                  LogBlockModulation, ModulatedProfile,
                                  Psi0Profile, SinSquaredLog,
-                                 eval_gaussian_derivative, eval_modulated,
-                                 eval_psi0, leading_constant, scale_profile)
+                                 eval_gaussian_derivative, eval_psi0,
+                                 leading_constant)
 
 
 def test_leading_constant():
@@ -86,11 +86,11 @@ def test_gaussian_derivative_moment_normalization():
 def test_eval_modulated():
     spec = SectorSpec(1, 0, 0.5, 1.0)
     pts = np.array([[1.3], [2.6]])
-    ones = eval_modulated(spec, lambda s: np.ones_like(s), None, pts)
+    ones = ModulatedProfile(spec, lambda s: np.ones_like(s))(pts)
     assert np.allclose(ones, eval_psi0(spec, pts))
     # peak of sin^2(log r) at r = e^(pi/2)
-    peak = eval_modulated(spec, lambda s: np.sin(s) ** 2, None,
-                          np.array([[np.exp(np.pi / 2)]]))
+    peak = ModulatedProfile(spec, lambda s: np.sin(s) ** 2)(
+        np.array([[np.exp(np.pi / 2)]]))
     assert peak == pytest.approx(eval_psi0(spec, np.array([np.exp(np.pi / 2)])))
 
 
@@ -161,6 +161,6 @@ def test_log_block_modulation_structure():
 
 def test_scale_profile():
     spec = SectorSpec(1, 1, 0.5, 0.5)
-    p = scale_profile(Psi0Profile(spec), 3.0)
+    p = Psi0Profile(spec).scaled(3.0)
     pts = np.array([[1.0], [2.0]])
     assert np.allclose(p(pts), 3.0 * eval_psi0(spec, pts))

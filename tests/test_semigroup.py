@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sectorheat import (Field, GridSpec, KernelPlan, SectorSpec,
+from sectorheat import (Field, GridSpec, KernelPlan, PsiCache, SectorSpec,
                         alpha_time_integral, apply_kernel, apply_spectral,
                         build_psi_cache, dilate, field_from_profile,
                         linear_sup, load_cache, psi_fast, psi_sup, psi_values,
@@ -12,8 +12,7 @@ from sectorheat import (Field, GridSpec, KernelPlan, SectorSpec,
 from sectorheat.profiles import (CustomProfile, GaussianDerivativeProfile,
                                  Psi0Profile, eval_gaussian_derivative,
                                  eval_psi0)
-from sectorheat.semigroup import (_axis_rule, _k1d, _tail_coeffs, _tail_series,
-                                  heat_at_points)
+from sectorheat.semigroup import _axis_rule, _k1d, _tail_series, heat_at_points
 
 
 def test_gaussian_semigroup_m0():
@@ -187,7 +186,7 @@ def test_sup_norm_law(setup11):
 def test_reference_field_tail_expansion(setup11):
     # far field: E(y) = psi0(y) sum_k c_k r^(-2k) (asymptotic; c1 dominates)
     spec, grid, plan, cache = setup11
-    c1, c2 = _tail_coeffs(spec)
+    c1, c2 = _tail_series(spec, 2)[1:]
     assert c1 == pytest.approx(3.75)
     assert c2 == pytest.approx(3.75 * 4.5 * 3.5 / 2)
     pts = np.array([[8.5], [12.0]])
@@ -267,6 +266,20 @@ def test_psi_values_positive_everywhere(setup11):
         assert np.all(psi_values(cache, t, pts) > 0)
     with pytest.raises(ValueError):
         psi_values(cache, 0.0, pts)
+
+
+def test_psi_fast_rejects_off_sector_grid(setup11):
+    # off the sector Psi would be negative; psi_values clamps it, so a grid
+    # whose first m axes leave the sector is refused up front
+    spec, grid, plan, cache = setup11
+    full = GridSpec(grid.L, grid.n, ("full",))
+    with pytest.raises(ValueError, match="axis 0 is 'full'"):
+        psi_fast(cache, 1.0, full)
+    sym = SectorSpec(2, 1, 1.0, 0.5)
+    cache2 = PsiCache(sym, GridSpec(4.0, 4, ("antisym", "sym")),
+                      np.ones((4, 4)), 1.0)
+    with pytest.raises(ValueError, match="axis 0 is 'sym'"):
+        psi_fast(cache2, 1.0, GridSpec(4.0, 4, ("sym", "antisym")))
 
 
 def test_apply_kernel_rejects_nonpositive_time(setup11):
