@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,6 +53,12 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
+        if not isinstance(d, dict):
+            raise ConfigError("malformed manifest: not a JSON object")
+        unknown = cls._unknown_keys(d)
+        if unknown:
+            raise ConfigError("unknown manifest keys: "
+                              + ", ".join(map(repr, unknown)))
         try:
             kind = d["experiment"]
             if kind not in EXPERIMENTS:
@@ -63,6 +69,9 @@ class RunManifest:
                               float(s["alpha"]), int(s.get("sign_a", 1)))
             g = d["grid"]
             if "axes" in g:
+                if len(g["axes"]) != spec.N:
+                    raise ConfigError(f"grid axes {g['axes']} must have "
+                                      f"N={spec.N} entries")
                 grid = GridSpec(float(g["L"]), int(g["n"]),
                                 tuple(g["axes"]))
             else:
@@ -83,6 +92,20 @@ class RunManifest:
             if not tol > 0:
                 raise ConfigError(f"tolerance {name!r} must be positive")
         return man
+
+    @staticmethod
+    def _unknown_keys(d: dict) -> list[str]:
+        """Manifest keys that name no field of RunManifest, or of
+        SectorSpec and GridSpec inside "spec" and "grid"."""
+        unknown = []
+        for where, cls in (("", RunManifest), ("spec", SectorSpec),
+                           ("grid", GridSpec)):
+            sub = d.get(where) if where else d
+            if isinstance(sub, dict):
+                known = {f.name for f in fields(cls)}
+                unknown += [f"{where}.{k}" if where else k for k in sub
+                            if k not in known]
+        return unknown
 
     def to_dict(self) -> dict:
         return {
@@ -136,9 +159,11 @@ def get_cache(man: RunManifest, plan: KernelPlan, cache_dir: str):
     path = cache_path(man, cache_dir)
     if os.path.exists(path):
         cached = load_cache(path)
-        if cached.grid == plan.grid and cached.spec.gamma == man.spec.gamma \
-                and cached.spec.m == man.spec.m:
-            return cached
+        # E = e^{D} psi0 depends on N, m, gamma and the grid only, so one
+        # file serves every alpha and sign_a, under the manifest's spec
+        if cached.grid == plan.grid and man.spec == replace(
+                cached.spec, alpha=man.spec.alpha, sign_a=man.spec.sign_a):
+            return replace(cached, spec=man.spec)
     cache = build_psi_cache(man.spec, man.grid, plan)
     os.makedirs(cache_dir, exist_ok=True)
     save_cache(cache, path)

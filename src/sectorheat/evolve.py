@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Field, GridSpec, SectorSpec, field_from_profile
-from .semigroup import KernelPlan, PsiCache, apply_spectral
+from .semigroup import KernelPlan, PsiCache, _spectral_flow
 from .picard import solve_picard
 
 STATUS_BLEWUP = "blew_up"
@@ -38,18 +38,20 @@ class BlowupSignal:
     remaining: float
 
 
+# dt = min(DT_SAFETY h^2, DT_GROWTH_FRAC / (alpha ||u||^alpha)); singular
+# data hand off from the Picard slices near HANDOFF_FRAC * T
+DT_SAFETY = 1.0
+DT_GROWTH_FRAC = 0.1
+HANDOFF_FRAC = 0.01
+FIT_RESIDUAL_GATE = 0.02
+MAX_STEPS = 2_000_000
+
+
 @dataclass
 class EvolveControls:
     horizon: float = 50.0
     cap: float = 1e8
-    dt_safety: float = 1.0
-    dt_growth_frac: float = 0.1   # dt <= frac / (alpha ||u||^alpha)
     fixed_dt: float | None = None
-    handoff_frac: float = 0.01
-    fit_residual_gate: float = 0.02
-    max_steps: int = 2_000_000
-    picard_J: int = 12
-    start: str = "auto"           # auto | picard | direct
 
 
 @dataclass
@@ -90,21 +92,20 @@ class TrajectoryRecord:
             json.dump(rec, fh, sort_keys=True, indent=1)
 
 
-def nonlinear_substep(f: Field, dt: float, sign_a: int | None = None,
-                      alpha: float | None = None):
+def nonlinear_substep(spec: SectorSpec, v: np.ndarray, dt: float):
     """Exact pointwise flow of u' = a|u|^alpha u over dt.
 
-    Returns a Field, or a BlowupSignal when a = +1 and some node's scalar
-    blow-up time 1/(alpha|u|^alpha) falls within dt.
+    Returns the new values, or a BlowupSignal when a = +1 and some node's
+    scalar blow-up time 1/(alpha|u|^alpha) falls within dt.  Non-finite
+    input raises: the flow would map NaN to 0 and hide it.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    spec = f.spec
-    a = spec.sign_a if sign_a is None else sign_a
-    alpha = spec.alpha if alpha is None else alpha
-    v = f.values
+    a, alpha = spec.sign_a, spec.alpha
     absv = np.abs(v)
     vmax = float(absv.max())
+    if not np.isfinite(vmax):
+        raise ValueError("field values must be finite")
     if a > 0 and vmax > 0.0:
         remaining = 1.0 / (alpha * vmax ** alpha)
         if dt >= remaining:
@@ -114,35 +115,31 @@ def nonlinear_substep(f: Field, dt: float, sign_a: int | None = None,
     nz = absv > 0.0
     out[nz] = np.sign(v[nz]) * (absv[nz] ** -alpha
                                 - a * alpha * dt) ** (-1.0 / alpha)
-    prev = f.time_tag or 0.0
-    return Field(spec, f.grid, out, time_tag=prev + dt)
+    return out
 
 
-def strang_step(plan: KernelPlan, f: Field, dt: float):
-    """Half nonlinear flow, exact spectral heat step, half nonlinear flow."""
-    half = nonlinear_substep(f, 0.5 * dt)
+def strang_step(plan: KernelPlan, v: np.ndarray, dt: float):
+    """Half nonlinear flow, exact spectral heat step, half nonlinear flow,
+    on raw values over the plan's grid."""
+    half = nonlinear_substep(plan.spec, v, 0.5 * dt)
     if isinstance(half, BlowupSignal):
         return half
-    heated = apply_spectral(plan, dt, half.with_values(half.values))
-    out = nonlinear_substep(heated, 0.5 * dt)
-    if isinstance(out, BlowupSignal):
-        return out
-    prev = f.time_tag or 0.0
-    return Field(f.spec, f.grid, out.values, time_tag=prev + dt)
+    heated = _spectral_flow(plan.grid, dt, half)
+    return nonlinear_substep(plan.spec, heated, 0.5 * dt)
 
 
-def _pick_dt(spec: SectorSpec, f: Field, c: EvolveControls) -> float:
+def _pick_dt(spec: SectorSpec, grid: GridSpec, sup: float,
+             c: EvolveControls) -> float:
     if c.fixed_dt is not None:
         return c.fixed_dt
-    h = min(f.grid.axis_spacing(i) for i in range(f.grid.ndim))
-    dt = c.dt_safety * h * h
-    sup = f.sup_norm()
+    h = min(grid.axis_spacing(i) for i in range(grid.ndim))
+    dt = DT_SAFETY * h * h
     if sup > 0.0:
-        dt = min(dt, c.dt_growth_frac / (spec.alpha * sup ** spec.alpha))
+        dt = min(dt, DT_GROWTH_FRAC / (spec.alpha * sup ** spec.alpha))
     return dt
 
 
-def _typeI_fit(spec: SectorSpec, times, sups, cap: float):
+def _typeI_fit(spec: SectorSpec, times, sups):
     """Type-I diagnostics from the late-time sup-norm record.
 
     T_fit comes from the last sample's exact scalar remainder.  The gate
@@ -183,50 +180,50 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
 
     ``bound_fn(t) -> array`` is an optional nodewise envelope; the first
     violation is recorded (used for global-existence certificates).
+    The last state is returned as a Field, or None after a blow-up.
     """
     c = controls or EvolveControls()
-    spec = f0.spec
+    spec, grid = plan.spec, plan.grid
+    if f0.spec != spec or f0.grid != grid:
+        raise ValueError("initial field and plan differ in spec or grid")
     justified = (spec.N - 2) * spec.alpha < 4.0
-    times = [t0]
-    sups = [f0.sup_norm()]
-    dts = [0.0]
+    v = f0.values
+    sup = f0.sup_norm()
+    times, sups, dts = [t0], [sup], [0.0]
     violation = None
-    f = f0.with_values(f0.values, time_tag=t0)
     t = t0
     status = STATUS_INCONCLUSIVE
     t_max = uncertainty = residual = None
-    for _ in range(c.max_steps):
+    for _ in range(MAX_STEPS):
         if t >= c.horizon:
             status = STATUS_GLOBAL
             break
-        sup = f.sup_norm()
         if spec.sign_a > 0 and sup >= c.cap:
-            t_max, uncertainty, residual = _typeI_fit(spec, times, sups, c.cap)
-            status = (STATUS_BLEWUP if residual < c.fit_residual_gate
-                      else STATUS_INCONCLUSIVE)
+            t_max, uncertainty, residual = _typeI_fit(spec, times, sups)
             break
-        dt = min(_pick_dt(spec, f, c), c.horizon - t + 1e-15)
-        stepped = strang_step(plan, f, dt)
+        dt = min(_pick_dt(spec, grid, sup, c), c.horizon - t + 1e-15)
+        stepped = strang_step(plan, v, dt)
         if isinstance(stepped, BlowupSignal):
             # the exact sub-flow diverged inside the step
-            t_max, uncertainty, residual = _typeI_fit(spec, times, sups, c.cap)
+            _, uncertainty, residual = _typeI_fit(spec, times, sups)
             t_max = t + stepped.remaining
-            status = (STATUS_BLEWUP if residual < c.fit_residual_gate
-                      else STATUS_INCONCLUSIVE)
-            f = None
+            v = None
             break
-        f = stepped
+        v = stepped
+        sup = float(np.max(np.abs(v)))
+        if not np.isfinite(sup):
+            raise ValueError("field values must be finite")
         t += dt
         times.append(t)
-        sups.append(f.sup_norm())
+        sups.append(sup)
         dts.append(dt)
         if bound_fn is not None and violation is None:
-            b = bound_fn(t)
-            bad = np.abs(f.values) > b
-            if np.any(bad):
-                node = np.unravel_index(int(np.argmax(np.abs(f.values) - b)),
-                                        f.values.shape)
-                violation = (t, node)
+            excess = np.abs(v) - bound_fn(t)
+            if np.any(excess > 0.0):
+                violation = (t, np.unravel_index(int(np.argmax(excess)),
+                                                 v.shape))
+    if residual is not None and residual < FIT_RESIDUAL_GATE:
+        status = STATUS_BLEWUP
     rec = TrajectoryRecord(
         times=np.array(times), sups=np.array(sups), dts=np.array(dts),
         status=status, t_max=t_max, uncertainty=uncertainty,
@@ -234,11 +231,8 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
         handoff_time=t0, bound_violation=violation)
     if not justified and status == STATUS_BLEWUP:
         rec.notes["extrapolation_unjustified"] = True
-    return rec, f
-
-
-def _needs_picard(profile) -> bool:
-    return getattr(profile, "tail_degree", None) is not None
+    last = None if v is None else Field(spec, grid, v, time_tag=t)
+    return rec, last
 
 
 def estimate_tmax(spec: SectorSpec, profile, cache: PsiCache | None = None,
@@ -248,23 +242,21 @@ def estimate_tmax(spec: SectorSpec, profile, cache: PsiCache | None = None,
     """T_max estimate: contraction construction on a short initial window
     for singular data, then adaptive Strang stepping to blow-up or horizon.
     """
-    c = controls or EvolveControls()
-    if grid is None:
-        grid = cache.grid if cache is not None else None
+    grid = grid or getattr(cache, "grid", None)
     if grid is None:
         raise ValueError("estimate_tmax needs a grid (or a cache)")
     plan = plan or KernelPlan(spec, grid)
-    use_picard = (c.start == "picard"
-                  or (c.start == "auto" and _needs_picard(profile)))
+    # singular data carry the homogeneity degree of their tail
+    use_picard = getattr(profile, "tail_degree", None) is not None
     if use_picard:
         if cache is None:
             raise ValueError("singular data needs a psi cache for the "
                              "contraction handoff")
-        run = solve_picard(spec, profile, cache, plan, J=c.picard_J)
+        run = solve_picard(spec, profile, cache, plan)
         mesh = run.config.mesh
         # hand off at the first converged slice that the grid resolves
         h = max(grid.axis_spacing(i) for i in range(grid.ndim))
-        t_target = max(c.handoff_frac * run.config.T, (2.0 * h) ** 2)
+        t_target = max(HANDOFF_FRAC * run.config.T, (2.0 * h) ** 2)
         j = int(np.searchsorted(mesh, t_target))
         j = min(j, len(mesh) - 1)
         f0 = run.slices[j]
@@ -272,6 +264,6 @@ def estimate_tmax(spec: SectorSpec, profile, cache: PsiCache | None = None,
     else:
         f0 = field_from_profile(spec, grid, profile)
         t0 = 0.0
-    rec, _ = run_trajectory(plan, f0, t0, c)
+    rec, _ = run_trajectory(plan, f0, t0, controls)
     rec.handoff_time = t0 if use_picard else None
     return rec

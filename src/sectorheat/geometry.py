@@ -132,12 +132,6 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(self.axis_nodes(i)) for i in range(self.ndim))
 
-    def cell_volume(self) -> float:
-        vol = 1.0
-        for i in range(self.ndim):
-            vol *= self.axis_spacing(i)
-        return vol
-
     def meshgrid(self) -> list[np.ndarray]:
         return np.meshgrid(*[self.axis_nodes(i) for i in range(self.ndim)],
                            indexing="ij")
@@ -182,12 +176,6 @@ class Field:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def l1_annulus(self, r_min: float, r_max: float) -> float:
-        """Grid L1 norm over the annulus r_min < |x| < r_max."""
-        r = self.grid.radii()
-        mask = (r > r_min) & (r < r_max)
-        return float(np.sum(np.abs(self.values[mask])) * self.grid.cell_volume())
 
     def is_nonnegative(self, rel_tol: float = 1e-12) -> bool:
         vmax = float(np.max(self.values, initial=0.0))
@@ -379,6 +367,9 @@ def _read_container(path: str, extra: tuple[str, ...] = ()):
         raise ValueError(f"{path}: header lacks key {e}") from e
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: bad header: {e}") from e
+    if grid.ndim != spec.N:
+        raise ValueError(f"{path}: header axes {list(grid.axes)} has "
+                         f"{grid.ndim} entries, but N={spec.N}")
     # every axis has at least n nodes, so the first test rules out an
     # absurd n before grid.shape() builds the node arrays
     if 8 * grid.n > len(payload) \

@@ -270,13 +270,10 @@ def _inverse(kind: str, v: np.ndarray, axis: int) -> np.ndarray:
     return ifft(v, axis=axis)
 
 
-def apply_spectral(plan: KernelPlan, t: float, f: Field) -> Field:
-    """e^{t D} f via per-axis sine/Fourier transforms; exact in time for the
-    discrete modes, identity at t = 0."""
-    if t < 0.0:
-        raise ValueError("apply_spectral requires t >= 0")
-    grid = f.grid
-    v = f.values.astype(complex if AXIS_PERIODIC in grid.axes else float)
+def _spectral_flow(grid: GridSpec, t: float,
+                   values: np.ndarray) -> np.ndarray:
+    """Array kernel of apply_spectral: e^{t D} on raw grid values."""
+    v = values.astype(complex if AXIS_PERIODIC in grid.axes else float)
     for i in range(grid.ndim):
         v = _forward(grid.axes[i], v, i)
     ksq = np.zeros(v.shape)
@@ -288,9 +285,17 @@ def apply_spectral(plan: KernelPlan, t: float, f: Field) -> Field:
     v = v * np.exp(-t * ksq)
     for i in range(grid.ndim):
         v = _inverse(grid.axes[i], v, i)
-    values = v.real if np.iscomplexobj(v) else v
+    return v.real if np.iscomplexobj(v) else v
+
+
+def apply_spectral(plan: KernelPlan, t: float, f: Field) -> Field:
+    """e^{t D} f via per-axis sine/Fourier transforms; exact in time for the
+    discrete modes, identity at t = 0."""
+    if t < 0.0:
+        raise ValueError("apply_spectral requires t >= 0")
     prev = f.time_tag or 0.0
-    return Field(f.spec, grid, values, time_tag=prev + t)
+    return Field(f.spec, f.grid, _spectral_flow(f.grid, t, f.values),
+                 time_tag=prev + t)
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +413,6 @@ def psi_values(cache: PsiCache, t: float, pts: np.ndarray) -> np.ndarray:
     return np.maximum(out, 1e-280).reshape(r.shape)
 
 
-class PsiProfile:
-    """Analytic-style handle for Psi(t) = e^{t D_Omega} psi0 built on a cache."""
-
-    def __init__(self, cache: PsiCache, t: float, amplitude: float = 1.0):
-        self.cache = cache
-        self.t = t
-        self.amplitude = amplitude
-        self.tail_degree = -(cache.spec.gamma + cache.spec.m)
-
-    def __call__(self, pts):
-        return self.amplitude * psi_values(self.cache, self.t, pts)
-
-
 def psi_fast(cache: PsiCache, t: float,
              grid: GridSpec | None = None) -> Field:
     """Sample Psi(t) on a grid through the dilation identity.
@@ -435,9 +427,8 @@ def psi_fast(cache: PsiCache, t: float,
                 f"psi_fast: axis {i} is {kind!r}, but Psi is sampled on the "
                 f"sector only, so the first {cache.spec.m} axes must be "
                 f"{AXIS_ANTISYM!r}")
-    vals = psi_values(cache, t, grid.points())
-    return Field(cache.spec, grid, vals, time_tag=t,
-                 profile=PsiProfile(cache, t))
+    return Field(cache.spec, grid, psi_values(cache, t, grid.points()),
+                 time_tag=t)
 
 
 def psi_sup(cache: PsiCache, t: float) -> float:

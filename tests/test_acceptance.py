@@ -106,9 +106,7 @@ def test_criterion_03_picard_certification(setup11):
 def _ode_tmax(n):
     spec = SectorSpec(1, 0, 0.5, 1.0)
     grid = GridSpec(L=np.pi, n=n, axes=(AXIS_PERIODIC,))
-    rec = estimate_tmax(spec, ConstantProfile(spec, 1.0), grid=grid,
-                        controls=EvolveControls(start="direct"))
-    return rec
+    return estimate_tmax(spec, ConstantProfile(spec, 1.0), grid=grid)
 
 
 def test_criterion_04_ode_oracle():

@@ -42,6 +42,24 @@ def test_manifest_rejections():
             spec={"N": 1, "m": 1, "gamma": 0.5, "alpha": "-"}))
     with pytest.raises(ConfigError):
         RunManifest.from_dict(_manifest_dict(tolerances={"x": 0.0}))
+    # misspelt or retired keys are refused, each one named, at every level
+    with pytest.raises(ConfigError, match="'horizn'"):
+        RunManifest.from_dict(_manifest_dict(horizn=0.5))
+    with pytest.raises(ConfigError, match="'seed'"):
+        RunManifest.from_dict(_manifest_dict(seed=3))
+    with pytest.raises(ConfigError) as info:
+        RunManifest.from_dict(_manifest_dict(
+            horizn=0.5,
+            spec={"N": 1, "m": 1, "gamma": 0.5, "alpha": 0.5, "sign": -1},
+            grid={"L": 10.0, "n": 64, "nodes": 64}))
+    for key in ("'horizn'", "'spec.sign'", "'grid.nodes'"):
+        assert key in str(info.value)
+    # one axis kind per dimension
+    with pytest.raises(ConfigError, match=r"axes .* N=1"):
+        RunManifest.from_dict(_manifest_dict(
+            grid={"L": 10.0, "n": 64, "axes": ["antisym", "sym"]}))
+    with pytest.raises(ConfigError):
+        RunManifest.from_dict(["not", "an", "object"])
 
 
 def test_profile_descriptors():
@@ -110,6 +128,30 @@ def test_cache_build_idempotent(tmp_path):
     first = open(cpath, "rb").read()
     assert main([path, "-q", "--cache-dir", cdir]) == EXIT_OK
     assert open(cpath, "rb").read() == first    # reused, byte-identical
+
+
+def test_cache_serves_every_alpha(tmp_path):
+    # E = e^{D} psi0 does not depend on alpha, so a cache built for one
+    # alpha is reused, unchanged, by a run at another, with the run's own
+    # alpha in the contraction constants
+    def picard(alpha, cdir):
+        d = _manifest_dict(experiment="picard",
+                           spec={"N": 1, "m": 1, "gamma": 0.5,
+                                 "alpha": alpha},
+                           output_dir=str(tmp_path / f"out{alpha}"))
+        code = main([_write_manifest(tmp_path, d), "-q", "--cache-dir",
+                     str(cdir)])
+        blob = json.load(open(tmp_path / f"out{alpha}" / "picard.json"))
+        return code, blob["T"]
+
+    fresh = picard(0.3, tmp_path / "fresh")
+    shared = tmp_path / "shared"
+    assert picard(0.5, shared)[0] == EXIT_OK
+    cpath = cache_path(RunManifest.from_dict(_manifest_dict()), str(shared))
+    mtime = os.stat(cpath).st_mtime_ns
+    assert picard(0.3, shared) == fresh
+    assert fresh[0] == EXIT_OK
+    assert os.stat(cpath).st_mtime_ns == mtime
 
 
 def test_truncated_cache_is_a_config_error(tmp_path, capsys):

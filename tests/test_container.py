@@ -4,13 +4,16 @@ every malformed input."""
 
 import hashlib
 import json
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
 
 from sectorheat import (Field, GridSpec, PsiCache, SectorSpec, load_cache,
                         load_field, save_cache, save_field)
+from sectorheat.geometry import _write_container
 
 
 def _small_field() -> Field:
@@ -30,6 +33,15 @@ def _container(header: bytes, payload: bytes) -> bytes:
     digest = hashlib.sha256(header + payload).hexdigest().encode()
     return b"SHC1" + struct.pack("<i", len(header)) + header + digest \
         + payload
+
+
+def _written(spec, grid, values) -> bytes:
+    """The bytes _write_container writes, which hold a valid digest."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "written.shc")
+        _write_container(path, spec, grid, values)
+        with open(path, "rb") as fh:
+            return fh.read()
 
 
 def _header(**over) -> bytes:
@@ -82,6 +94,12 @@ _MALFORMED = {
     "invalid spec": (load_field,
                      lambda raw: _container(_header(gamma=7.0), _payload(4)),
                      "gamma must lie"),
+    "axes length differs from N": (
+        load_field,
+        lambda raw: _written(SectorSpec(1, 1, 0.5, 0.5),
+                             GridSpec(4.0, 4, ("antisym", "sym")),
+                             np.ones((4, 4))),
+        "has 2 entries, but N=1"),
     "wrong key type": (load_field,
                        lambda raw: _container(_header(N="1"), _payload(4)),
                        "bad header"),
