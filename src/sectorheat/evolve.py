@@ -124,7 +124,7 @@ def strang_step(plan: KernelPlan, v: np.ndarray, dt: float):
     half = nonlinear_substep(plan.spec, v, 0.5 * dt)
     if isinstance(half, BlowupSignal):
         return half
-    heated = _spectral_flow(plan.grid, dt, half)
+    heated = _spectral_flow(plan, dt, half)
     return nonlinear_substep(plan.spec, heated, 0.5 * dt)
 
 

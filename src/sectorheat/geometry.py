@@ -94,6 +94,8 @@ class GridSpec:
     def __post_init__(self):
         if self.L <= 0.0 or self.n < 4:
             raise ValueError("need L > 0 and n >= 4")
+        # a tuple keeps the grid hashable: spectral bases are cached by grid
+        object.__setattr__(self, "axes", tuple(self.axes))
         for kind in self.axes:
             if kind not in _AXIS_KINDS:
                 raise ValueError(f"unknown axis kind {kind!r}")

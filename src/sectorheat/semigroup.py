@@ -6,8 +6,11 @@
   with geometric (dyadic-shell) radial refinement toward the origin so
   singular data integrate accurately, and analytic continuation of the
   quadrature beyond the box for profile-backed fields.
-* apply_spectral: sine transforms (Dirichlet outer boundary) on the box,
-  exact in time for the transformed modes; for bounded post-smoothing data.
+* apply_spectral: the sine/Fourier basis (Dirichlet outer boundary) on
+  the box, exact in time for the discrete modes; for bounded
+  post-smoothing data.  Per-axis propagator matrices from that basis,
+  built once per grid and once per repeated step size, so a time step
+  runs no transform.
 * psi_fast: the dilation identity for the reference profile,
       e^{t D} psi0 = t^{-(gamma+m)/2} E(x / sqrt t),  E = e^{D} psi0,
   which collapses every t to a single cached reference field E.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -51,6 +55,8 @@ class KernelPlan:
     tail_tol: float = 1e-8
     _rules: dict = field(default_factory=dict, repr=False)
     _mats: dict = field(default_factory=dict, repr=False)
+    _last_dt: float | None = field(default=None, repr=False)
+    _propagator: tuple | None = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +170,11 @@ def _quad_mesh(plan: KernelPlan, t: float) -> np.ndarray:
 
 
 def _contract(mats: list[np.ndarray], F: np.ndarray) -> np.ndarray:
+    """Apply mats[i] along axis i of F.  Each contraction consumes the
+    leading axis and appends the new one, so the order comes back intact."""
     out = F
-    for i, A in enumerate(mats):
-        out = np.moveaxis(np.tensordot(A, out, axes=([1], [i])), 0, i)
+    for A in mats:
+        out = np.tensordot(out, A, axes=([0], [1]))
     return out
 
 
@@ -227,21 +235,19 @@ def heat_at_points(plan: KernelPlan, t: float, profile, pts,
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if F is None:
         F = profile(_quad_mesh(plan, t))
+    rules = [_axis_rule(plan, i, t, True) for i in range(plan.grid.ndim)]
     out = np.empty(pts.shape[0])
     for k, x in enumerate(pts):
-        v = F
-        for i in range(plan.grid.ndim):
-            y, w = _axis_rule(plan, i, t, True)
-            row = _k1d(plan.grid.axes[i], np.array([x[i]]), y, t,
-                       plan.grid.L)[0] * w
-            v = np.tensordot(row, v, axes=([0], [0]))
-        out[k] = float(v)
+        rows = [_k1d(plan.grid.axes[i], x[i:i + 1], y, t, plan.grid.L) * w
+                for i, (y, w) in enumerate(rules)]
+        out[k] = _contract(rows, F).item()
     return out
 
 
 # ---------------------------------------------------------------------------
 # spectral path (Dirichlet at the outer box, sine bases make anti-symmetry
-# exact; periodic axes use the FFT)
+# exact; periodic axes use the discrete Fourier basis).  The transforms run
+# only to build each axis's basis matrices; stepping contracts matrices.
 
 def _axis_freqs(grid: GridSpec, i: int) -> np.ndarray:
     kind = grid.axes[i]
@@ -254,47 +260,85 @@ def _axis_freqs(grid: GridSpec, i: int) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * grid.L / n)
 
 
-def _forward(kind: str, v: np.ndarray, axis: int) -> np.ndarray:
+def _forward(kind: str, v: np.ndarray) -> np.ndarray:
+    """Forward transform of each column of v."""
     if kind == AXIS_ANTISYM:
-        return dst(v, type=1, axis=axis)
+        return dst(v, type=1, axis=0)
     if kind in (AXIS_SYM, AXIS_FULL):
-        return dst(v, type=2, axis=axis)
-    return fft(v, axis=axis)
+        return dst(v, type=2, axis=0)
+    return fft(v, axis=0)
 
 
-def _inverse(kind: str, v: np.ndarray, axis: int) -> np.ndarray:
+def _inverse(kind: str, v: np.ndarray) -> np.ndarray:
+    """Inverse transform of each column of v."""
     if kind == AXIS_ANTISYM:
-        return idst(v, type=1, axis=axis)
+        return idst(v, type=1, axis=0)
     if kind in (AXIS_SYM, AXIS_FULL):
-        return idst(v, type=2, axis=axis)
-    return ifft(v, axis=axis)
+        return idst(v, type=2, axis=0)
+    return ifft(v, axis=0)
 
 
-def _spectral_flow(grid: GridSpec, t: float,
-                   values: np.ndarray) -> np.ndarray:
-    """Array kernel of apply_spectral: e^{t D} on raw grid values."""
-    v = values.astype(complex if AXIS_PERIODIC in grid.axes else float)
-    for i in range(grid.ndim):
-        v = _forward(grid.axes[i], v, i)
-    ksq = np.zeros(v.shape)
-    for i in range(grid.ndim):
-        k = _axis_freqs(grid, i)
+@dataclass(frozen=True)
+class _SpectralBasis:
+    """Per-axis transform matrices of one grid (complex on periodic axes)
+    and the squared frequencies, each shaped to broadcast along its axis."""
+
+    forward: tuple
+    inverse: tuple
+    ksq: tuple
+
+
+@lru_cache(maxsize=8)
+def _spectral_basis(grid: GridSpec) -> _SpectralBasis:
+    """The transforms applied to the identity, so the matrices are exactly
+    the discrete operator of the per-axis transform pair."""
+    forward, inverse, ksq = [], [], []
+    for i, kind in enumerate(grid.axes):
+        eye = np.eye(len(grid.axis_nodes(i)))
         shape = [1] * grid.ndim
-        shape[i] = k.size
-        ksq = ksq + (k ** 2).reshape(shape)
-    v = v * np.exp(-t * ksq)
-    for i in range(grid.ndim):
-        v = _inverse(grid.axes[i], v, i)
-    return v.real if np.iscomplexobj(v) else v
+        shape[i] = eye.shape[0]
+        forward.append(_forward(kind, eye))
+        inverse.append(_inverse(kind, eye))
+        ksq.append((_axis_freqs(grid, i) ** 2).reshape(shape))
+    for a in forward + inverse + ksq:
+        a.flags.writeable = False   # shared by every caller of the cache
+    return _SpectralBasis(tuple(forward), tuple(inverse), tuple(ksq))
+
+
+def _spectral_flow(plan: KernelPlan, t: float,
+                   values: np.ndarray) -> np.ndarray:
+    """Array kernel of apply_spectral: e^{t D} on raw values over the plan's
+    grid.
+
+    A step size equal to the previous call's goes through the per-axis
+    propagators P(t) = inverse diag(e^{-t k^2}) forward, built once and kept
+    in the plan's single slot; any other step size goes through the three
+    cached factors."""
+    if plan._propagator is not None and plan._propagator[0] == t:
+        return _contract(plan._propagator[1], values)
+    basis = _spectral_basis(plan.grid)
+    if t == plan._last_dt:
+        mats = [np.real((inv * np.exp(-t * k2.ravel())) @ fwd)
+                for fwd, inv, k2 in zip(basis.forward, basis.inverse,
+                                        basis.ksq)]
+        plan._propagator = (t, mats)
+        return _contract(mats, values)
+    plan._last_dt = t
+    v = _contract(basis.forward, values)
+    for k2 in basis.ksq:
+        v = v * np.exp(-t * k2)
+    return np.real(_contract(basis.inverse, v))
 
 
 def apply_spectral(plan: KernelPlan, t: float, f: Field) -> Field:
-    """e^{t D} f via per-axis sine/Fourier transforms; exact in time for the
+    """e^{t D} f in the per-axis sine/Fourier bases; exact in time for the
     discrete modes, identity at t = 0."""
     if t < 0.0:
         raise ValueError("apply_spectral requires t >= 0")
+    if f.grid != plan.grid:
+        raise ValueError("field and plan differ in grid")
     prev = f.time_tag or 0.0
-    return Field(f.spec, f.grid, _spectral_flow(f.grid, t, f.values),
+    return Field(f.spec, f.grid, _spectral_flow(plan, t, f.values),
                  time_tag=prev + t)
 
 

@@ -45,6 +45,13 @@ def test_nonlinear_substep_signs_and_zeros():
     assert np.all(np.abs(dec) <= np.abs(v))
 
 
+def test_nonlinear_substep_refuses_nan():
+    spec = SectorSpec(1, 0, 0.5, 1.0, sign_a=-1)
+    v = np.array([0.5, np.nan, 1.0])
+    with pytest.raises(ValueError, match="field values must be finite"):
+        nonlinear_substep(spec, v, 0.1)
+
+
 def test_strang_second_order_on_smooth_data():
     spec = SectorSpec(1, 0, 0.5, 1.0)
     grid = _periodic(spec, n=64)
@@ -143,8 +150,9 @@ def test_type_one_growth_passes_rate_gate():
 
 
 @pytest.mark.parametrize("alpha, sign_a, value, dt", [
-    # the FFT of 16 nodes at 1e308 overflows inside the heat substep; the
-    # nonlinear flow would turn the NaN into 0
+    # a fresh plan's first step size goes through the unnormalised forward
+    # Fourier factor, whose sum of 16 nodes at 1e308 overflows inside the
+    # heat substep; the nonlinear flow would turn the NaN into 0
     (1e-6, -1, 1e308, 0.01),
     # a step a hair below the scalar blow-up time 1/(alpha c^alpha): the
     # exact reaction flow overflows to inf without signalling

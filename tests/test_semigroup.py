@@ -47,6 +47,18 @@ def test_kernel_vanishes_at_wall():
     assert np.allclose(ratio, ratio[0], rtol=1e-5)
 
 
+def test_heat_at_points_matches_apply_kernel_2d():
+    # the pointwise evaluator and the grid apply contract the same rule
+    spec = SectorSpec(2, 1, 1.0, 0.5)
+    grid = GridSpec.for_spec(spec, L=8.0, n=16)
+    plan = KernelPlan(spec, grid)
+    prof = Psi0Profile(spec)
+    on_grid = apply_kernel(plan, 0.5, field_from_profile(spec, grid, prof))
+    idx = (np.array([0, 3, 9, 15]), np.array([0, 8, 2, 15]))
+    at_points = heat_at_points(plan, 0.5, prof, grid.points()[idx])
+    assert np.allclose(at_points, on_grid.values[idx], rtol=1e-12, atol=0)
+
+
 def test_positivity_and_sub_markov():
     spec = SectorSpec(1, 1, 0.5, 1.0)
     grid = GridSpec.for_spec(spec, L=10.0, n=128)
@@ -125,6 +137,14 @@ def test_spectral_identity_and_mode_decay():
     out = apply_spectral(plan, t, mode)
     factor = np.exp(-t * (np.pi / grid.L) ** 2)
     assert np.allclose(out.values, factor * mode.values, rtol=1e-12)
+
+
+def test_spectral_refuses_field_on_another_grid():
+    spec = SectorSpec(1, 1, 0.5, 1.0)
+    plan = KernelPlan(spec, GridSpec.for_spec(spec, L=6.0, n=64))
+    other = GridSpec.for_spec(spec, L=6.0, n=32)
+    with pytest.raises(ValueError, match="differ in grid"):
+        apply_spectral(plan, 0.1, Field(spec, other, np.ones(32)))
 
 
 def test_spectral_composition_exact():
