@@ -164,7 +164,7 @@ def get_cache(man: RunManifest, plan: KernelPlan, cache_dir: str):
         if cached.grid == plan.grid and man.spec == replace(
                 cached.spec, alpha=man.spec.alpha, sign_a=man.spec.sign_a):
             return replace(cached, spec=man.spec)
-    cache = build_psi_cache(man.spec, man.grid, plan)
+    cache = build_psi_cache(man.spec, man.grid)
     os.makedirs(cache_dir, exist_ok=True)
     save_cache(cache, path)
     return cache
@@ -328,8 +328,12 @@ def run(man: RunManifest, cache_dir: str | None = None,
     os.makedirs(out, exist_ok=True)
     cache_dir = cache_dir or os.environ.get("SECTORHEAT_CACHE", out)
     plan = KernelPlan(man.spec, man.grid)
-    needs_cache = man.experiment not in ("semigroup_checks",)
-    cache = get_cache(man, plan, cache_dir) if needs_cache else None
+    # Psi enters through the Picard handoff, which only singular data take,
+    # and through the experiments built on Psi itself
+    reads_psi = man.experiment not in ("semigroup_checks", "dilation") and (
+        man.experiment not in ("tmax", "sweep") or profile_from_descriptor(
+            man.spec, man.profile).tail_degree is not None)
+    cache = get_cache(man, plan, cache_dir) if reads_psi else None
     report, code = _RUNNERS[man.experiment](man, plan, cache, out)
     if verbose:
         print(f"experiment: {man.experiment}")

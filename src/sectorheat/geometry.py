@@ -233,36 +233,27 @@ def restrict_antisym(f: Field) -> Field:
 # ---------------------------------------------------------------------------
 # interpolation helpers
 
-def _augmented_axes_values(f: Field):
-    """Axes and values padded so multilinear interpolation is well posed
-    up to the walls: antisym axes get an explicit zero at x=0 (odd mirror
-    below), and every axis gets zero padding just outside the box."""
-    axes = []
-    values = f.values
-    for i, kind in enumerate(f.grid.axes):
-        nodes = f.grid.axis_nodes(i)
-        h = f.grid.axis_spacing(i)
-        if kind == AXIS_ANTISYM:
-            # odd extension: mirror across 0 so interpolation near the wall
-            # sees the sign change, then pad the outer edge with 0
-            ext = np.concatenate([-nodes[::-1], [0.0], nodes, [nodes[-1] + h]])
-            mirrored = -np.flip(values, axis=i)
-            zero_shape = list(values.shape)
-            zero_shape[i] = 1
-            zeros = np.zeros(zero_shape)
-            values = np.concatenate([mirrored, zeros, values, zeros], axis=i)
-        else:
-            ext = np.concatenate([[nodes[0] - h], nodes, [nodes[-1] + h]])
-            zero_shape = list(values.shape)
-            zero_shape[i] = 1
-            zeros = np.zeros(zero_shape)
-            values = np.concatenate([zeros, values, zeros], axis=i)
-        axes.append(ext)
-    return axes, values
-
-
 def interpolator(f: Field) -> RegularGridInterpolator:
-    axes, values = _augmented_axes_values(f)
+    """Multilinear interpolant of a grid field, well posed up to the walls
+    and zero outside the box: antisym axes get an explicit zero at x=0 (odd
+    mirror below), and every axis gets zero padding just outside the box."""
+    axes, values = [], f.values
+    for i, kind in enumerate(f.grid.axes):
+        nodes, h = f.grid.axis_nodes(i), f.grid.axis_spacing(i)
+        shape = list(values.shape)
+        shape[i] = 1
+        zeros = np.zeros(shape)
+        if kind == AXIS_ANTISYM:
+            # mirror across 0 so interpolation near the wall sees the sign
+            # change
+            axes.append(np.concatenate([-nodes[::-1], [0.0], nodes,
+                                        [nodes[-1] + h]]))
+            values = np.concatenate([-np.flip(values, axis=i), zeros, values,
+                                     zeros], axis=i)
+        else:
+            axes.append(np.concatenate([[nodes[0] - h], nodes,
+                                        [nodes[-1] + h]]))
+            values = np.concatenate([zeros, values, zeros], axis=i)
     return RegularGridInterpolator(axes, values, method="linear",
                                    bounds_error=False, fill_value=0.0)
 

@@ -25,7 +25,7 @@ from .geometry import Field, SectorSpec, field_from_profile
 from .profiles import (ConstantModulation, LogBlockModulation,
                        ModulatedProfile, Psi0Profile, eval_psi0)
 from .semigroup import (KernelPlan, PsiCache, apply_kernel, linear_sup,
-                        psi_fast, psi_sup)
+                        psi_fast, psi_sup, psi_values)
 from .evolve import (STATUS_BLEWUP, STATUS_GLOBAL, EvolveControls,
                      estimate_tmax, run_trajectory)
 
@@ -349,7 +349,6 @@ def global_smallness_check(spec: SectorSpec, cache: PsiCache,
     pts = grid.points()
 
     def bound(t):
-        from .semigroup import psi_values
         return M * psi_values(cache, t + t0, pts)
 
     rec, _ = run_trajectory(plan, f0, 0.0, c, bound_fn=bound)

@@ -159,9 +159,15 @@ def solve_picard(spec: SectorSpec, profile, cache: PsiCache,
                           tol=tol, margin=margin)
 
     psi_slices = [psi_fast(cache, s, grid).values for s in mesh]
+    # the kernel matrices of a solve depend on the grid and the mesh only:
+    # a new mesh (a new amplitude) releases the last one's, and data that
+    # share a mesh (log shifts of one profile) share them
+    if plan._mesh != mesh.tobytes():
+        plan._mats.clear()
+        plan._mesh = mesh.tobytes()
     if isinstance(profile, Psi0Profile):
-        # data A*psi0: e^{sD}(A psi0) = A Psi(s) by the dilation identity,
-        # so the linear part comes from the cache with no quadrature
+        # data A*psi0: e^{sD}(A psi0) = A Psi(s), so the linear part
+        # is the closed form with no quadrature
         lin = [profile.amplitude * p for p in psi_slices]
     else:
         data = field_from_profile(spec, grid, profile)

@@ -11,9 +11,11 @@
   post-smoothing data.  Per-axis propagator matrices from that basis,
   built once per grid and once per repeated step size, so a time step
   runs no transform.
-* psi_fast: the dilation identity for the reference profile,
+* psi_values / psi_fast: the reference flow through the dilation identity
       e^{t D} psi0 = t^{-(gamma+m)/2} E(x / sqrt t),  E = e^{D} psi0,
-  which collapses every t to a single cached reference field E.
+  with E in closed form, a Kummer function (DLMF 13.3), so Psi is exact
+  at every t and point.  The quadrature of psi0 remains an independent
+  check of E, and the route for data that are not psi0.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import dst, idst, fft, ifft
-from scipy.interpolate import RegularGridInterpolator
-from scipy.optimize import minimize
-from scipy.special import erfc
+from scipy.optimize import minimize, minimize_scalar
+from scipy.special import erfc, hyp1f1, poch
+from scipy.special import gamma as gamma_fn
 
 from .geometry import (AXIS_ANTISYM, AXIS_FULL, AXIS_PERIODIC, AXIS_SYM,
                        Field, GridSpec, SectorSpec, _read_container,
-                       _write_container)
-from .profiles import Psi0Profile, _psi0_signed
+                       _write_container, field_from_profile)
+from .profiles import _split_points
 
 
 @dataclass
@@ -55,6 +57,7 @@ class KernelPlan:
     tail_tol: float = 1e-8
     _rules: dict = field(default_factory=dict, repr=False)
     _mats: dict = field(default_factory=dict, repr=False)
+    _mesh: bytes | None = field(default=None, repr=False)
     _last_dt: float | None = field(default=None, repr=False)
     _propagator: tuple | None = field(default=None, repr=False)
 
@@ -178,8 +181,7 @@ def _contract(mats: list[np.ndarray], F: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_kernel(plan: KernelPlan, t: float, f: Field,
-                 out_grid: GridSpec | None = None) -> Field:
+def apply_kernel(plan: KernelPlan, t: float, f: Field) -> Field:
     """e^{t D_Omega} f by product-kernel quadrature.
 
     Profile-backed fields are re-sampled on the refined rule (resolving the
@@ -188,7 +190,6 @@ def apply_kernel(plan: KernelPlan, t: float, f: Field,
     """
     if t <= 0.0:
         raise ValueError("apply_kernel requires t > 0")
-    out_grid = out_grid or f.grid
     analytic = f.profile is not None
     if analytic:
         F = f.profile(_quad_mesh(plan, t))
@@ -200,11 +201,11 @@ def apply_kernel(plan: KernelPlan, t: float, f: Field,
                 f"apply_kernel: kernel width sqrt(4t)={np.sqrt(4 * t):.3g} "
                 f"under-resolved by grid spacing {h:.3g}", RuntimeWarning)
         _warn_tail_mass(plan, t, f)
-    mats = [_axis_matrix(plan, i, t, analytic, out_grid.axis_nodes(i))
-            for i in range(out_grid.ndim)]
+    mats = [_axis_matrix(plan, i, t, analytic, f.grid.axis_nodes(i))
+            for i in range(f.grid.ndim)]
     values = _contract(mats, F)
     prev = f.time_tag or 0.0
-    return Field(f.spec, out_grid, values, time_tag=prev + t)
+    return Field(f.spec, f.grid, values, time_tag=prev + t)
 
 
 def _warn_tail_mass(plan: KernelPlan, t: float, f: Field) -> None:
@@ -343,53 +344,55 @@ def apply_spectral(plan: KernelPlan, t: float, f: Field) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# the reference linear flow Psi(t) = e^{t D_Omega} psi0 and its cache
+# the reference linear flow Psi(t) = e^{t D_Omega} psi0 in closed form
 
-def _tail_series(spec: SectorSpec, kmax: int = 6) -> np.ndarray:
-    """Far-field expansion e^D psi0 = psi0 sum_k c_k r^{-2k} (asymptotic),
-    from iterating Lap (psi0 r^{-2k}) = (gamma+2m+2k)(gamma+2k+2-N)
-    psi0 r^{-2k-2}: c_0 = 1, c_{k+1} = c_k (gamma+2m+2k)(gamma+2k+2-N)/(k+1).
+@lru_cache(maxsize=8)
+def _kummer_params(spec: SectorSpec) -> tuple[float, float, float]:
+    """(a, b, k) with E(x) = k x_1...x_m 1F1(a; b; -|x|^2/4)."""
+    N, m, g = spec.N, spec.m, spec.gamma
+    A = gamma_fn((N - g) / 2.0) / (gamma_fn(N / 2.0) * 2.0 ** g)
+    k = A * 2.0 ** -m * poch(g / 2.0, m) / poch(N / 2.0, m)
+    return g / 2.0 + m, N / 2.0 + m, float(k)
+
+
+def E(spec: SectorSpec, pts) -> np.ndarray:
+    """The reference field E = e^{D} psi0 at arbitrary points (..., N).
+
+    The flow of |x|^{-gamma} is A 1F1(gamma/2; N/2; -|x|^2/4), and
+    psi0 = (-1)^m d_1...d_m |x|^{-gamma}; with 1F1' = (a/b) 1F1(a+1; b+1)
+    (DLMF 13.3) that gives
+        E(x) = A 2^{-m} (gamma/2)_m / (N/2)_m x_1...x_m
+               1F1(gamma/2 + m; N/2 + m; -|x|^2/4),
+        A = Gamma((N - gamma)/2) / (Gamma(N/2) 2^gamma).
+    E is odd in x_1..x_m, so the whole-space flow is also the sector flow.
     """
-    b = spec.gamma + 2 * spec.m
-    c = np.empty(kmax + 1)
-    c[0] = 1.0
-    for k in range(kmax):
-        c[k + 1] = c[k] * (b + 2 * k) * (spec.gamma + 2 * k + 2.0 - spec.N) \
-            / (k + 1)
-    return c
+    pts, r = _split_points(spec, pts)
+    a, b, k = _kummer_params(spec)
+    return k * np.prod(pts[..., :spec.m], axis=-1) * hyp1f1(a, b, -r * r / 4)
+
+
+def _check_psi_grid(grid: GridSpec, m: int) -> None:
+    """Psi is the whole-space flow sampled on the sector; a periodised
+    kernel would break its dilation identity."""
+    for i, kind in enumerate(grid.axes):
+        if kind != AXIS_ANTISYM if i < m else kind == AXIS_PERIODIC:
+            raise ValueError(
+                f"Psi grid: axis {i} is {kind!r}, but Psi lives on the sector "
+                f"of the whole space: the first {m} axes must be "
+                f"{AXIS_ANTISYM!r} and none {AXIS_PERIODIC!r}")
 
 
 @dataclass
 class PsiCache:
-    """Reference field E = e^{D_Omega} psi0 on a fine grid plus its sup-norm."""
+    """Reference field E = e^{D_Omega} psi0 on a grid plus its sup-norm."""
 
     spec: SectorSpec
     grid: GridSpec
     values: np.ndarray
     C_inf: float
-    _interp: object = field(default=None, repr=False)
-
-    def interp(self):
-        if self._interp is None:
-            ref = Field(self.spec, self.grid, self.values)
-            from .geometry import _augmented_axes_values
-            axes, vals = _augmented_axes_values(ref)
-            self._interp = RegularGridInterpolator(
-                axes, vals, method="cubic", bounds_error=False,
-                fill_value=None)
-        return self._interp
-
-    @property
-    def tail_radius(self) -> float:
-        # stay a cell inside the cached box so cubic interpolation never
-        # touches the zero-padded boundary stencil
-        edge = min(float(np.max(np.abs(self.grid.axis_nodes(i))))
-                   for i in range(self.grid.ndim))
-        return 0.95 * edge
 
 
-def linear_sup(plan: KernelPlan, profile, t: float,
-               sampled: Field | None = None) -> float:
+def linear_sup(plan: KernelPlan, profile, t: float) -> float:
     """sup-norm of e^{t D_Omega} applied to an analytic profile.
 
     Starts from the grid argmax (plus the origin when no axis is
@@ -397,9 +400,7 @@ def linear_sup(plan: KernelPlan, profile, t: float,
     a simplex search over pointwise quadrature evaluations.
     """
     spec, grid = plan.spec, plan.grid
-    if sampled is None:
-        from .geometry import field_from_profile
-        sampled = apply_kernel(plan, t, field_from_profile(spec, grid, profile))
+    sampled = apply_kernel(plan, t, field_from_profile(spec, grid, profile))
     idx = np.unravel_index(np.argmax(np.abs(sampled.values)),
                            sampled.values.shape)
     x0 = np.array([grid.axis_nodes(i)[idx[i]] for i in range(grid.ndim)])
@@ -423,54 +424,50 @@ def linear_sup(plan: KernelPlan, profile, t: float,
     return float(best)
 
 
-def build_psi_cache(spec: SectorSpec, grid: GridSpec,
-                    plan: KernelPlan | None = None) -> PsiCache:
-    """Compute E = e^{D_Omega} psi0 once at t = 1 and locate its sup-norm."""
-    plan = plan or KernelPlan(spec, grid)
-    psi0 = Psi0Profile(spec)
-    from .geometry import field_from_profile
-    E = apply_kernel(plan, 1.0, field_from_profile(spec, grid, psi0))
-    C_inf = linear_sup(plan, psi0, 1.0, sampled=E)
-    return PsiCache(spec=spec, grid=grid, values=E.values, C_inf=C_inf)
+def _sup_E(spec: SectorSpec) -> float:
+    """sup |E|.  1F1(a; b; -z) is positive and decreasing in z for
+    0 < a < b, so with m = 0 the sup is E(0) = A; otherwise it lies on the
+    diagonal x_i = r/sqrt(m) of the first m axes, a 1-D maximisation over r
+    of (r^2/m)^{m/2} 1F1(a; b; -r^2/4), which is 0 at r = 0 and decays."""
+    a, b, k = _kummer_params(spec)
+    if spec.m == 0:
+        return k
+
+    def neg(r):
+        return -(r * r / spec.m) ** (spec.m / 2.0) * hyp1f1(a, b, -r * r / 4)
+
+    # the maximiser is O(sqrt(b)): bracket it on a sample, then refine
+    r = np.linspace(0.0, 10.0 * np.sqrt(b), 513)
+    i = int(np.argmin(neg(r)))
+    res = minimize_scalar(neg, bounds=(r[i - 1], r[i + 1]), method="bounded",
+                          options={"xatol": 1e-12})
+    return -k * float(min(res.fun, neg(r[i])))
+
+
+def build_psi_cache(spec: SectorSpec, grid: GridSpec) -> PsiCache:
+    """E = e^{D_Omega} psi0 on the grid, and its sup-norm, in closed form."""
+    _check_psi_grid(grid, spec.m)
+    return PsiCache(spec=spec, grid=grid, values=E(spec, grid.points()),
+                    C_inf=_sup_E(spec))
 
 
 def psi_values(cache: PsiCache, t: float, pts: np.ndarray) -> np.ndarray:
-    """Psi(t, x) = t^{-(gamma+m)/2} E(x / sqrt t), with the asymptotic tail
-    once the dilated argument leaves the cached grid."""
+    """Psi(t, x) = t^{-(gamma+m)/2} E(x / sqrt t), exact at every point."""
     if t <= 0.0:
         raise ValueError("psi requires t > 0")
-    spec = cache.spec
-    pts = np.asarray(pts, dtype=float)
-    y = pts / np.sqrt(t)
-    r = np.sqrt(np.sum(y * y, axis=-1))
-    flat_y = y.reshape(-1, cache.grid.ndim)
-    flat_r = r.ravel()
-    out = np.empty(flat_r.shape)
-    inside = flat_r < cache.tail_radius
-    if np.any(inside):
-        out[inside] = cache.interp()(flat_y[inside])
-    if np.any(~inside):
-        ck = _tail_series(spec)
-        series = np.polyval(ck[::-1], flat_r[~inside] ** -2.0)
-        out[~inside] = _psi0_signed(spec, flat_y[~inside]) * series
-    out = out * t ** (-spec.decay / 2.0)
-    return np.maximum(out, 1e-280).reshape(r.shape)
+    y = np.asarray(pts, dtype=float) / np.sqrt(t)
+    return t ** (-cache.spec.decay / 2.0) * E(cache.spec, y)
 
 
 def psi_fast(cache: PsiCache, t: float,
              grid: GridSpec | None = None) -> Field:
     """Sample Psi(t) on a grid through the dilation identity.
 
-    Psi is evaluated on the sector only, so the first m axes of the grid
-    must be anti-symmetric.
+    Psi is the whole-space flow on the sector, so the first m axes of the
+    grid must be anti-symmetric and none may be periodic.
     """
     grid = grid or cache.grid
-    for i, kind in enumerate(grid.axes[:cache.spec.m]):
-        if kind != AXIS_ANTISYM:
-            raise ValueError(
-                f"psi_fast: axis {i} is {kind!r}, but Psi is sampled on the "
-                f"sector only, so the first {cache.spec.m} axes must be "
-                f"{AXIS_ANTISYM!r}")
+    _check_psi_grid(grid, cache.spec.m)
     return Field(cache.spec, grid, psi_values(cache, t, grid.points()),
                  time_tag=t)
 

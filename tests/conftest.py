@@ -21,7 +21,7 @@ def setup11():
     spec = SectorSpec(1, 1, 0.5, 0.5, +1)
     grid = GridSpec.for_spec(spec, L=10.0, n=256)
     plan = KernelPlan(spec, grid)
-    cache = build_psi_cache(spec, grid, plan)
+    cache = build_psi_cache(spec, grid)
     return spec, grid, plan, cache
 
 
@@ -32,5 +32,5 @@ def setup10():
     spec = SectorSpec(1, 0, 0.5, 1.0, +1)
     grid = GridSpec.for_spec(spec, L=10.0, n=512)
     plan = KernelPlan(spec, grid)
-    cache = build_psi_cache(spec, grid, plan)
+    cache = build_psi_cache(spec, grid)
     return spec, grid, plan, cache

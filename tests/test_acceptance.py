@@ -253,7 +253,7 @@ def test_criterion_11_robustness():
     spec = SectorSpec(1, 1, 0.5, 0.5, +1)
     grid = GridSpec.for_spec(spec, L=15.0, n=512)
     plan = KernelPlan(spec, grid)
-    cache = build_psi_cache(spec, grid, plan)
+    cache = build_psi_cache(spec, grid)
     curve = sweep_lifespan(spec, Psi0Profile(spec), (0.5, 1.0, 2.0), cache,
                            plan)
     base = curve.t_max[curve.lambdas.index(1.0)]

@@ -183,14 +183,26 @@ def test_criteria_undetermined_verdict_is_inconclusive(tmp_path):
 
 
 def test_picard_rejects_off_sector_grid(tmp_path, capsys):
-    # Psi is positive only on the sector and psi_values clamps it at 1e-280,
-    # so a "full" first axis must be refused before the weighted norm
-    # divides by the clamped values
+    # Psi is positive only on the sector, so a "full" first axis must be
+    # refused before the weighted norm divides by its negative half
     d = _manifest_dict(experiment="picard",
                        grid={"L": 10.0, "n": 64, "axes": ["full"]},
                        output_dir=str(tmp_path / "out"))
     assert main([_write_manifest(tmp_path, d), "-q"]) == EXIT_CONFIG
     assert "axis 0 is 'full'" in capsys.readouterr().err
+
+
+def test_psi_cache_on_periodic_axis_is_a_config_error(tmp_path, capsys):
+    # the dilation identity fails under the periodised kernel, so a run
+    # that reads Psi refuses the grid; a run of bounded data does not read
+    # Psi and keeps the periodic box (test_tmax_constant_profile_matches_ode)
+    grid = {"L": 10.0, "n": 16, "axes": [AXIS_PERIODIC]}
+    for exp in ("cache_build", "tmax"):
+        d = _manifest_dict(experiment=exp,
+                           spec={"N": 1, "m": 0, "gamma": 0.5, "alpha": 0.5},
+                           grid=grid, output_dir=str(tmp_path / "out"))
+        assert main([_write_manifest(tmp_path, d), "-q"]) == EXIT_CONFIG
+        assert "axis 0 is 'periodic'" in capsys.readouterr().err
 
 
 def test_cache_path_depends_on_axes():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import sectorheat.evolve as evolve
 from sectorheat import GridSpec, KernelPlan, SectorSpec, build_psi_cache, \
     psi_sup
 from sectorheat.evolve import EvolveControls
@@ -87,6 +88,30 @@ def test_criterion_rejects_sign_changing_data(setup11):
         blowup_criterion_check(spec, prof, cache, plan)
 
 
+def test_sweep_releases_picard_kernel_matrices(setup11, monkeypatch):
+    # each amplitude gets its own graded mesh, so the kernel matrices of one
+    # Picard solve cannot serve the next: after every solve the plan holds
+    # the matrices of that solve's mesh only
+    spec, grid, _, cache = setup11
+    plan = KernelPlan(spec, grid)
+    held = []
+    solve = evolve.solve_picard
+
+    def spy(*args, **kwargs):
+        run = solve(*args, **kwargs)
+        mesh = run.config.mesh
+        gaps = {float(s - r) for i, s in enumerate(mesh) for r in mesh[:i]}
+        times = {key[1] for key in plan._mats}
+        held.append((len(plan._mats), times <= gaps))
+        return run
+
+    monkeypatch.setattr(evolve, "solve_picard", spy)
+    curve = sweep_lifespan(spec, Psi0Profile(spec), (0.5, 1.0, 2.0), cache,
+                           plan, controls=EvolveControls(horizon=0.05))
+    assert len(curve.statuses) == len(held) == 3
+    assert all(n > 0 and own for n, own in held)
+
+
 def test_criterion_critical_threshold_flip():
     # alpha = 2/(gamma+m) exactly; the verdict flips across the sup-norm
     # threshold (1/alpha)^(1/alpha)
@@ -94,7 +119,7 @@ def test_criterion_critical_threshold_flip():
     assert spec.alpha == spec.alpha_critical
     grid = GridSpec.for_spec(spec, L=10.0, n=128)
     plan = KernelPlan(spec, grid)
-    cache = build_psi_cache(spec, grid, plan)
+    cache = build_psi_cache(spec, grid)
     thr = CRITICAL_THRESHOLD(spec.alpha)
     assert thr == pytest.approx(0.25 ** 0.25)
     # ||e^D (c psi0)|| = c * C_inf with C_inf ~ 1.446

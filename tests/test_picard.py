@@ -192,9 +192,9 @@ def test_admissible_constants_raise_on_failed_condition(setup11,
 
 def test_psi0_linear_part_comes_from_cache(setup11, monkeypatch):
     # with the nonlinearity switched off the fixed point is the linear part:
-    # A * Psi(s_j) from the cache, within the quadrature's accuracy of the
-    # direct kernel apply, down to the smallest node where most grid points
-    # sit in the asymptotic tail branch of psi_values
+    # A * Psi(s_j) from the closed form, within the quadrature's accuracy of
+    # the direct kernel apply, down to the smallest node where the dilated
+    # argument of most grid points lies beyond 0.95 of the box
     spec, grid, plan, cache = setup11
     monkeypatch.setattr(picard, "_nonlinear_values",
                         lambda spec, v: np.zeros_like(v))
@@ -202,7 +202,7 @@ def test_psi0_linear_part_comes_from_cache(setup11, monkeypatch):
     run = solve_picard(spec, prof, cache, plan=plan, J=12)
     mesh = run.config.mesh
     y = grid.axis_nodes(0) / np.sqrt(mesh[0])
-    assert np.mean(y >= cache.tail_radius) > 0.5
+    assert np.mean(y >= 0.95 * grid.axis_nodes(0)[-1]) > 0.5
     data = field_from_profile(spec, grid, prof)
     for s_j, sl in zip(mesh, run.slices):
         cached = 1.3 * psi_fast(cache, s_j, grid).values

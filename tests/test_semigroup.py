@@ -12,7 +12,7 @@ from sectorheat import (Field, GridSpec, KernelPlan, PsiCache, SectorSpec,
 from sectorheat.profiles import (CustomProfile, GaussianDerivativeProfile,
                                  Psi0Profile, eval_gaussian_derivative,
                                  eval_psi0)
-from sectorheat.semigroup import _axis_rule, _k1d, _tail_series, heat_at_points
+from sectorheat.semigroup import E, _axis_rule, _k1d, heat_at_points
 
 
 def test_gaussian_semigroup_m0():
@@ -179,10 +179,10 @@ def test_psi_cache_oracle_1d_radial(setup10):
 
 
 def test_psi_fast_t1_is_reference(setup11):
+    # both sides are E at the grid nodes, so they agree at every node
     spec, grid, plan, cache = setup11
     f = psi_fast(cache, 1.0)
-    inner = grid.radii() < cache.tail_radius
-    assert np.allclose(f.values[inner], cache.values[inner], rtol=1e-5)
+    assert np.allclose(f.values, cache.values, rtol=1e-12, atol=0)
 
 
 def test_psi_fast_matches_quadrature(setup11):
@@ -204,20 +204,25 @@ def test_sup_norm_law(setup11):
 
 
 def test_reference_field_tail_expansion(setup11):
-    # far field: E(y) = psi0(y) sum_k c_k r^(-2k) (asymptotic; c1 dominates)
+    # far field: E(y) = psi0(y) sum_k c_k r^(-2k) (asymptotic; c1 dominates),
+    # from iterating Lap (psi0 r^{-2k}) = (gamma+2m+2k)(gamma+2k+2-N)
+    # psi0 r^{-2k-2}: c_{k+1} = c_k (gamma+2m+2k)(gamma+2k+2-N)/(k+1)
     spec, grid, plan, cache = setup11
-    c1, c2 = _tail_series(spec, 2)[1:]
+    ck = [1.0]
+    for k in range(6):
+        ck.append(ck[-1] * (spec.gamma + 2 * spec.m + 2 * k)
+                  * (spec.gamma + 2 * k + 2.0 - spec.N) / (k + 1))
+    c1, c2 = ck[1:3]
     assert c1 == pytest.approx(3.75)
     assert c2 == pytest.approx(3.75 * 4.5 * 3.5 / 2)
     pts = np.array([[8.5], [12.0]])
-    direct = heat_at_points(plan, 1.0, Psi0Profile(spec), pts)
+    closed = E(spec, pts)
     r = pts[:, 0]
     two_term = eval_psi0(spec, pts) * (1 + c1 / r ** 2 + c2 / r ** 4)
     # truncation after c2 is O(c3 / r^6)
-    assert np.max(np.abs(direct / two_term - 1)) < 2e-3
-    ck = _tail_series(spec)
+    assert np.max(np.abs(closed / two_term - 1)) < 2e-3
     full = eval_psi0(spec, pts) * np.polyval(ck[::-1], r ** -2.0)
-    assert np.max(np.abs(direct / full - 1)) < 1e-4
+    assert np.max(np.abs(closed / full - 1)) < 1e-4
 
 
 def test_reference_field_bounded_by_weighted_profile(setup11):
@@ -289,8 +294,8 @@ def test_psi_values_positive_everywhere(setup11):
 
 
 def test_psi_fast_rejects_off_sector_grid(setup11):
-    # off the sector Psi would be negative; psi_values clamps it, so a grid
-    # whose first m axes leave the sector is refused up front
+    # off the sector Psi is negative, and the weighted norm divides by it,
+    # so a grid whose first m axes leave the sector is refused up front
     spec, grid, plan, cache = setup11
     full = GridSpec(grid.L, grid.n, ("full",))
     with pytest.raises(ValueError, match="axis 0 is 'full'"):
@@ -300,6 +305,21 @@ def test_psi_fast_rejects_off_sector_grid(setup11):
                       np.ones((4, 4)), 1.0)
     with pytest.raises(ValueError, match="axis 0 is 'sym'"):
         psi_fast(cache2, 1.0, GridSpec(4.0, 4, ("sym", "antisym")))
+
+
+def test_psi_refuses_periodic_axis():
+    # the periodised kernel breaks the dilation identity, so neither a
+    # cache nor a psi_fast grid may carry a periodic axis
+    spec20 = SectorSpec(2, 1, 1.0, 0.5)
+    grid20 = GridSpec(4.0, 8, ("antisym", "periodic"))
+    with pytest.raises(ValueError, match="axis 1 is 'periodic'"):
+        build_psi_cache(spec20, grid20)
+    radial = SectorSpec(1, 0, 0.5, 0.5)
+    with pytest.raises(ValueError, match="axis 0 is 'periodic'"):
+        build_psi_cache(radial, GridSpec(4.0, 8, ("periodic",)))
+    cache2 = build_psi_cache(spec20, GridSpec(4.0, 8, ("antisym", "sym")))
+    with pytest.raises(ValueError, match="axis 1 is 'periodic'"):
+        psi_fast(cache2, 1.0, grid20)
 
 
 def test_apply_kernel_rejects_nonpositive_time(setup11):

@@ -7,7 +7,7 @@ import os
 import numpy as np
 
 from sectorheat import AXIS_PERIODIC, Field, GridSpec, KernelPlan, SectorSpec
-from sectorheat import evolve, geometry
+from sectorheat import evolve, geometry, lifespan, semigroup
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -40,3 +40,31 @@ def test_tracer_records_stepping_spans(monkeypatch):
     assert summary["geometry.Field.init"]["calls"] == 1
     assert (evolve.strang_step, evolve.nonlinear_substep,
             evolve.run_trajectory, geometry.Field.__init__) == originals
+
+
+def test_tracer_records_psi_spans(monkeypatch):
+    # the per-layer numbers of the Psi evaluator: one build, and one
+    # psi_values call per envelope check with its node count as work
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracer
+
+    spec = SectorSpec(1, 1, 0.5, 2.0)
+    grid = GridSpec.for_spec(spec, L=10.0, n=64)
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        cache = semigroup.build_psi_cache(spec, grid)
+        report = lifespan.global_smallness_check(spec, cache, t0=0.1,
+                                                 horizon_factor=2.0)
+        summary = tr.summary()
+    finally:
+        tr.uninstall()
+    assert report["certified"]
+    steps = summary["evolve.run_trajectory"]["work"]
+    assert steps > 0
+    assert summary["semigroup.build_psi_cache"]["calls"] == 1
+    psi = summary["semigroup.psi_values"]
+    # psi_fast samples the initial datum once, then one check per step
+    assert psi["calls"] == steps + 1
+    assert psi["work"] == psi["calls"] * grid.n
+    assert summary["lifespan.global_smallness_check"]["calls"] == 1
