@@ -2,9 +2,8 @@
 u_t = Lap u + a|u|^alpha u with anti-symmetric singular initial data."""
 
 from .geometry import (AXIS_ANTISYM, AXIS_FULL, AXIS_PERIODIC, AXIS_SYM,
-                       Field, GridSpec, SectorSpec, dilate, extend_antisym,
-                       field_from_profile, load_field, restrict_antisym,
-                       save_field, weighted_sup_ratio)
+                       Field, GridSpec, SectorSpec, field_from_profile,
+                       load_field, save_field)
 from .profiles import (ConstantProfile, CustomProfile,
                        GaussianDerivativeProfile, LogBlockModulation,
                        ModulatedProfile, Psi0Profile, SinSquaredLog,

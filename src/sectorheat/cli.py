@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .profiles import (ConstantProfile, GaussianDerivativeProfile,
                        LogBlockModulation, ModulatedProfile, Psi0Profile,
                        SinSquaredLog)
 from .semigroup import (KernelPlan, apply_kernel, apply_spectral,
-                        build_psi_cache, linear_sup, load_cache, save_cache)
+                        build_psi_cache, linear_sup, psi_sup, save_cache)
 from .picard import contraction_bound, lipschitz_bound, solve_picard
 from .evolve import STATUS_BLEWUP, STATUS_GLOBAL, EvolveControls, \
     estimate_tmax
@@ -156,17 +156,11 @@ def cache_path(man: RunManifest, cache_dir: str) -> str:
 
 
 def get_cache(man: RunManifest, plan: KernelPlan, cache_dir: str):
-    path = cache_path(man, cache_dir)
-    if os.path.exists(path):
-        cached = load_cache(path)
-        # E = e^{D} psi0 depends on N, m, gamma and the grid only, so one
-        # file serves every alpha and sign_a, under the manifest's spec
-        if cached.grid == plan.grid and man.spec == replace(
-                cached.spec, alpha=man.spec.alpha, sign_a=man.spec.sign_a):
-            return replace(cached, spec=man.spec)
-    cache = build_psi_cache(man.spec, man.grid)
+    """Build the Psi cache of the manifest's grid and write it to cache_dir.
+    Only the cache_build experiment exports it; no run reads it back."""
+    cache = build_psi_cache(plan.spec, plan.grid)
     os.makedirs(cache_dir, exist_ok=True)
-    save_cache(cache, path)
+    save_cache(cache, cache_path(man, cache_dir))
     return cache
 
 
@@ -177,7 +171,7 @@ def _controls(man: RunManifest) -> EvolveControls:
     return EvolveControls(horizon=man.horizon)
 
 
-def run_semigroup_checks(man, plan, cache, out):
+def run_semigroup_checks(man, plan, out):
     spec, grid = man.spec, man.grid
     tol = man.tolerances.get("cross_method", 1e-3)
     report = {}
@@ -209,11 +203,11 @@ def run_semigroup_checks(man, plan, cache, out):
     return report, (EXIT_OK if ok else EXIT_GATE)
 
 
-def run_picard_experiment(man, plan, cache, out):
+def run_picard_experiment(man, plan, out):
     prof = profile_from_descriptor(man.spec, man.profile)
-    run = solve_picard(man.spec, prof, cache, plan)
+    run = solve_picard(man.spec, prof, plan)
     M, T = run.config.M, run.config.T
-    qbound = contraction_bound(man.spec, cache, M, T)
+    qbound = contraction_bound(man.spec, M, T)
     report = {
         "K": run.config.K, "M": M, "T": T,
         "converged": run.converged,
@@ -221,7 +215,7 @@ def run_picard_experiment(man, plan, cache, out):
         "increments": run.increments,
         "contraction_ratio": run.contraction_ratio,
         "contraction_bound": qbound,
-        "lipschitz_bound": lipschitz_bound(man.spec, cache, M, T),
+        "lipschitz_bound": lipschitz_bound(man.spec, M, T),
         "xt_norm": run.xt_norm,
     }
     ok = (run.converged and run.xt_norm <= M
@@ -230,10 +224,9 @@ def run_picard_experiment(man, plan, cache, out):
     return report, (EXIT_OK if ok else EXIT_GATE)
 
 
-def run_tmax(man, plan, cache, out):
+def run_tmax(man, plan, out):
     prof = profile_from_descriptor(man.spec, man.profile)
-    rec = estimate_tmax(man.spec, prof, cache, plan, grid=man.grid,
-                        controls=_controls(man))
+    rec = estimate_tmax(man.spec, prof, plan, controls=_controls(man))
     rec.save_csv(os.path.join(out, "trajectory.csv"))
     rec.save_json(os.path.join(out, "tmax.json"))
     report = {"status": rec.status, "t_max": rec.t_max,
@@ -244,9 +237,9 @@ def run_tmax(man, plan, cache, out):
     return report, code
 
 
-def run_sweep(man, plan, cache, out):
+def run_sweep(man, plan, out):
     prof = profile_from_descriptor(man.spec, man.profile)
-    curve = ls.sweep_lifespan(man.spec, prof, man.lambdas, cache, plan,
+    curve = ls.sweep_lifespan(man.spec, prof, man.lambdas, plan,
                               controls=_controls(man))
     curve.save_csv(os.path.join(out, "sweep.csv"))
     report = {"sigma": curve.sigma, "slope": curve.slope,
@@ -258,7 +251,7 @@ def run_sweep(man, plan, cache, out):
     return report, (EXIT_OK if curve.monotone else EXIT_GATE)
 
 
-def run_dilation(man, plan, cache, out):
+def run_dilation(man, plan, out):
     prof = profile_from_descriptor(man.spec, man.profile)
     probe = ls.dilation_limits(man.spec, prof, man.lambdas)
     report = {
@@ -274,19 +267,19 @@ def run_dilation(man, plan, cache, out):
     return report, (EXIT_OK if probe.bound_ok else EXIT_GATE)
 
 
-def run_criteria(man, plan, cache, out):
+def run_criteria(man, plan, out):
     prof = profile_from_descriptor(man.spec, man.profile)
-    report = ls.blowup_criterion_check(man.spec, prof, cache, plan)
+    report = ls.blowup_criterion_check(man.spec, prof, plan)
     ls.save_report(report, os.path.join(out, "criteria.json"))
     code = EXIT_INCONCLUSIVE if report["verdict"] == "undetermined" \
         else EXIT_OK
     return report, code
 
 
-def run_two_limit(man, plan, cache, out):
+def run_two_limit(man, plan, out):
     c1 = float(man.profile.get("c1", 1.0))
     c2 = float(man.profile.get("c2", 2.0))
-    report = ls.two_limit_experiment(man.spec, cache, plan, c1, c2,
+    report = ls.two_limit_experiment(man.spec, plan, c1, c2,
                                      controls=_controls(man))
     ls.save_report(report, os.path.join(out, "two_limit.json"))
     expect_gap = abs(c1 - c2) > 1e-12
@@ -295,15 +288,16 @@ def run_two_limit(man, plan, cache, out):
     return report, (EXIT_OK if ok else EXIT_GATE)
 
 
-def run_global_smallness(man, plan, cache, out):
-    report = ls.global_smallness_check(man.spec, cache, plan, t0=man.t0,
+def run_global_smallness(man, plan, out):
+    report = ls.global_smallness_check(man.spec, plan, t0=man.t0,
                                        horizon_factor=man.horizon / man.t0)
     ls.save_report(report, os.path.join(out, "global_smallness.json"))
     return report, (EXIT_OK if report["certified"] else EXIT_GATE)
 
 
-def run_cache_build(man, plan, cache, out):
-    report = {"C_inf": cache.C_inf, "grid_n": man.grid.n,
+def run_cache_build(man, plan, out):
+    # the file itself is written by run(), which knows the cache directory
+    report = {"C_inf": psi_sup(man.spec, 1.0), "grid_n": man.grid.n,
               "grid_L": man.grid.L}
     ls.save_report(report, os.path.join(out, "cache_build.json"))
     return report, EXIT_OK
@@ -326,15 +320,11 @@ def run(man: RunManifest, cache_dir: str | None = None,
         verbose: bool = True) -> int:
     out = man.output_dir
     os.makedirs(out, exist_ok=True)
-    cache_dir = cache_dir or os.environ.get("SECTORHEAT_CACHE", out)
     plan = KernelPlan(man.spec, man.grid)
-    # Psi enters through the Picard handoff, which only singular data take,
-    # and through the experiments built on Psi itself
-    reads_psi = man.experiment not in ("semigroup_checks", "dilation") and (
-        man.experiment not in ("tmax", "sweep") or profile_from_descriptor(
-            man.spec, man.profile).tail_degree is not None)
-    cache = get_cache(man, plan, cache_dir) if reads_psi else None
-    report, code = _RUNNERS[man.experiment](man, plan, cache, out)
+    if man.experiment == "cache_build":
+        get_cache(man, plan,
+                  cache_dir or os.environ.get("SECTORHEAT_CACHE", out))
+    report, code = _RUNNERS[man.experiment](man, plan, out)
     if verbose:
         print(f"experiment: {man.experiment}")
         print(f"spec: N={man.spec.N} m={man.spec.m} gamma={man.spec.gamma} "
@@ -353,7 +343,7 @@ def main(argv=None) -> int:
                     "singular anti-symmetric data on sectors.")
     ap.add_argument("manifest", help="path to a JSON run manifest")
     ap.add_argument("--cache-dir", default=None,
-                    help="directory for psi caches "
+                    help="directory cache_build writes the psi cache to "
                          "(default: $SECTORHEAT_CACHE or the output dir)")
     ap.add_argument("-q", "--quiet", action="store_true")
     args = ap.parse_args(argv)

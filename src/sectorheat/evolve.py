@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Field, GridSpec, SectorSpec, field_from_profile
-from .semigroup import KernelPlan, PsiCache, _spectral_flow
+from .semigroup import KernelPlan, _spectral_flow
 from .picard import solve_picard
 
 STATUS_BLEWUP = "blew_up"
@@ -235,24 +235,16 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
     return rec, last
 
 
-def estimate_tmax(spec: SectorSpec, profile, cache: PsiCache | None = None,
-                  plan: KernelPlan | None = None,
-                  grid: GridSpec | None = None,
+def estimate_tmax(spec: SectorSpec, profile, plan: KernelPlan,
                   controls: EvolveControls | None = None) -> TrajectoryRecord:
     """T_max estimate: contraction construction on a short initial window
     for singular data, then adaptive Strang stepping to blow-up or horizon.
     """
-    grid = grid or getattr(cache, "grid", None)
-    if grid is None:
-        raise ValueError("estimate_tmax needs a grid (or a cache)")
-    plan = plan or KernelPlan(spec, grid)
+    grid = plan.grid
     # singular data carry the homogeneity degree of their tail
     use_picard = getattr(profile, "tail_degree", None) is not None
     if use_picard:
-        if cache is None:
-            raise ValueError("singular data needs a psi cache for the "
-                             "contraction handoff")
-        run = solve_picard(spec, profile, cache, plan)
+        run = solve_picard(spec, profile, plan)
         mesh = run.config.mesh
         # hand off at the first converged slice that the grid resolves
         h = max(grid.axis_spacing(i) for i in range(grid.ndim))

@@ -1,5 +1,5 @@
-"""Sector geometry: parameter specs, tensor grids, anti-symmetric extension,
-dilation, and the weighted sup ratio used as the data-space norm.
+"""Sector geometry: parameter specs, tensor grids, fields on them, and the
+checksummed on-disk container for fields and Psi caches.
 
 The working domain is the sector {x_1 > 0, ..., x_m > 0} of R^N, truncated
 to a box of half-width L.  Grids never place a node at the origin or on a
@@ -11,11 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 AXIS_ANTISYM = "antisym"   # nodes in (0, L), implied zero at the wall
 AXIS_SYM = "sym"           # half-cell offset nodes in (-L, L)
@@ -172,10 +170,6 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
 
-    def with_values(self, values, time_tag=None, profile=None) -> "Field":
-        return Field(self.spec, self.grid, values, time_tag=time_tag,
-                     profile=profile)
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
@@ -188,122 +182,6 @@ def field_from_profile(spec: SectorSpec, grid: GridSpec, profile,
                        time_tag=None) -> Field:
     values = profile(grid.points())
     return Field(spec, grid, values, time_tag=time_tag, profile=profile)
-
-
-# ---------------------------------------------------------------------------
-# anti-symmetric extension / restriction
-
-def extend_antisym(f: Field) -> Field:
-    """Odd-reflect a sector field across each of the first m coordinate walls.
-
-    Antisym axes become "full" axes with 2n nodes; the reflected values are
-    negated once per reflected coordinate.  Restriction back to the sector
-    recovers the input exactly.
-    """
-    grid = f.grid
-    values = f.values
-    axes = list(grid.axes)
-    for i, kind in enumerate(axes):
-        if kind != AXIS_ANTISYM:
-            continue
-        mirrored = -np.flip(values, axis=i)
-        values = np.concatenate([mirrored, values], axis=i)
-        axes[i] = AXIS_FULL
-    new_grid = replace(grid, axes=tuple(axes))
-    return Field(f.spec, new_grid, values, time_tag=f.time_tag,
-                 profile=f.profile)
-
-
-def restrict_antisym(f: Field) -> Field:
-    """Inverse of extend_antisym: keep the positive-orthant block."""
-    grid = f.grid
-    values = f.values
-    axes = list(grid.axes)
-    for i, kind in enumerate(axes):
-        if kind != AXIS_FULL:
-            continue
-        n = values.shape[i] // 2
-        values = np.take(values, np.arange(n, 2 * n), axis=i)
-        axes[i] = AXIS_ANTISYM
-    new_grid = replace(grid, axes=tuple(axes))
-    return Field(f.spec, new_grid, values, time_tag=f.time_tag,
-                 profile=f.profile)
-
-
-# ---------------------------------------------------------------------------
-# interpolation helpers
-
-def interpolator(f: Field) -> RegularGridInterpolator:
-    """Multilinear interpolant of a grid field, well posed up to the walls
-    and zero outside the box: antisym axes get an explicit zero at x=0 (odd
-    mirror below), and every axis gets zero padding just outside the box."""
-    axes, values = [], f.values
-    for i, kind in enumerate(f.grid.axes):
-        nodes, h = f.grid.axis_nodes(i), f.grid.axis_spacing(i)
-        shape = list(values.shape)
-        shape[i] = 1
-        zeros = np.zeros(shape)
-        if kind == AXIS_ANTISYM:
-            # mirror across 0 so interpolation near the wall sees the sign
-            # change
-            axes.append(np.concatenate([-nodes[::-1], [0.0], nodes,
-                                        [nodes[-1] + h]]))
-            values = np.concatenate([-np.flip(values, axis=i), zeros, values,
-                                     zeros], axis=i)
-        else:
-            axes.append(np.concatenate([[nodes[0] - h], nodes,
-                                        [nodes[-1] + h]]))
-            values = np.concatenate([zeros, values, zeros], axis=i)
-    return RegularGridInterpolator(axes, values, method="linear",
-                                   bounds_error=False, fill_value=0.0)
-
-
-class _DilatedProfile:
-    """Profile handle for x -> p(lam * x); keeps the tail degree."""
-
-    def __init__(self, base, lam):
-        self.base = base
-        self.lam = lam
-        self.tail_degree = getattr(base, "tail_degree", None)
-
-    def __call__(self, pts):
-        return self.base(np.asarray(pts) * self.lam)
-
-
-def dilate(f: Field, lam: float) -> Field:
-    """Sample x -> f(lam x) on the grid of f.
-
-    Uses the analytic profile when the field carries one; otherwise
-    multilinear interpolation, with nodes mapped outside the box filled by
-    the profile tail if available, else zero.  Warns when more than 10% of
-    target nodes land outside the source support and no tail is available.
-    """
-    if lam <= 0.0:
-        raise ValueError("dilation factor must be positive")
-    pts = f.grid.points()
-    if f.profile is not None:
-        values = f.profile(pts * lam)
-        return Field(f.spec, f.grid, values, time_tag=f.time_tag,
-                     profile=_DilatedProfile(f.profile, lam))
-    interp = interpolator(f)
-    target = pts * lam
-    values = interp(target.reshape(-1, f.grid.ndim)).reshape(f.values.shape)
-    outside = np.max(np.abs(target), axis=-1) > f.grid.L
-    if np.mean(outside) > 0.10:
-        warnings.warn(
-            f"dilate: {100 * np.mean(outside):.0f}% of target nodes fall "
-            "outside the source box; values there were truncated to 0",
-            RuntimeWarning)
-    return Field(f.spec, f.grid, values, time_tag=f.time_tag)
-
-
-def weighted_sup_ratio(f: Field, g: Field) -> float:
-    """sup over grid nodes of |f| / g; g must be strictly positive."""
-    if f.grid != g.grid:
-        raise ValueError("fields must share a grid")
-    if np.any(g.values <= 0.0):
-        raise ValueError("weight field must be strictly positive on the grid")
-    return float(np.max(np.abs(f.values) / g.values))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ import numpy as np
 from .geometry import Field, SectorSpec, field_from_profile
 from .profiles import (ConstantModulation, LogBlockModulation,
                        ModulatedProfile, Psi0Profile, eval_psi0)
-from .semigroup import (KernelPlan, PsiCache, apply_kernel, linear_sup,
-                        psi_fast, psi_sup, psi_values)
+from .semigroup import (KernelPlan, apply_kernel, linear_sup, psi_fast,
+                        psi_sup, psi_values)
 from .evolve import (STATUS_BLEWUP, STATUS_GLOBAL, EvolveControls,
                      estimate_tmax, run_trajectory)
 
@@ -55,17 +55,15 @@ class LifespanCurve:
                             for v in row])
 
 
-def sweep_lifespan(spec: SectorSpec, profile, lambdas, cache: PsiCache,
-                   plan: KernelPlan | None = None,
+def sweep_lifespan(spec: SectorSpec, profile, lambdas, plan: KernelPlan,
                    controls: EvolveControls | None = None) -> LifespanCurve:
     """T_max(lam * profile) across amplitudes, with sigma-scaled values and
     a log-log slope fit.  Inconclusive points are kept in the record but
     excluded from the fit."""
-    plan = plan or KernelPlan(spec, cache.grid)
     lambdas = [float(l) for l in lambdas]
     t_max, unc, scaled, statuses = [], [], [], []
     for lam in lambdas:
-        rec = estimate_tmax(spec, profile.scaled(lam), cache, plan,
+        rec = estimate_tmax(spec, profile.scaled(lam), plan,
                             controls=controls)
         statuses.append(rec.status)
         if rec.status == STATUS_BLEWUP:
@@ -158,8 +156,7 @@ def dilation_limits(spec: SectorSpec, profile, lambdas,
 CRITICAL_THRESHOLD = lambda alpha: (1.0 / alpha) ** (1.0 / alpha)
 
 
-def blowup_criterion_check(spec: SectorSpec, z, cache: PsiCache,
-                           plan: KernelPlan | None = None,
+def blowup_criterion_check(spec: SectorSpec, z, plan: KernelPlan,
                            zero_tol: float = 1e-8) -> dict:
     """Blow-up prediction from a dilation-limit candidate z >= 0 on the
     sector.
@@ -168,7 +165,6 @@ def blowup_criterion_check(spec: SectorSpec, z, cache: PsiCache,
     Critical alpha = 2/(gamma+m): prediction requires the linear-flow
     sup-norm ||e^D z|| to exceed (1/alpha)^(1/alpha).
     """
-    plan = plan or KernelPlan(spec, cache.grid)
     grid = plan.grid
     if isinstance(z, Field):
         zf = z
@@ -220,38 +216,35 @@ def lam_for_shift(spec: SectorSpec, s: float) -> float:
     return float(np.exp(-2.0 * s / spec.sigma))
 
 
-def _tmax_of(spec, profile, cache, plan, controls):
-    rec = estimate_tmax(spec, profile, cache, plan, controls=controls)
+def _tmax_of(spec, profile, plan, controls):
+    rec = estimate_tmax(spec, profile, plan, controls=controls)
     if rec.status != STATUS_BLEWUP:
         raise RuntimeError(f"expected finite life span, got {rec.status}")
     return rec.t_max, rec.uncertainty
 
 
-def oscillation_experiment(spec: SectorSpec, cache: PsiCache,
-                           plan: KernelPlan | None = None, eps: float = 0.05,
+def oscillation_experiment(spec: SectorSpec, plan: KernelPlan,
+                           eps: float = 0.05,
                            controls: EvolveControls | None = None,
                            check_lambda: float = 0.5) -> dict:
     """Scaled life-span limits of psi0 (sin^2(log|x|) + eps) along the two
     shift-matched amplitude subsequences (period pi vs offset pi/2), plus a
     homogeneous control and a direct simulation validating the identity."""
     from .profiles import SinSquaredLog
-    plan = plan or KernelPlan(spec, cache.grid)
     base = ModulatedProfile(spec, SinSquaredLog(eps))
-    t_a, u_a = _tmax_of(spec, base.log_shifted(0.0), cache, plan, controls)
-    t_b, u_b = _tmax_of(spec, base.log_shifted(0.5 * np.pi), cache, plan,
-                        controls)
+    t_a, u_a = _tmax_of(spec, base.log_shifted(0.0), plan, controls)
+    t_b, u_b = _tmax_of(spec, base.log_shifted(0.5 * np.pi), plan, controls)
     gap = abs(t_a - t_b)
     combined = u_a + u_b
     # control: constant modulation shows no shift dependence at all
     ctrl = ModulatedProfile(spec, ConstantModulation(1.0 + eps))
-    c_a, cu_a = _tmax_of(spec, ctrl.log_shifted(0.0), cache, plan, controls)
-    c_b, cu_b = _tmax_of(spec, ctrl.log_shifted(0.5 * np.pi), cache, plan,
-                         controls)
+    c_a, cu_a = _tmax_of(spec, ctrl.log_shifted(0.0), plan, controls)
+    c_b, cu_b = _tmax_of(spec, ctrl.log_shifted(0.5 * np.pi), plan, controls)
     # identity validation: simulate lam * f directly at a moderate amplitude
     lam = check_lambda
-    direct, d_unc = _tmax_of(spec, base.scaled(lam), cache, plan, controls)
+    direct, d_unc = _tmax_of(spec, base.scaled(lam), plan, controls)
     via_shift, s_unc = _tmax_of(spec, shifted_equivalent(spec, base, lam),
-                                cache, plan, controls)
+                                plan, controls)
     identity_rel = abs(lam ** spec.sigma * direct - via_shift) / via_shift
     return {
         "scaled_limit_seq_a": t_a, "uncertainty_a": u_a,
@@ -269,8 +262,7 @@ def oscillation_experiment(spec: SectorSpec, cache: PsiCache,
     }
 
 
-def two_limit_experiment(spec: SectorSpec, cache: PsiCache,
-                         plan: KernelPlan | None = None, c1: float = 1.0,
+def two_limit_experiment(spec: SectorSpec, plan: KernelPlan, c1: float = 1.0,
                          c2: float = 2.0, blocks: tuple = (6, 8),
                          controls: EvolveControls | None = None) -> dict:
     """Tail interpolating c1*psi0 and c2*psi0 on alternating log-radius
@@ -278,17 +270,14 @@ def two_limit_experiment(spec: SectorSpec, cache: PsiCache,
     shift sequences centered in even blocks tends to T_max(c1 psi0), along
     odd blocks to T_max(c2 psi0), so the small-amplitude limit genuinely
     depends on the subsequence."""
-    plan = plan or KernelPlan(spec, cache.grid)
     g = LogBlockModulation(c1, c2)
     prof = ModulatedProfile(spec, g)
-    lim_a = [(
-        _tmax_of(spec, prof.log_shifted(g.block_center(2 * k)), cache, plan,
-                 controls)) for k in blocks]
-    lim_b = [(
-        _tmax_of(spec, prof.log_shifted(g.block_center(2 * k + 1)), cache,
-                 plan, controls)) for k in blocks]
-    ref1, r1u = _tmax_of(spec, Psi0Profile(spec, c1), cache, plan, controls)
-    ref2, r2u = _tmax_of(spec, Psi0Profile(spec, c2), cache, plan, controls)
+    lim_a = [_tmax_of(spec, prof.log_shifted(g.block_center(2 * k)), plan,
+                      controls) for k in blocks]
+    lim_b = [_tmax_of(spec, prof.log_shifted(g.block_center(2 * k + 1)), plan,
+                      controls) for k in blocks]
+    ref1, r1u = _tmax_of(spec, Psi0Profile(spec, c1), plan, controls)
+    ref2, r2u = _tmax_of(spec, Psi0Profile(spec, c2), plan, controls)
     t_a, u_a = lim_a[-1]
     t_b, u_b = lim_b[-1]
     stab_a = max(abs(t - t_a) for t, _ in lim_a)
@@ -312,44 +301,41 @@ def two_limit_experiment(spec: SectorSpec, cache: PsiCache,
 # ---------------------------------------------------------------------------
 # global existence by smallness (supercritical alpha)
 
-def tail_alpha_integral(spec: SectorSpec, cache: PsiCache, t0: float) -> float:
+def tail_alpha_integral(spec: SectorSpec, t0: float) -> float:
     """int_{t0}^infty ||Psi||^alpha dt, finite exactly when alpha is
     supercritical."""
     expo = spec.alpha * spec.decay / 2.0 - 1.0
     if expo <= 0.0:
         raise ValueError("tail integral diverges for subcritical alpha")
-    return cache.C_inf ** spec.alpha * t0 ** (-expo) / expo
+    return psi_sup(spec, 1.0) ** spec.alpha * t0 ** (-expo) / expo
 
 
-def global_smallness_threshold(spec: SectorSpec, cache: PsiCache,
-                               t0: float) -> float:
+def global_smallness_threshold(spec: SectorSpec, t0: float) -> float:
     """Largest amplitude lam for which data lam * Psi(t0) is certified
     global: 2^{alpha+2} (alpha+1) lam^alpha * tail integral <= 1."""
-    I = tail_alpha_integral(spec, cache, t0)
+    I = tail_alpha_integral(spec, t0)
     return (2.0 ** (spec.alpha + 2.0) * (spec.alpha + 1.0) * I) \
         ** (-1.0 / spec.alpha)
 
 
-def global_smallness_check(spec: SectorSpec, cache: PsiCache,
-                           plan: KernelPlan | None = None, t0: float = 0.1,
+def global_smallness_check(spec: SectorSpec, plan: KernelPlan, t0: float = 0.1,
                            lam: float | None = None,
                            horizon_factor: float = 100.0,
                            controls: EvolveControls | None = None) -> dict:
     """Long-horizon run with data lam * Psi(t0), asserting the envelope
     |u(t)| <= 2 lam Psi(t + t0) nodewise to the horizon."""
-    plan = plan or KernelPlan(spec, cache.grid)
     grid = plan.grid
-    thr = global_smallness_threshold(spec, cache, t0)
+    thr = global_smallness_threshold(spec, t0)
     if lam is None:
         lam = 0.5 * thr
     c = replace(controls or EvolveControls(), horizon=horizon_factor * t0)
-    f0 = psi_fast(cache, t0, grid)
+    f0 = psi_fast(spec, t0, grid)
     f0 = Field(spec, grid, lam * f0.values, time_tag=0.0)
     M = 2.0 * lam
     pts = grid.points()
 
     def bound(t):
-        return M * psi_values(cache, t + t0, pts)
+        return M * psi_values(spec, t + t0, pts)
 
     rec, _ = run_trajectory(plan, f0, 0.0, c, bound_fn=bound)
     return {
@@ -362,7 +348,7 @@ def global_smallness_check(spec: SectorSpec, cache: PsiCache,
     }
 
 
-def nonexistence_signature(spec: SectorSpec, cache: PsiCache,
+def nonexistence_signature(spec: SectorSpec,
                            t0_list=(1e-2, 1e-3, 1e-4, 1e-5)) -> dict:
     """Supercritical nonexistence evidence: for data >= psi0 near 0 the
     short-time linear value violates the universal bound ||u(t)|| <=
@@ -372,7 +358,7 @@ def nonexistence_signature(spec: SectorSpec, cache: PsiCache,
     ratios = []
     for t0 in t0_list:
         bound = (spec.alpha * t0) ** (-1.0 / spec.alpha)
-        ratios.append(psi_sup(cache, t0) / bound)
+        ratios.append(psi_sup(spec, t0) / bound)
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
     return {"t0": list(t0_list), "ratio_to_bound": ratios,
             "diverges": bool(increasing and ratios[-1] > 1.0),

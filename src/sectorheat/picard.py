@@ -23,8 +23,14 @@ import numpy as np
 
 from .geometry import Field, GridSpec, SectorSpec, field_from_profile
 from .profiles import Psi0Profile
-from .semigroup import (KernelPlan, PsiCache, alpha_time_integral,
-                        apply_kernel, psi_fast)
+from .semigroup import (KernelPlan, alpha_time_integral, apply_kernel,
+                        psi_fast, psi_sup)
+
+# the Duhamel part of condition (A) uses MARGIN of the gap M - K; the
+# iteration stops once an increment falls below TOL, or after MAX_ITER sweeps
+MARGIN = 0.9
+TOL = 1e-9
+MAX_ITER = 30
 
 
 @dataclass
@@ -33,9 +39,6 @@ class PicardConfig:
     M: float
     T: float
     mesh: np.ndarray
-    max_iter: int = 30
-    tol: float = 1e-9
-    margin: float = 0.9
 
 
 @dataclass
@@ -55,13 +58,12 @@ class PicardRun:
         return max(self.ratios) if self.ratios else 0.0
 
 
-def admissible_constants(spec: SectorSpec, cache: PsiCache, K: float,
-                         margin: float = 0.9) -> tuple[float, float]:
+def admissible_constants(spec: SectorSpec, K: float) -> tuple[float, float]:
     """M = 2K and the largest admissible horizon T.
 
     T is chosen so the Duhamel part of condition (A) uses a fraction
-    ``margin`` of the available gap M - K = K; condition (B) then holds
-    automatically with value margin/2 < 1.
+    MARGIN of the available gap M - K = K; condition (B) then holds
+    automatically with value MARGIN/2 < 1.
     """
     if not spec.subcritical:
         raise ValueError(
@@ -70,11 +72,11 @@ def admissible_constants(spec: SectorSpec, cache: PsiCache, K: float,
     if K <= 0.0:
         raise ValueError("K must be positive")
     M = 2.0 * K
-    target_I = margin * K / (2.0 * (spec.alpha + 1.0) * M ** (spec.alpha + 1.0))
+    target_I = MARGIN * K / (2.0 * (spec.alpha + 1.0) * M ** (spec.alpha + 1.0))
     expo = 1.0 - spec.alpha * spec.decay / 2.0
-    T = (target_I * expo / cache.C_inf ** spec.alpha) ** (1.0 / expo)
+    T = (target_I * expo / psi_sup(spec, 1.0) ** spec.alpha) ** (1.0 / expo)
     # direct recheck of both conditions
-    I = alpha_time_integral(cache, T)
+    I = alpha_time_integral(spec, T)
     condA = K + 2.0 * (spec.alpha + 1.0) * M ** (spec.alpha + 1.0) * I
     condB = 2.0 * (spec.alpha + 1.0) * M ** spec.alpha * I
     if not condA <= M * (1.0 + 1e-12):
@@ -86,17 +88,15 @@ def admissible_constants(spec: SectorSpec, cache: PsiCache, K: float,
     return M, T
 
 
-def contraction_bound(spec: SectorSpec, cache: PsiCache, M: float,
-                      T: float) -> float:
+def contraction_bound(spec: SectorSpec, M: float, T: float) -> float:
     """Theoretical contraction factor 2(alpha+1) M^alpha I(T)."""
     return 2.0 * (spec.alpha + 1.0) * M ** spec.alpha \
-        * alpha_time_integral(cache, T)
+        * alpha_time_integral(spec, T)
 
 
-def lipschitz_bound(spec: SectorSpec, cache: PsiCache, M: float,
-                    T: float) -> float:
+def lipschitz_bound(spec: SectorSpec, M: float, T: float) -> float:
     """Data-to-solution Lipschitz constant 1/(1 - contraction factor)."""
-    q = contraction_bound(spec, cache, M, T)
+    q = contraction_bound(spec, M, T)
     if q >= 1.0:
         raise ValueError("constants not admissible: contraction factor >= 1")
     return 1.0 / (1.0 - q)
@@ -140,25 +140,21 @@ def _nonlinear_values(spec: SectorSpec, values: np.ndarray) -> np.ndarray:
     return np.abs(values) ** spec.alpha * values
 
 
-def solve_picard(spec: SectorSpec, profile, cache: PsiCache,
-                 plan: KernelPlan | None = None, K: float | None = None,
-                 J: int = 12, max_iter: int = 30, tol: float = 1e-9,
-                 margin: float = 0.9) -> PicardRun:
+def solve_picard(spec: SectorSpec, profile, plan: KernelPlan,
+                 K: float | None = None, J: int = 12) -> PicardRun:
     """Iterate the Duhamel map to its fixed point inside the ball |||u||| <= M.
 
     Non-contraction (an increment ratio >= 1) aborts: the constants
     guarantee contraction, so that can only mean quadrature failure.
     """
-    grid = cache.grid if plan is None else plan.grid
-    plan = plan or KernelPlan(spec, grid)
+    grid = plan.grid
     if K is None:
         K = profile.x_norm()
-    M, T = admissible_constants(spec, cache, K, margin)
+    M, T = admissible_constants(spec, K)
     mesh = graded_mesh(spec, T, J)
-    config = PicardConfig(K=K, M=M, T=T, mesh=mesh, max_iter=max_iter,
-                          tol=tol, margin=margin)
+    config = PicardConfig(K=K, M=M, T=T, mesh=mesh)
 
-    psi_slices = [psi_fast(cache, s, grid).values for s in mesh]
+    psi_slices = [psi_fast(spec, s, grid).values for s in mesh]
     # the kernel matrices of a solve depend on the grid and the mesh only:
     # a new mesh (a new amplitude) releases the last one's, and data that
     # share a mesh (log shifts of one profile) share them
@@ -182,7 +178,7 @@ def solve_picard(spec: SectorSpec, profile, cache: PsiCache,
     increments: list[float] = []
     ratios: list[float] = []
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         nl = [Field(spec, grid, _nonlinear_values(spec, v)) for v in u]
         new = []
         for i, s_i in enumerate(mesh):
@@ -202,7 +198,7 @@ def solve_picard(spec: SectorSpec, profile, cache: PsiCache,
                     "quadrature resolution is insufficient for this mesh")
         increments.append(inc)
         u = new
-        if inc < tol:
+        if inc < TOL:
             converged = True
             break
 

@@ -151,11 +151,9 @@ class LogBlockModulation:
 class ModulatedProfile:
     kind = "modulated_psi0"
 
-    def __init__(self, spec: SectorSpec, g, amplitude: float = 1.0,
-                 zeta=None):
+    def __init__(self, spec: SectorSpec, g, amplitude: float = 1.0):
         self.spec = spec
         self.g = g
-        self.zeta = zeta
         self.amplitude = amplitude
         self.tail_degree = -(spec.gamma + spec.m)
 
@@ -165,13 +163,9 @@ class ModulatedProfile:
         out = self.amplitude * _psi0_signed(self.spec, pts)
         ok = r > 0.0
         out[ok] = out[ok] * self.g(np.log(r[ok]))
-        if self.zeta is not None:
-            out[ok] = out[ok] * self.zeta(pts[ok] / r[ok, None])
         return out
 
     def x_norm(self) -> float:
-        if self.zeta is not None:
-            raise NotImplementedError("X-norm with a custom angular factor")
         sup_g = getattr(self.g, "sup", None)
         if sup_g is None:
             s = np.linspace(-40.0, 40.0, 200001)
@@ -179,8 +173,7 @@ class ModulatedProfile:
         return abs(self.amplitude) * sup_g
 
     def scaled(self, lam: float) -> "ModulatedProfile":
-        return ModulatedProfile(self.spec, self.g, self.amplitude * lam,
-                                self.zeta)
+        return ModulatedProfile(self.spec, self.g, self.amplitude * lam)
 
     def log_shifted(self, shift: float) -> "ModulatedProfile":
         """Profile with g replaced by s -> g(s + shift); this is the exact
@@ -190,7 +183,7 @@ class ModulatedProfile:
         shifted.sup = getattr(g, "sup", None)
         if shifted.sup is None:
             del shifted.sup
-        return ModulatedProfile(self.spec, shifted, self.amplitude, self.zeta)
+        return ModulatedProfile(self.spec, shifted, self.amplitude)
 
 
 class GaussianDerivativeProfile:

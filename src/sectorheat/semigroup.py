@@ -11,11 +11,15 @@
   post-smoothing data.  Per-axis propagator matrices from that basis,
   built once per grid and once per repeated step size, so a time step
   runs no transform.
-* psi_values / psi_fast: the reference flow through the dilation identity
+* psi_values / psi_fast / psi_sup: the reference flow through the
+  dilation identity
       e^{t D} psi0 = t^{-(gamma+m)/2} E(x / sqrt t),  E = e^{D} psi0,
   with E in closed form, a Kummer function (DLMF 13.3), so Psi is exact
-  at every t and point.  The quadrature of psi0 remains an independent
-  check of E, and the route for data that are not psi0.
+  at every t and point.  Psi and C_inf = sup |E| are functions of the spec
+  (N, m, gamma) alone; C_inf is computed once per spec.  The quadrature of
+  psi0 remains an independent check of E, and the route for data that are
+  not psi0.  build_psi_cache / save_cache export E on a grid with C_inf as
+  an SHC1 file; no computation reads that file back.
 """
 
 from __future__ import annotations
@@ -37,24 +41,24 @@ from .geometry import (AXIS_ANTISYM, AXIS_FULL, AXIS_PERIODIC, AXIS_SYM,
 from .profiles import _split_points
 
 
+# quadrature settings: relative mass tolerance for the dropped origin core,
+# Gauss-Legendre orders on regular cells and on dyadic shells near the
+# origin, the analytic rule's reach L + PAD_SIGMA sqrt(t), and the
+# truncation-mass warning threshold for grid-only fields
+REFINE_TARGET = 1e-10
+GL_SMOOTH = 3
+GL_SINGULAR = 6
+PAD_SIGMA = 8.0
+TAIL_TOL = 1e-8
+
+
 @dataclass
 class KernelPlan:
-    """Quadrature/transform plan bound to one sector spec and grid.
-
-    refine_target   relative mass tolerance for the dropped origin core
-    gl_smooth       Gauss-Legendre order on regular cells
-    gl_singular     Gauss-Legendre order on dyadic shells near the origin
-    pad_sigma       analytic quadrature extends to L + pad_sigma*sqrt(t)
-    tail_tol        truncation-mass warning threshold for grid-only fields
-    """
+    """Quadrature/transform plan bound to one sector spec and grid, with
+    its caches of rules, kernel matrices and spectral propagators."""
 
     spec: SectorSpec
     grid: GridSpec
-    refine_target: float = 1e-10
-    gl_smooth: int = 3
-    gl_singular: int = 6
-    pad_sigma: float = 8.0
-    tail_tol: float = 1e-8
     _rules: dict = field(default_factory=dict, repr=False)
     _mats: dict = field(default_factory=dict, repr=False)
     _mesh: bytes | None = field(default=None, repr=False)
@@ -86,13 +90,13 @@ def _positive_partition(plan: KernelPlan, t: float) -> np.ndarray:
     # dyadic levels chosen so the dropped core mass ~ r_min^(N-gamma) is
     # below the refinement target
     margin = plan.spec.N - plan.spec.gamma
-    levels = int(np.ceil(np.log2(w) - np.log(plan.refine_target) / margin
+    levels = int(np.ceil(np.log2(w) - np.log(REFINE_TARGET) / margin
                          / np.log(2.0)))
     levels = min(max(levels, 10), 400)
     shells = w * 2.0 ** (-np.arange(levels, -1, -1, dtype=float))
     n_cells = int(np.ceil((grid.L - w) / w))
     body = np.linspace(w, grid.L, n_cells + 1)[1:]
-    L_out = grid.L + plan.pad_sigma * np.sqrt(t)
+    L_out = grid.L + PAD_SIGMA * np.sqrt(t)
     w_ext = max(w, np.sqrt(t))
     n_ext = int(np.ceil((L_out - grid.L) / w_ext))
     ext = grid.L + w_ext * np.arange(1, n_ext + 1)
@@ -119,10 +123,9 @@ def _axis_rule(plan: KernelPlan, axis: int, t: float, analytic: bool):
         h = min(plan.grid.axis_spacing(i) for i in range(plan.grid.ndim))
         w = min(h, np.sqrt(t), 0.5)
         n_shells = int(np.searchsorted(edges, w * (1.0 + 1e-12)))
-        sing_nodes, sing_w = _gl_on_cells(edges[:n_shells + 1],
-                                          plan.gl_singular)
-        smooth_nodes, smooth_w = _gl_on_cells(edges[n_shells:], plan.gl_smooth)
-        # innermost dropped core [0, edges[0]] is below refine_target by
+        sing_nodes, sing_w = _gl_on_cells(edges[:n_shells + 1], GL_SINGULAR)
+        smooth_nodes, smooth_w = _gl_on_cells(edges[n_shells:], GL_SMOOTH)
+        # innermost dropped core [0, edges[0]] is below REFINE_TARGET by
         # construction
         pos = np.concatenate([sing_nodes, smooth_nodes])
         wts = np.concatenate([sing_w, smooth_w])
@@ -222,7 +225,7 @@ def _warn_tail_mass(plan: KernelPlan, t: float, f: Field) -> None:
         for j in ((-1,) if kind == AXIS_ANTISYM else (0, -1)):
             sl[i] = j
             est = max(est, mass * float(np.max(np.abs(f.values[tuple(sl)]))))
-    if est > plan.tail_tol * max(f.sup_norm(), 1e-300):
+    if est > TAIL_TOL * max(f.sup_norm(), 1e-300):
         warnings.warn(
             f"apply_kernel: boundary truncation mass ~{est:.2e} "
             "exceeds tolerance; enlarge the box", RuntimeWarning)
@@ -382,16 +385,6 @@ def _check_psi_grid(grid: GridSpec, m: int) -> None:
                 f"{AXIS_ANTISYM!r} and none {AXIS_PERIODIC!r}")
 
 
-@dataclass
-class PsiCache:
-    """Reference field E = e^{D_Omega} psi0 on a grid plus its sup-norm."""
-
-    spec: SectorSpec
-    grid: GridSpec
-    values: np.ndarray
-    C_inf: float
-
-
 def linear_sup(plan: KernelPlan, profile, t: float) -> float:
     """sup-norm of e^{t D_Omega} applied to an analytic profile.
 
@@ -424,8 +417,9 @@ def linear_sup(plan: KernelPlan, profile, t: float) -> float:
     return float(best)
 
 
+@lru_cache(maxsize=8)
 def _sup_E(spec: SectorSpec) -> float:
-    """sup |E|.  1F1(a; b; -z) is positive and decreasing in z for
+    """C_inf = sup |E|.  1F1(a; b; -z) is positive and decreasing in z for
     0 < a < b, so with m = 0 the sup is E(0) = A; otherwise it lies on the
     diagonal x_i = r/sqrt(m) of the first m axes, a 1-D maximisation over r
     of (r^2/m)^{m/2} 1F1(a; b; -r^2/4), which is 0 at r = 0 and decays."""
@@ -444,59 +438,63 @@ def _sup_E(spec: SectorSpec) -> float:
     return -k * float(min(res.fun, neg(r[i])))
 
 
+def psi_values(spec: SectorSpec, t: float, pts: np.ndarray) -> np.ndarray:
+    """Psi(t, x) = t^{-(gamma+m)/2} E(x / sqrt t), exact at every point."""
+    if t <= 0.0:
+        raise ValueError("psi requires t > 0")
+    y = np.asarray(pts, dtype=float) / np.sqrt(t)
+    return t ** (-spec.decay / 2.0) * E(spec, y)
+
+
+def psi_fast(spec: SectorSpec, t: float, grid: GridSpec) -> Field:
+    """Sample Psi(t) on a grid through the dilation identity.
+
+    Psi is the whole-space flow on the sector, so the first m axes of the
+    grid must be anti-symmetric and none may be periodic.
+    """
+    _check_psi_grid(grid, spec.m)
+    return Field(spec, grid, psi_values(spec, t, grid.points()), time_tag=t)
+
+
+def psi_sup(spec: SectorSpec, t: float) -> float:
+    """sup-norm law: ||Psi(t)|| = C_inf * t^{-(gamma+m)/2}, exact."""
+    return _sup_E(spec) * t ** (-spec.decay / 2.0)
+
+
+def alpha_time_integral(spec: SectorSpec, T: float) -> float:
+    """I(T) = int_0^T ||Psi||^alpha dt, closed form from the sup-norm law.
+
+    Finite only in the subcritical range alpha < 2/(gamma+m).
+    """
+    expo = 1.0 - spec.alpha * spec.decay / 2.0
+    if expo <= 0.0:
+        raise ValueError(
+            f"int_0^T ||Psi||^alpha diverges at t=0: alpha={spec.alpha} >= "
+            f"2/(gamma+m)={spec.alpha_critical}")
+    if T < 0.0:
+        raise ValueError("T must be nonnegative")
+    return _sup_E(spec) ** spec.alpha * T ** expo / expo
+
+
+# ---------------------------------------------------------------------------
+# the exported Psi cache: E on a grid and C_inf, in the SHC1 container
+
+@dataclass
+class PsiCache:
+    """Reference field E = e^{D_Omega} psi0 on a grid plus its sup-norm."""
+
+    spec: SectorSpec
+    grid: GridSpec
+    values: np.ndarray
+    C_inf: float
+
+
 def build_psi_cache(spec: SectorSpec, grid: GridSpec) -> PsiCache:
     """E = e^{D_Omega} psi0 on the grid, and its sup-norm, in closed form."""
     _check_psi_grid(grid, spec.m)
     return PsiCache(spec=spec, grid=grid, values=E(spec, grid.points()),
                     C_inf=_sup_E(spec))
 
-
-def psi_values(cache: PsiCache, t: float, pts: np.ndarray) -> np.ndarray:
-    """Psi(t, x) = t^{-(gamma+m)/2} E(x / sqrt t), exact at every point."""
-    if t <= 0.0:
-        raise ValueError("psi requires t > 0")
-    y = np.asarray(pts, dtype=float) / np.sqrt(t)
-    return t ** (-cache.spec.decay / 2.0) * E(cache.spec, y)
-
-
-def psi_fast(cache: PsiCache, t: float,
-             grid: GridSpec | None = None) -> Field:
-    """Sample Psi(t) on a grid through the dilation identity.
-
-    Psi is the whole-space flow on the sector, so the first m axes of the
-    grid must be anti-symmetric and none may be periodic.
-    """
-    grid = grid or cache.grid
-    _check_psi_grid(grid, cache.spec.m)
-    return Field(cache.spec, grid, psi_values(cache, t, grid.points()),
-                 time_tag=t)
-
-
-def psi_sup(cache: PsiCache, t: float) -> float:
-    """sup-norm law: ||Psi(t)|| = C_inf * t^{-(gamma+m)/2}, exact."""
-    return cache.C_inf * t ** (-cache.spec.decay / 2.0)
-
-
-def alpha_time_integral(cache: PsiCache, T: float,
-                        alpha: float | None = None) -> float:
-    """I(T) = int_0^T ||Psi||^alpha dt, closed form from the sup-norm law.
-
-    Finite only in the subcritical range alpha < 2/(gamma+m).
-    """
-    spec = cache.spec
-    alpha = spec.alpha if alpha is None else alpha
-    expo = 1.0 - alpha * spec.decay / 2.0
-    if expo <= 0.0:
-        raise ValueError(
-            f"int_0^T ||Psi||^alpha diverges at t=0: alpha={alpha} >= "
-            f"2/(gamma+m)={spec.alpha_critical}")
-    if T < 0.0:
-        raise ValueError("T must be nonnegative")
-    return cache.C_inf ** alpha * T ** expo / expo
-
-
-# ---------------------------------------------------------------------------
-# cache persistence: the SHC1 container with C_inf in its header
 
 def save_cache(cache: PsiCache, path: str) -> None:
     _write_container(path, cache.spec, cache.grid, cache.values,

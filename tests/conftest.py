@@ -1,6 +1,6 @@
 import pytest
 
-from sectorheat import (GridSpec, KernelPlan, SectorSpec, build_psi_cache)
+from sectorheat import GridSpec, KernelPlan, SectorSpec
 
 # one pass/fail line per acceptance criterion, printed after the run
 ACCEPTANCE_LINES = []
@@ -21,8 +21,7 @@ def setup11():
     spec = SectorSpec(1, 1, 0.5, 0.5, +1)
     grid = GridSpec.for_spec(spec, L=10.0, n=256)
     plan = KernelPlan(spec, grid)
-    cache = build_psi_cache(spec, grid)
-    return spec, grid, plan, cache
+    return spec, grid, plan
 
 
 @pytest.fixture(scope="session")
@@ -32,5 +31,4 @@ def setup10():
     spec = SectorSpec(1, 0, 0.5, 1.0, +1)
     grid = GridSpec.for_spec(spec, L=10.0, n=512)
     plan = KernelPlan(spec, grid)
-    cache = build_psi_cache(spec, grid)
-    return spec, grid, plan, cache
+    return spec, grid, plan

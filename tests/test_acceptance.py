@@ -4,15 +4,13 @@ Each test exercises one headline capability at its stated tolerance and
 reports a single pass/fail line (printed in the terminal summary).
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES
 from sectorheat import (AXIS_PERIODIC, Field, GridSpec, KernelPlan,
                         SectorSpec, apply_kernel, apply_spectral,
-                        build_psi_cache, field_from_profile, linear_sup)
+                        field_from_profile, linear_sup, psi_sup)
 from sectorheat.evolve import (STATUS_BLEWUP, STATUS_GLOBAL, EvolveControls,
                                estimate_tmax, run_trajectory)
 from sectorheat.lifespan import (blowup_criterion_check,
@@ -46,9 +44,8 @@ def setup20():
 
 @pytest.fixture(scope="module")
 def sweep11(setup11):
-    spec, grid, plan, cache = setup11
-    return sweep_lifespan(spec, Psi0Profile(spec), (0.5, 1.0, 2.0), cache,
-                          plan)
+    spec, grid, plan = setup11
+    return sweep_lifespan(spec, Psi0Profile(spec), (0.5, 1.0, 2.0), plan)
 
 
 def _sup_law_spread(spec, plan):
@@ -86,14 +83,14 @@ def test_criterion_02_cross_method(setup21):
 
 
 def test_criterion_03_picard_certification(setup11):
-    spec, grid, plan, cache = setup11
-    run = solve_picard(spec, Psi0Profile(spec), cache, plan=plan, J=10)
-    q = contraction_bound(spec, cache, run.config.M, run.config.T)
+    spec, grid, plan = setup11
+    run = solve_picard(spec, Psi0Profile(spec), plan, J=10)
+    q = contraction_bound(spec, run.config.M, run.config.T)
     p1, p2 = Psi0Profile(spec, 1.0), Psi0Profile(spec, 1.1)
-    r1 = solve_picard(spec, p1, cache, plan=plan, K=1.1, J=8)
-    r2 = solve_picard(spec, p2, cache, plan=plan, K=1.1, J=8)
+    r1 = solve_picard(spec, p1, plan, K=1.1, J=8)
+    r2 = solve_picard(spec, p2, plan, K=1.1, J=8)
     lratio = lipschitz_check(r1, r2, data_x_distance(spec, grid, p1, p2))
-    lbound = lipschitz_bound(spec, cache, r1.config.M, r1.config.T)
+    lbound = lipschitz_bound(spec, r1.config.M, r1.config.T)
     ok = (run.converged and run.xt_norm <= run.config.M * (1 + 1e-9)
           and run.contraction_ratio <= q * 1.05
           and lratio <= lbound * 1.05)
@@ -106,7 +103,8 @@ def test_criterion_03_picard_certification(setup11):
 def _ode_tmax(n):
     spec = SectorSpec(1, 0, 0.5, 1.0)
     grid = GridSpec(L=np.pi, n=n, axes=(AXIS_PERIODIC,))
-    return estimate_tmax(spec, ConstantProfile(spec, 1.0), grid=grid)
+    return estimate_tmax(spec, ConstantProfile(spec, 1.0),
+                         KernelPlan(spec, grid))
 
 
 def test_criterion_04_ode_oracle():
@@ -129,45 +127,43 @@ def test_criterion_05_lifespan_scaling(sweep11, setup11):
 
 
 def test_criterion_06_a_priori_upper_bound(sweep11, setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     # t* solves C_inf t^{-(gamma+m)/2} = (alpha t)^{-1/alpha}
-    t_star = (spec.alpha ** (-1.0 / spec.alpha) / cache.C_inf) ** spec.sigma
+    C_inf = psi_sup(spec, 1.0)
+    t_star = (spec.alpha ** (-1.0 / spec.alpha) / C_inf) ** spec.sigma
     t_max = sweep11.t_max[sweep11.lambdas.index(1.0)]
     _verdict(6, "a-priori life-span upper bound", t_max <= t_star,
              f"T_max {t_max:.4f} <= t* {t_star:.4f}")
 
 
 def test_criterion_07_order_properties(setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     neg = SectorSpec(spec.N, spec.m, spec.gamma, spec.alpha, sign_a=-1)
-    cache_neg = replace(cache, spec=neg)
 
     def slack(ref):
         return 1e-8 * np.maximum(1.0, np.abs(ref))
 
     checks = {}
     # (1) positivity, amplifying sign
-    r_pos = solve_picard(spec, Psi0Profile(spec), cache, plan=plan, J=8)
+    r_pos = solve_picard(spec, Psi0Profile(spec), plan, J=8)
     checks["positivity a=+1"] = all(
         np.all(s.values >= -slack(s.values)) for s in r_pos.slices)
     # (2) positivity, absorbing sign
-    r_neg = solve_picard(neg, Psi0Profile(neg), cache_neg, plan=plan, J=8)
+    r_neg = solve_picard(neg, Psi0Profile(neg), plan, J=8)
     checks["positivity a=-1"] = all(
         np.all(s.values >= -slack(s.values)) for s in r_neg.slices)
     # (3) comparison for ordered data
-    r_small = solve_picard(spec, Psi0Profile(spec, 1.0), cache, plan=plan,
-                           K=1.2, J=8)
-    r_big = solve_picard(spec, Psi0Profile(spec, 1.2), cache, plan=plan,
-                         K=1.2, J=8)
+    r_small = solve_picard(spec, Psi0Profile(spec, 1.0), plan, K=1.2, J=8)
+    r_big = solve_picard(spec, Psi0Profile(spec, 1.2), plan, K=1.2, J=8)
     checks["comparison"] = all(
         np.all(a.values <= b.values + slack(b.values))
         for a, b in zip(r_small.slices, r_big.slices))
     # (4) modulus domination for sign-changing data
-    r_signed = solve_picard(spec, ModulatedProfile(spec, np.sin), cache,
-                            plan=plan, K=1.0, J=8)
+    r_signed = solve_picard(spec, ModulatedProfile(spec, np.sin), plan,
+                            K=1.0, J=8)
     r_mod = solve_picard(spec,
                          ModulatedProfile(spec, lambda s: np.abs(np.sin(s))),
-                         cache, plan=plan, K=1.0, J=8)
+                         plan, K=1.0, J=8)
     checks["modulus domination"] = all(
         np.all(np.abs(a.values) <= b.values + slack(b.values))
         for a, b in zip(r_signed.slices, r_mod.slices))
@@ -183,8 +179,8 @@ def test_criterion_07_order_properties(setup11):
 
 
 def test_criterion_08_oscillating_lifespan(setup10):
-    spec, grid, plan, cache = setup10
-    report = oscillation_experiment(spec, cache, plan)
+    spec, grid, plan = setup10
+    report = oscillation_experiment(spec, plan)
     ok = (report["gap_significant"] and report["control_flat"]
           and report["identity_rel_error"] < 1e-3)
     _verdict(8, "subsequence-dependent scaled life span", ok,
@@ -195,12 +191,12 @@ def test_criterion_08_oscillating_lifespan(setup10):
 
 
 def test_criterion_09_criterion_end_to_end(setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     prof = ModulatedProfile(spec, SinSquaredLog(eps=0.05))
     # along lam = e^{pi k} the dilation probes coincide with the profile
     # itself: a nontrivial nonnegative limit
-    report = blowup_criterion_check(spec, prof, cache, plan)
-    rec = estimate_tmax(spec, prof, cache, plan)
+    report = blowup_criterion_check(spec, prof, plan)
+    rec = estimate_tmax(spec, prof, plan)
     part1 = (report["verdict"] == "blowup_predicted"
              and rec.status == STATUS_BLEWUP and np.isfinite(rec.t_max))
     # compactly supported small data, alpha > 2/N: zero limit, no
@@ -212,7 +208,7 @@ def test_criterion_09_criterion_end_to_end(setup11):
                  0.05 * np.exp(-sup_grid.radii() ** 2))
     zrep = blowup_criterion_check(
         sup_spec, Field(sup_spec, sup_grid, np.zeros(sup_grid.shape())),
-        replace(cache, spec=sup_spec), sup_plan)
+        sup_plan)
     traj, last = run_trajectory(sup_plan, bump, 0.0,
                                 EvolveControls(horizon=10.0))
     part2 = (zrep["verdict"] == "undetermined"
@@ -224,11 +220,10 @@ def test_criterion_09_criterion_end_to_end(setup11):
 
 
 def test_criterion_10_global_smallness(setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     sup_spec = SectorSpec(spec.N, spec.m, spec.gamma, 2.0, +1)
-    sup_cache = replace(cache, spec=sup_spec)
     sup_plan = KernelPlan(sup_spec, grid)
-    report = global_smallness_check(sup_spec, sup_cache, sup_plan, t0=0.1,
+    report = global_smallness_check(sup_spec, sup_plan, t0=0.1,
                                     horizon_factor=100.0)
     _verdict(10, "global existence by smallness", report["certified"],
              f"half-threshold data, horizon {report['horizon']:.0f}, "
@@ -253,9 +248,7 @@ def test_criterion_11_robustness():
     spec = SectorSpec(1, 1, 0.5, 0.5, +1)
     grid = GridSpec.for_spec(spec, L=15.0, n=512)
     plan = KernelPlan(spec, grid)
-    cache = build_psi_cache(spec, grid)
-    curve = sweep_lifespan(spec, Psi0Profile(spec), (0.5, 1.0, 2.0), cache,
-                           plan)
+    curve = sweep_lifespan(spec, Psi0Profile(spec), (0.5, 1.0, 2.0), plan)
     base = curve.t_max[curve.lambdas.index(1.0)]
     devs = [abs(lam ** spec.sigma * t / base - 1.0)
             for lam, t in zip(curve.lambdas, curve.t_max) if lam != 1.0]

@@ -133,41 +133,41 @@ def test_cache_build_idempotent(tmp_path):
     assert open(cpath, "rb").read() == first    # reused, byte-identical
 
 
-def test_cache_serves_every_alpha(tmp_path):
-    # E = e^{D} psi0 does not depend on alpha, so a cache built for one
-    # alpha is reused, unchanged, by a run at another, with the run's own
-    # alpha in the contraction constants
-    def picard(alpha, cdir):
-        d = _manifest_dict(experiment="picard",
-                           spec={"N": 1, "m": 1, "gamma": 0.5,
-                                 "alpha": alpha},
-                           output_dir=str(tmp_path / f"out{alpha}"))
+def test_psi_runs_neither_write_nor_read_a_cache(tmp_path):
+    # Psi and C_inf are functions of the spec, so a run that reads Psi
+    # leaves an empty cache directory empty, reports what it reports after
+    # a cache_build, and ignores a truncated cache file
+    picard = {"experiment": "picard"}
+    smallness = {"experiment": "global_smallness", "t0": 0.1, "horizon": 0.5,
+                 "spec": {"N": 1, "m": 1, "gamma": 0.5, "alpha": 2.0}}
+
+    def run(over, cdir, name):
+        out = tmp_path / name
+        d = _manifest_dict(**over, output_dir=str(out))
         code = main([_write_manifest(tmp_path, d), "-q", "--cache-dir",
                      str(cdir)])
-        blob = json.load(open(tmp_path / f"out{alpha}" / "picard.json"))
-        return code, blob["T"]
+        report = f"{over['experiment']}.json"
+        return code, json.load(open(out / report))
 
-    fresh = picard(0.3, tmp_path / "fresh")
-    shared = tmp_path / "shared"
-    assert picard(0.5, shared)[0] == EXIT_OK
-    cpath = cache_path(RunManifest.from_dict(_manifest_dict()), str(shared))
-    mtime = os.stat(cpath).st_mtime_ns
-    assert picard(0.3, shared) == fresh
-    assert fresh[0] == EXIT_OK
-    assert os.stat(cpath).st_mtime_ns == mtime
+    for over in (picard, smallness):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        fresh = run(over, empty, "fresh")
+        assert fresh[0] == EXIT_OK
+        assert os.listdir(empty) == []
+        empty.rmdir()
 
+        built = tmp_path / "built"
+        build = {k: v for k, v in over.items() if k == "spec"}
+        assert run(dict(build, experiment="cache_build"), built,
+                   "build")[0] == EXIT_OK
+        assert run(over, built, "after_build") == fresh
 
-def test_truncated_cache_is_a_config_error(tmp_path, capsys):
-    out = str(tmp_path / "out")
-    path = _write_manifest(tmp_path, _manifest_dict(output_dir=out))
-    cdir = str(tmp_path / "caches")
-    assert main([path, "-q", "--cache-dir", cdir]) == EXIT_OK
-    cpath = cache_path(RunManifest.from_dict(_manifest_dict()), cdir)
-    raw = open(cpath, "rb").read()
-    for cut in (5, len(raw) // 2):
-        open(cpath, "wb").write(raw[:cut])
-        assert main([path, "-q", "--cache-dir", cdir]) == EXIT_CONFIG
-        assert cpath in capsys.readouterr().err
+        cpath = cache_path(RunManifest.from_dict(_manifest_dict(**build)),
+                           str(built))
+        raw = open(cpath, "rb").read()
+        open(cpath, "wb").write(raw[:len(raw) // 2])
+        assert run(over, built, "truncated") == fresh
 
 
 def test_criteria_undetermined_verdict_is_inconclusive(tmp_path):
@@ -197,9 +197,12 @@ def test_psi_cache_on_periodic_axis_is_a_config_error(tmp_path, capsys):
     # that reads Psi refuses the grid; a run of bounded data does not read
     # Psi and keeps the periodic box (test_tmax_constant_profile_matches_ode)
     grid = {"L": 10.0, "n": 16, "axes": [AXIS_PERIODIC]}
-    for exp in ("cache_build", "tmax"):
+    # global_smallness needs a supercritical alpha > 2/(gamma+m) = 4
+    for exp, alpha in (("cache_build", 0.5), ("tmax", 0.5), ("picard", 0.5),
+                       ("global_smallness", 5.0)):
         d = _manifest_dict(experiment=exp,
-                           spec={"N": 1, "m": 0, "gamma": 0.5, "alpha": 0.5},
+                           spec={"N": 1, "m": 0, "gamma": 0.5,
+                                 "alpha": alpha},
                            grid=grid, output_dir=str(tmp_path / "out"))
         assert main([_write_manifest(tmp_path, d), "-q"]) == EXIT_CONFIG
         assert "axis 0 is 'periodic'" in capsys.readouterr().err

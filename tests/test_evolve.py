@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sectorheat import (AXIS_PERIODIC, Field, GridSpec, KernelPlan,
                         SectorSpec, field_from_profile)
@@ -45,6 +46,34 @@ def test_nonlinear_substep_signs_and_zeros():
     assert np.all(np.abs(dec) <= np.abs(v))
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([1, -1]), st.floats(0.2, 4.0),
+       st.one_of(st.floats(0.01, 0.9), st.floats(1.001, 3.0)),
+       st.floats(0.01, 0.99), st.integers(0, 2 ** 32 - 1))
+def test_reaction_subflow_composes(sign_a, alpha, total, share, seed):
+    # the exact reaction flow is a semigroup: N(t) N(s) = N(s + t).  Steps
+    # are fractions of the scalar blow-up time R of the largest node; for
+    # a = +1 and s + t > R both routes stop at that node
+    spec = SectorSpec(1, 0, 0.5, alpha, sign_a)
+    v = np.random.default_rng(seed).standard_normal(32)
+    v[5] = 0.0
+    R = 1.0 / (alpha * np.max(np.abs(v)) ** alpha)
+    s, t = share * total * R, (1.0 - share) * total * R
+    once = nonlinear_substep(spec, v, s + t)
+    half = nonlinear_substep(spec, v, s)
+    twice = half if isinstance(half, BlowupSignal) \
+        else nonlinear_substep(spec, half, t)
+    if sign_a > 0 and total > 1.0:
+        assert isinstance(once, BlowupSignal)
+        assert isinstance(twice, BlowupSignal)
+        assert twice.node == once.node
+        spent = 0.0 if twice is half else s
+        assert spent + twice.remaining == pytest.approx(once.remaining,
+                                                        rel=1e-12)
+    else:
+        assert np.allclose(twice, once, rtol=1e-12, atol=0)
+
+
 def test_nonlinear_substep_refuses_nan():
     spec = SectorSpec(1, 0, 0.5, 1.0, sign_a=-1)
     v = np.array([0.5, np.nan, 1.0])
@@ -78,7 +107,8 @@ def test_constant_data_matches_scalar_ode():
     # scalar value 1/(alpha c^alpha) exactly
     spec = SectorSpec(1, 0, 0.5, 1.0)
     grid = _periodic(spec, n=16)
-    rec = estimate_tmax(spec, ConstantProfile(spec, 1.0), grid=grid)
+    rec = estimate_tmax(spec, ConstantProfile(spec, 1.0),
+                        KernelPlan(spec, grid))
     assert rec.status == STATUS_BLEWUP
     assert rec.t_max == pytest.approx(1.0, abs=1e-3)
     assert rec.fit_residual < 0.02
@@ -87,8 +117,8 @@ def test_constant_data_matches_scalar_ode():
 
 
 def test_singular_data_blows_up_with_picard_handoff(setup11):
-    spec, grid, plan, cache = setup11
-    rec = estimate_tmax(spec, Psi0Profile(spec), cache=cache, plan=plan)
+    spec, grid, plan = setup11
+    rec = estimate_tmax(spec, Psi0Profile(spec), plan)
     assert rec.status == STATUS_BLEWUP
     assert rec.handoff_time is not None and rec.handoff_time > 0.0
     assert rec.fit_residual < 0.02
@@ -97,7 +127,7 @@ def test_singular_data_blows_up_with_picard_handoff(setup11):
 
 
 def test_absorbing_sign_is_global(setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     neg = SectorSpec(spec.N, spec.m, spec.gamma, spec.alpha, sign_a=-1)
     f0 = field_from_profile(neg, grid, Psi0Profile(neg))
     rec, last = run_trajectory(KernelPlan(neg, grid), f0, 0.0,
@@ -196,7 +226,8 @@ def test_unjustified_extrapolation_is_flagged():
     grid = GridSpec(L=np.pi, n=8, axes=(AXIS_PERIODIC,) * 3)
     # cap kept low: with alpha = 4 the blow-up remainders under a 1e8 cap
     # drop below the float resolution of the accumulated time
-    rec = estimate_tmax(spec, ConstantProfile(spec, 1.0), grid=grid,
+    rec = estimate_tmax(spec, ConstantProfile(spec, 1.0),
+                        KernelPlan(spec, grid),
                         controls=EvolveControls(cap=1e3))
     assert not rec.extrapolation_justified
     assert rec.notes.get("extrapolation_unjustified") is True

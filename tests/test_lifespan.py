@@ -1,14 +1,12 @@
 import csv
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import sectorheat.evolve as evolve
-from sectorheat import GridSpec, KernelPlan, SectorSpec, build_psi_cache, \
-    psi_sup
+from sectorheat import GridSpec, KernelPlan, SectorSpec, psi_sup
 from sectorheat.evolve import EvolveControls
 from sectorheat.lifespan import (CRITICAL_THRESHOLD, blowup_criterion_check,
                                  dilation_limits, global_smallness_check,
@@ -21,9 +19,9 @@ from sectorheat.profiles import (GaussianDerivativeProfile, ModulatedProfile,
 
 
 def test_sweep_lifespan_scaling(setup11, tmp_path):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     lambdas = (1.0, 2.0)
-    curve = sweep_lifespan(spec, Psi0Profile(spec), lambdas, cache, plan)
+    curve = sweep_lifespan(spec, Psi0Profile(spec), lambdas, plan)
     assert curve.statuses == ["blew_up", "blew_up"]
     assert curve.monotone
     assert curve.t_max[1] < curve.t_max[0]
@@ -38,7 +36,7 @@ def test_sweep_lifespan_scaling(setup11, tmp_path):
 
 
 def test_dilation_limit_of_homogeneous_data(setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     probe = dilation_limits(spec, Psi0Profile(spec), [1.0, 4.0, 16.0, 64.0])
     assert probe.converged
     assert probe.bound_ok
@@ -47,7 +45,7 @@ def test_dilation_limit_of_homogeneous_data(setup11):
 
 
 def test_dilation_probe_oscillates_for_log_modulated_data(setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     prof = ModulatedProfile(spec, SinSquaredLog(eps=0.05))
     lams = [float(np.exp(0.5 * np.pi * k)) for k in range(1, 5)]
     probe = dilation_limits(spec, prof, lams)
@@ -60,12 +58,12 @@ def test_dilation_probe_oscillates_for_log_modulated_data(setup11):
 
 
 def test_dilation_limit_of_localized_data_is_zero(setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     prof = GaussianDerivativeProfile(spec, 0.5)
     probe = dilation_limits(spec, prof, [8.0, 16.0, 32.0])
     assert probe.converged
     assert float(np.max(np.abs(probe.limit))) < 1e-12
-    report = blowup_criterion_check(spec, _zero_field(spec, grid), cache, plan)
+    report = blowup_criterion_check(spec, _zero_field(spec, grid), plan)
     assert report["verdict"] == "undetermined"
 
 
@@ -75,24 +73,24 @@ def _zero_field(spec, grid):
 
 
 def test_criterion_subcritical_predicts_blowup(setup11):
-    spec, grid, plan, cache = setup11
-    report = blowup_criterion_check(spec, Psi0Profile(spec), cache, plan)
+    spec, grid, plan = setup11
+    report = blowup_criterion_check(spec, Psi0Profile(spec), plan)
     assert report["verdict"] == "blowup_predicted"
     assert spec.alpha < report["alpha_critical"]
 
 
 def test_criterion_rejects_sign_changing_data(setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     prof = ModulatedProfile(spec, lambda s: np.sin(s))
     with pytest.raises(ValueError):
-        blowup_criterion_check(spec, prof, cache, plan)
+        blowup_criterion_check(spec, prof, plan)
 
 
 def test_sweep_releases_picard_kernel_matrices(setup11, monkeypatch):
     # each amplitude gets its own graded mesh, so the kernel matrices of one
     # Picard solve cannot serve the next: after every solve the plan holds
     # the matrices of that solve's mesh only
-    spec, grid, _, cache = setup11
+    spec, grid, _ = setup11
     plan = KernelPlan(spec, grid)
     held = []
     solve = evolve.solve_picard
@@ -106,8 +104,8 @@ def test_sweep_releases_picard_kernel_matrices(setup11, monkeypatch):
         return run
 
     monkeypatch.setattr(evolve, "solve_picard", spy)
-    curve = sweep_lifespan(spec, Psi0Profile(spec), (0.5, 1.0, 2.0), cache,
-                           plan, controls=EvolveControls(horizon=0.05))
+    curve = sweep_lifespan(spec, Psi0Profile(spec), (0.5, 1.0, 2.0), plan,
+                           controls=EvolveControls(horizon=0.05))
     assert len(curve.statuses) == len(held) == 3
     assert all(n > 0 and own for n, own in held)
 
@@ -119,14 +117,14 @@ def test_criterion_critical_threshold_flip():
     assert spec.alpha == spec.alpha_critical
     grid = GridSpec.for_spec(spec, L=10.0, n=128)
     plan = KernelPlan(spec, grid)
-    cache = build_psi_cache(spec, grid)
     thr = CRITICAL_THRESHOLD(spec.alpha)
     assert thr == pytest.approx(0.25 ** 0.25)
     # ||e^D (c psi0)|| = c * C_inf with C_inf ~ 1.446
-    c_small = 0.8 * thr / cache.C_inf
-    c_large = 1.2 * thr / cache.C_inf
-    low = blowup_criterion_check(spec, Psi0Profile(spec, c_small), cache, plan)
-    high = blowup_criterion_check(spec, Psi0Profile(spec, c_large), cache, plan)
+    C_inf = psi_sup(spec, 1.0)
+    c_small = 0.8 * thr / C_inf
+    c_large = 1.2 * thr / C_inf
+    low = blowup_criterion_check(spec, Psi0Profile(spec, c_small), plan)
+    high = blowup_criterion_check(spec, Psi0Profile(spec, c_large), plan)
     assert low["verdict"] == "undetermined"
     assert high["verdict"] == "blowup_predicted"
     assert low["linear_sup"] < thr < high["linear_sup"]
@@ -151,37 +149,35 @@ def test_shift_amplitude_duality():
 
 
 def test_tail_alpha_integral_oracle(setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     sup_spec = SectorSpec(spec.N, spec.m, spec.gamma, 2.0)
-    sup_cache = replace(cache, spec=sup_spec)
     t0 = 0.3
-    I = tail_alpha_integral(sup_spec, sup_cache, t0)
-    body, _ = quad(lambda s: psi_sup(sup_cache, s) ** sup_spec.alpha, t0, 50.0)
+    I = tail_alpha_integral(sup_spec, t0)
+    body, _ = quad(lambda s: psi_sup(sup_spec, s) ** sup_spec.alpha, t0, 50.0)
     expo = sup_spec.alpha * sup_spec.decay / 2.0 - 1.0
-    analytic_tail = sup_cache.C_inf ** sup_spec.alpha * 50.0 ** -expo / expo
+    C_inf = psi_sup(sup_spec, 1.0)
+    analytic_tail = C_inf ** sup_spec.alpha * 50.0 ** -expo / expo
     assert I == pytest.approx(body + analytic_tail, rel=1e-9)
     with pytest.raises(ValueError):
-        tail_alpha_integral(spec, cache, t0)      # subcritical diverges
+        tail_alpha_integral(spec, t0)      # subcritical diverges
 
 
 def test_global_smallness_threshold_algebra(setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     sup_spec = SectorSpec(spec.N, spec.m, spec.gamma, 2.0)
-    sup_cache = replace(cache, spec=sup_spec)
     t0 = 0.2
-    lam = global_smallness_threshold(sup_spec, sup_cache, t0)
-    I = tail_alpha_integral(sup_spec, sup_cache, t0)
+    lam = global_smallness_threshold(sup_spec, t0)
+    I = tail_alpha_integral(sup_spec, t0)
     lhs = 2.0 ** (sup_spec.alpha + 2) * (sup_spec.alpha + 1) \
         * lam ** sup_spec.alpha * I
     assert lhs == pytest.approx(1.0, rel=1e-12)
 
 
 def test_global_smallness_certificate(setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     sup_spec = SectorSpec(spec.N, spec.m, spec.gamma, 2.0)
-    sup_cache = replace(cache, spec=sup_spec)
     sup_plan = KernelPlan(sup_spec, grid)
-    report = global_smallness_check(sup_spec, sup_cache, sup_plan, t0=0.1,
+    report = global_smallness_check(sup_spec, sup_plan, t0=0.1,
                                     horizon_factor=10.0)
     assert report["certified"]
     assert report["status"] == "global_horizon_reached"
@@ -190,39 +186,36 @@ def test_global_smallness_certificate(setup11):
 
 
 def test_global_smallness_envelope_fails_for_large_data(setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     sup_spec = SectorSpec(spec.N, spec.m, spec.gamma, 2.0)
-    sup_cache = replace(cache, spec=sup_spec)
     sup_plan = KernelPlan(sup_spec, grid)
-    thr = global_smallness_threshold(sup_spec, sup_cache, 0.1)
-    report = global_smallness_check(sup_spec, sup_cache, sup_plan, t0=0.1,
+    thr = global_smallness_threshold(sup_spec, 0.1)
+    report = global_smallness_check(sup_spec, sup_plan, t0=0.1,
                                     lam=50.0 * thr, horizon_factor=5.0)
     assert not report["certified"]
 
 
 def test_global_smallness_leaves_controls_untouched(setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     sup_spec = SectorSpec(spec.N, spec.m, spec.gamma, 2.0)
-    sup_cache = replace(cache, spec=sup_spec)
     controls = EvolveControls(horizon=123.0)
-    report = global_smallness_check(sup_spec, sup_cache,
-                                    KernelPlan(sup_spec, grid), t0=0.1,
+    report = global_smallness_check(sup_spec, KernelPlan(sup_spec, grid),
+                                    t0=0.1,
                                     horizon_factor=1.0, controls=controls)
     assert report["horizon"] == pytest.approx(0.1)
     assert controls.horizon == 123.0
 
 
 def test_nonexistence_signature(setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     sup_spec = SectorSpec(spec.N, spec.m, spec.gamma, 2.0)
-    sup_cache = replace(cache, spec=sup_spec)
-    report = nonexistence_signature(sup_spec, sup_cache)
+    report = nonexistence_signature(sup_spec)
     assert report["diverges"]
     assert report["verdict"] == "nonexistence_evidence"
     r = report["ratio_to_bound"]
     assert all(b > a for a, b in zip(r, r[1:]))
     with pytest.raises(ValueError):
-        nonexistence_signature(spec, cache)
+        nonexistence_signature(spec)
 
 
 def test_save_report_handles_numpy_scalars(tmp_path):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,41 +14,40 @@ from sectorheat.profiles import (ModulatedProfile, Psi0Profile, SinSquaredLog,
 
 
 def test_admissible_constants_satisfy_conditions(setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     for K in (0.3, 1.0, 4.0):
-        M, T = admissible_constants(spec, cache, K, margin=0.9)
+        M, T = admissible_constants(spec, K)
         assert M == 2.0 * K
-        I = alpha_time_integral(cache, T)
+        I = alpha_time_integral(spec, T)
         condA = K + 2 * (spec.alpha + 1) * M ** (spec.alpha + 1) * I
         condB = 2 * (spec.alpha + 1) * M ** spec.alpha * I
         assert condA <= M * (1 + 1e-12)
-        # with M = 2K the smallness condition sits exactly at margin/2
+        # with M = 2K the smallness condition sits exactly at MARGIN/2
         assert condB == pytest.approx(0.45, rel=1e-12)
         assert condB < 1.0
 
 
 def test_horizon_scaling_in_data_size(setup11):
     # T(lam K) = lam^-sigma T(K), and T -> infinity as K -> 0
-    spec, grid, plan, cache = setup11
-    _, T1 = admissible_constants(spec, cache, 1.0)
+    spec, grid, plan = setup11
+    _, T1 = admissible_constants(spec, 1.0)
     for lam in (0.5, 2.0, 10.0):
-        _, Tlam = admissible_constants(spec, cache, lam)
+        _, Tlam = admissible_constants(spec, lam)
         assert Tlam == pytest.approx(lam ** -spec.sigma * T1, rel=1e-12)
-    _, Ttiny = admissible_constants(spec, cache, 1e-6)
+    _, Ttiny = admissible_constants(spec, 1e-6)
     assert Ttiny == pytest.approx(1e-6 ** -spec.sigma * T1, rel=1e-9)
     assert Ttiny > 1e4 * T1
 
 
 def test_admissible_constants_rejections(setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     supercrit = SectorSpec(spec.N, spec.m, spec.gamma, 2.0)
-    bad_cache = replace(cache, spec=supercrit)
     with pytest.raises(ValueError):
-        admissible_constants(supercrit, bad_cache, 1.0)
+        admissible_constants(supercrit, 1.0)
     with pytest.raises(ValueError):
-        admissible_constants(spec, cache, 0.0)
+        admissible_constants(spec, 0.0)
     with pytest.raises(ValueError):
-        lipschitz_bound(spec, cache, 1e6, 1e6)
+        lipschitz_bound(spec, 1e6, 1e6)
 
 
 def test_graded_mesh_shape():
@@ -92,29 +89,28 @@ def test_duhamel_weights_converge_on_smooth_integrand():
 
 
 def test_solve_picard_certificates(setup11):
-    spec, grid, plan, cache = setup11
-    run = solve_picard(spec, Psi0Profile(spec), cache, plan=plan, J=10)
+    spec, grid, plan = setup11
+    run = solve_picard(spec, Psi0Profile(spec), plan, J=10)
     assert run.converged
     assert run.xt_norm <= run.config.M * (1 + 1e-9)
-    q = contraction_bound(spec, cache, run.config.M, run.config.T)
+    q = contraction_bound(spec, run.config.M, run.config.T)
     assert run.contraction_ratio <= q * 1.05
     assert all(np.all(np.isfinite(s.values)) for s in run.slices)
 
 
 def test_solve_picard_positivity(setup11):
     # a = +1 and nonnegative data keep every slice nonnegative
-    spec, grid, plan, cache = setup11
-    run = solve_picard(spec, Psi0Profile(spec), cache, plan=plan, J=8)
+    spec, grid, plan = setup11
+    run = solve_picard(spec, Psi0Profile(spec), plan, J=8)
     for s in run.slices:
         assert s.values.min() >= -1e-12
 
 
 def test_kato_inequality_absorbing_sign(setup11):
     # a = -1, psi >= 0: the fixed point sits below the linear flow
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     neg = SectorSpec(spec.N, spec.m, spec.gamma, spec.alpha, sign_a=-1)
-    cache_neg = replace(cache, spec=neg)
-    run = solve_picard(neg, Psi0Profile(neg), cache_neg, plan=plan, J=8)
+    run = solve_picard(neg, Psi0Profile(neg), plan, J=8)
     psi0f = field_from_profile(neg, grid, Psi0Profile(neg))
     for s in run.slices:
         lin = apply_kernel(plan, s.time_tag, psi0f)
@@ -124,7 +120,7 @@ def test_kato_inequality_absorbing_sign(setup11):
 
 def test_comparison_with_modulus_data(setup11):
     # |u| for sign-changing data is dominated by the solution with |data|
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
 
     def signed(pts):
         r = np.sqrt(np.sum(np.asarray(pts) ** 2, axis=-1))
@@ -133,8 +129,8 @@ def test_comparison_with_modulus_data(setup11):
     g = lambda s: np.sin(s)
     prof = ModulatedProfile(spec, g)
     prof_abs = ModulatedProfile(spec, lambda s: np.abs(np.sin(s)))
-    run = solve_picard(spec, prof, cache, plan=plan, K=1.0, J=8)
-    run_abs = solve_picard(spec, prof_abs, cache, plan=plan, K=1.0, J=8)
+    run = solve_picard(spec, prof, plan, K=1.0, J=8)
+    run_abs = solve_picard(spec, prof_abs, plan, K=1.0, J=8)
     for a, b in zip(run.slices, run_abs.slices):
         assert np.all(np.abs(a.values) <= b.values * (1 + 1e-8) + 1e-12)
 
@@ -142,8 +138,8 @@ def test_comparison_with_modulus_data(setup11):
 def test_initial_trace(setup11):
     # the Duhamel correction vanishes at the bottom of the mesh, so u(s_1)
     # approaches the linear flow of the data in the weighted norm
-    spec, grid, plan, cache = setup11
-    run = solve_picard(spec, Psi0Profile(spec), cache, plan=plan, J=12)
+    spec, grid, plan = setup11
+    run = solve_picard(spec, Psi0Profile(spec), plan, J=12)
     mesh = run.config.mesh
     M = run.config.M
     psi0f = field_from_profile(spec, grid, Psi0Profile(spec))
@@ -153,7 +149,7 @@ def test_initial_trace(setup11):
         dev = float(np.max(np.abs(run.slices[k].values - lin.values)
                            / run.psi_slices[k]))
         bound = 2 * (spec.alpha + 1) * M ** (spec.alpha + 1) \
-            * alpha_time_integral(cache, mesh[k])
+            * alpha_time_integral(spec, mesh[k])
         assert dev <= bound * (1 + 1e-6)
         devs.append(dev)
     # grading puts s_1/T = 12^-p, so I(s_1)/I(T) ~ 0.08 here
@@ -161,20 +157,20 @@ def test_initial_trace(setup11):
 
 
 def test_lipschitz_dependence_on_data(setup11):
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     p1 = Psi0Profile(spec, 1.0)
     p2 = Psi0Profile(spec, 1.1)
     # shared K => shared horizon and mesh, as lipschitz_check requires
-    run1 = solve_picard(spec, p1, cache, plan=plan, K=1.1, J=8)
-    run2 = solve_picard(spec, p2, cache, plan=plan, K=1.1, J=8)
+    run1 = solve_picard(spec, p1, plan, K=1.1, J=8)
+    run2 = solve_picard(spec, p2, plan, K=1.1, J=8)
     dist = data_x_distance(spec, grid, p1, p2)
     assert dist == pytest.approx(0.1, rel=1e-12)
     ratio = lipschitz_check(run1, run2, dist)
-    L = lipschitz_bound(spec, cache, run1.config.M, run1.config.T)
+    L = lipschitz_bound(spec, run1.config.M, run1.config.T)
     assert 1.0 - 1e-9 <= ratio <= L * 1.05
     with pytest.raises(ValueError):
         lipschitz_check(run1, run2, 0.0)
-    run3 = solve_picard(spec, p1, cache, plan=plan, K=1.0, J=8)
+    run3 = solve_picard(spec, p1, plan, K=1.0, J=8)
     with pytest.raises(ValueError):
         lipschitz_check(run1, run3, dist)
 
@@ -183,11 +179,11 @@ def test_admissible_constants_raise_on_failed_condition(setup11,
                                                         monkeypatch):
     # the certificate is an exception, not an assert, so it holds under -O;
     # with M = 2K condition (B) follows from (A), so (A) is the one to break
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     monkeypatch.setattr(picard, "alpha_time_integral",
-                        lambda cache, T: 10.0)
+                        lambda spec, T: 10.0)
     with pytest.raises(ValueError, match=r"condition \(A\) fails"):
-        admissible_constants(spec, cache, 1.0)
+        admissible_constants(spec, 1.0)
 
 
 def test_psi0_linear_part_comes_from_cache(setup11, monkeypatch):
@@ -195,18 +191,18 @@ def test_psi0_linear_part_comes_from_cache(setup11, monkeypatch):
     # A * Psi(s_j) from the closed form, within the quadrature's accuracy of
     # the direct kernel apply, down to the smallest node where the dilated
     # argument of most grid points lies beyond 0.95 of the box
-    spec, grid, plan, cache = setup11
+    spec, grid, plan = setup11
     monkeypatch.setattr(picard, "_nonlinear_values",
                         lambda spec, v: np.zeros_like(v))
     prof = Psi0Profile(spec, 1.3)
-    run = solve_picard(spec, prof, cache, plan=plan, J=12)
+    run = solve_picard(spec, prof, plan, J=12)
     mesh = run.config.mesh
     y = grid.axis_nodes(0) / np.sqrt(mesh[0])
     assert np.mean(y >= 0.95 * grid.axis_nodes(0)[-1]) > 0.5
     data = field_from_profile(spec, grid, prof)
     for s_j, sl in zip(mesh, run.slices):
-        cached = 1.3 * psi_fast(cache, s_j, grid).values
-        assert np.array_equal(sl.values, cached)
+        closed = 1.3 * psi_fast(spec, s_j, grid).values
+        assert np.array_equal(sl.values, closed)
         assert sl.time_tag == s_j
         direct = apply_kernel(plan, s_j, data).values
-        assert np.max(np.abs(cached - direct) / np.abs(direct)) < 1e-3
+        assert np.max(np.abs(closed - direct) / np.abs(direct)) < 1e-3

@@ -55,13 +55,12 @@ def test_E_matches_quadrature(spec):
        st.integers(0, 2 ** 32 - 1))
 def test_psi_values_dilation_identity(spec, lam, t, seed):
     # Psi(lam^2 t, lam x) = lam^{-(gamma+m)} Psi(t, x)
-    cache = build_psi_cache(spec, GridSpec.for_spec(spec, L=4.0, n=4))
     x = np.random.default_rng(seed).uniform(-20.0, 20.0, (64, spec.N))
     x[:, :spec.m] = np.abs(x[:, :spec.m])
-    lhs = psi_values(cache, lam * lam * t, lam * x)
-    rhs = lam ** -spec.decay * psi_values(cache, t, x)
+    lhs = psi_values(spec, lam * lam * t, lam * x)
+    rhs = lam ** -spec.decay * psi_values(spec, t, x)
     assert np.allclose(lhs, rhs, rtol=1e-10, atol=0)
-    assert np.all(psi_values(cache, t, x) > 0)
+    assert np.all(psi_values(spec, t, x) > 0)
 
 
 @FEW
@@ -107,5 +106,5 @@ def test_psi_exact_across_old_interpolation_seam():
     pts = np.sqrt(t) * y.reshape(-1, 2)
     oracle = heat_at_points(KernelPlan(spec, grid), t, Psi0Profile(spec),
                             pts)
-    got = psi_values(build_psi_cache(spec, grid), t, pts)
+    got = psi_values(spec, t, pts)
     assert np.max(np.abs(got / oracle - 1)) <= 1e-6

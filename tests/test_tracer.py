@@ -2,12 +2,13 @@
 functions by name; a rename in the package would silently drop their
 spans from ``--trace 1``.  This runs the tracer over a tiny trajectory."""
 
+import json
 import os
 
 import numpy as np
 
 from sectorheat import AXIS_PERIODIC, Field, GridSpec, KernelPlan, SectorSpec
-from sectorheat import evolve, geometry, lifespan, semigroup
+from sectorheat import cli, evolve, geometry, lifespan, semigroup
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -53,9 +54,9 @@ def test_tracer_records_psi_spans(monkeypatch):
     tr = tracer.Tracer()
     tr.install()
     try:
-        cache = semigroup.build_psi_cache(spec, grid)
-        report = lifespan.global_smallness_check(spec, cache, t0=0.1,
-                                                 horizon_factor=2.0)
+        semigroup.build_psi_cache(spec, grid)
+        report = lifespan.global_smallness_check(spec, KernelPlan(spec, grid),
+                                                 t0=0.1, horizon_factor=2.0)
         summary = tr.summary()
     finally:
         tr.uninstall()
@@ -68,3 +69,39 @@ def test_tracer_records_psi_spans(monkeypatch):
     assert psi["calls"] == steps + 1
     assert psi["work"] == psi["calls"] * grid.n
     assert summary["lifespan.global_smallness_check"]["calls"] == 1
+
+
+def test_tracer_sees_no_cache_read_in_a_cli_run(monkeypatch, tmp_path):
+    # cache_build writes the Psi cache through cli.get_cache; a picard run
+    # after it reads Psi in closed form and opens no cache file
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracer
+
+    def manifest(experiment):
+        path = tmp_path / f"{experiment}.json"
+        path.write_text(json.dumps({
+            "experiment": experiment,
+            "spec": {"N": 1, "m": 1, "gamma": 0.5, "alpha": 0.5},
+            "grid": {"L": 10.0, "n": 64},
+            "output_dir": str(tmp_path / experiment)}))
+        return [str(path), "-q", "--cache-dir", str(tmp_path / "cache")]
+
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        assert cli.main(manifest("cache_build")) == cli.EXIT_OK
+        built = tr.summary()
+        tr.reset()
+        assert cli.main(manifest("picard")) == cli.EXIT_OK
+        picard = tr.summary()
+    finally:
+        tr.uninstall()
+    assert built["cli.get_cache"]["calls"] == 1
+    assert built["semigroup.save_cache"]["calls"] == 1
+    assert built["cli.cache_build"]["calls"] == 1
+    assert picard["cli.picard"]["calls"] == 1
+    assert picard["picard.solve_picard"]["calls"] == 1
+    for span in ("cli.get_cache", "semigroup.load_cache",
+                 "semigroup.build_psi_cache"):
+        assert span not in picard
+    assert len(os.listdir(tmp_path / "cache")) == 1
