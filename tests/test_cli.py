@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from sectorheat.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK,
@@ -9,6 +10,7 @@ from sectorheat.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK,
 from sectorheat.geometry import AXIS_PERIODIC, SectorSpec
 from sectorheat.profiles import (ConstantProfile, GaussianDerivativeProfile,
                                  ModulatedProfile, Psi0Profile)
+from sectorheat.semigroup import load_cache
 
 
 def _manifest_dict(**over):
@@ -131,6 +133,38 @@ def test_cache_build_idempotent(tmp_path):
     first = open(cpath, "rb").read()
     assert main([path, "-q", "--cache-dir", cdir]) == EXIT_OK
     assert open(cpath, "rb").read() == first    # reused, byte-identical
+
+
+def test_cache_serves_every_alpha(tmp_path):
+    # E = e^{D} psi0 does not depend on alpha, so cache_build at any alpha
+    # writes one file with one payload; a run at another alpha leaves it
+    # unchanged and reports what it reports with no cache at all
+    def run(experiment, alpha, cdir):
+        out = tmp_path / f"{experiment}{alpha}{cdir.name}"
+        d = _manifest_dict(experiment=experiment,
+                           spec={"N": 1, "m": 1, "gamma": 0.5,
+                                 "alpha": alpha},
+                           output_dir=str(out))
+        code = main([_write_manifest(tmp_path, d), "-q", "--cache-dir",
+                     str(cdir)])
+        return code, json.load(open(out / f"{experiment}.json"))
+
+    shared = tmp_path / "shared"
+    assert run("cache_build", 0.5, shared)[0] == EXIT_OK
+    cpath = cache_path(RunManifest.from_dict(_manifest_dict()), str(shared))
+    first = load_cache(cpath)
+    assert run("cache_build", 0.3, shared)[0] == EXIT_OK
+    assert os.listdir(shared) == [os.path.basename(cpath)]
+    again = load_cache(cpath)
+    assert again.spec.alpha == 0.3
+    assert np.array_equal(again.values, first.values)
+    assert again.C_inf == first.C_inf
+
+    mtime = os.stat(cpath).st_mtime_ns
+    fresh = run("picard", 0.5, tmp_path / "fresh")
+    assert fresh[0] == EXIT_OK
+    assert run("picard", 0.5, shared) == fresh
+    assert os.stat(cpath).st_mtime_ns == mtime
 
 
 def test_psi_runs_neither_write_nor_read_a_cache(tmp_path):
