@@ -33,6 +33,8 @@ EXIT_INCONCLUSIVE = 4
 
 EXPERIMENTS = ("semigroup_checks", "picard", "tmax", "sweep", "dilation",
                "criteria", "two_limit", "global_smallness", "cache_build")
+# the tolerances a manifest may set, each read by one experiment
+TOLERANCES = ("cross_method",)
 
 
 class ConfigError(ValueError):
@@ -95,14 +97,19 @@ class RunManifest:
 
     @staticmethod
     def _unknown_keys(d: dict) -> list[str]:
-        """Manifest keys that name no field of RunManifest, or of
-        SectorSpec and GridSpec inside "spec" and "grid"."""
+        """Manifest keys that name no field of RunManifest, of SectorSpec
+        and GridSpec inside "spec" and "grid", or no tolerance inside
+        "tolerances"."""
+        def names(cls):
+            return {f.name for f in fields(cls)}
+
         unknown = []
-        for where, cls in (("", RunManifest), ("spec", SectorSpec),
-                           ("grid", GridSpec)):
+        for where, known in (("", names(RunManifest)),
+                             ("spec", names(SectorSpec)),
+                             ("grid", names(GridSpec)),
+                             ("tolerances", set(TOLERANCES))):
             sub = d.get(where) if where else d
             if isinstance(sub, dict):
-                known = {f.name for f in fields(cls)}
                 unknown += [f"{where}.{k}" if where else k for k in sub
                             if k not in known]
         return unknown
@@ -205,7 +212,7 @@ def run_semigroup_checks(man, plan, out):
 
 def run_picard_experiment(man, plan, out):
     prof = profile_from_descriptor(man.spec, man.profile)
-    run = solve_picard(man.spec, prof, plan)
+    run = solve_picard(prof, plan)
     M, T = run.config.M, run.config.T
     qbound = contraction_bound(man.spec, M, T)
     report = {
@@ -226,7 +233,7 @@ def run_picard_experiment(man, plan, out):
 
 def run_tmax(man, plan, out):
     prof = profile_from_descriptor(man.spec, man.profile)
-    rec = estimate_tmax(man.spec, prof, plan, controls=_controls(man))
+    rec = estimate_tmax(prof, plan, controls=_controls(man))
     rec.save_csv(os.path.join(out, "trajectory.csv"))
     rec.save_json(os.path.join(out, "tmax.json"))
     report = {"status": rec.status, "t_max": rec.t_max,
@@ -239,7 +246,7 @@ def run_tmax(man, plan, out):
 
 def run_sweep(man, plan, out):
     prof = profile_from_descriptor(man.spec, man.profile)
-    curve = ls.sweep_lifespan(man.spec, prof, man.lambdas, plan,
+    curve = ls.sweep_lifespan(prof, man.lambdas, plan,
                               controls=_controls(man))
     curve.save_csv(os.path.join(out, "sweep.csv"))
     report = {"sigma": curve.sigma, "slope": curve.slope,
@@ -269,7 +276,7 @@ def run_dilation(man, plan, out):
 
 def run_criteria(man, plan, out):
     prof = profile_from_descriptor(man.spec, man.profile)
-    report = ls.blowup_criterion_check(man.spec, prof, plan)
+    report = ls.blowup_criterion_check(prof, plan)
     ls.save_report(report, os.path.join(out, "criteria.json"))
     code = EXIT_INCONCLUSIVE if report["verdict"] == "undetermined" \
         else EXIT_OK
@@ -279,8 +286,7 @@ def run_criteria(man, plan, out):
 def run_two_limit(man, plan, out):
     c1 = float(man.profile.get("c1", 1.0))
     c2 = float(man.profile.get("c2", 2.0))
-    report = ls.two_limit_experiment(man.spec, plan, c1, c2,
-                                     controls=_controls(man))
+    report = ls.two_limit_experiment(plan, c1, c2, controls=_controls(man))
     ls.save_report(report, os.path.join(out, "two_limit.json"))
     expect_gap = abs(c1 - c2) > 1e-12
     ok = report["matches_references"] and \
@@ -289,7 +295,7 @@ def run_two_limit(man, plan, out):
 
 
 def run_global_smallness(man, plan, out):
-    report = ls.global_smallness_check(man.spec, plan, t0=man.t0,
+    report = ls.global_smallness_check(plan, t0=man.t0,
                                        horizon_factor=man.horizon / man.t0)
     ls.save_report(report, os.path.join(out, "global_smallness.json"))
     return report, (EXIT_OK if report["certified"] else EXIT_GATE)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import Field, GridSpec, SectorSpec, field_from_profile
 from .semigroup import KernelPlan, _spectral_flow
-from .picard import solve_picard
+from .picard import check_profile_spec, solve_picard
 
 STATUS_BLEWUP = "blew_up"
 STATUS_GLOBAL = "global_horizon_reached"
@@ -235,16 +235,19 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
     return rec, last
 
 
-def estimate_tmax(spec: SectorSpec, profile, plan: KernelPlan,
+def estimate_tmax(profile, plan: KernelPlan,
                   controls: EvolveControls | None = None) -> TrajectoryRecord:
     """T_max estimate: contraction construction on a short initial window
     for singular data, then adaptive Strang stepping to blow-up or horizon.
+    The plan is the run: its spec is the equation and its grid the box; a
+    profile made for another spec is refused before any work.
     """
-    grid = plan.grid
+    check_profile_spec(profile, plan)
+    spec, grid = plan.spec, plan.grid
     # singular data carry the homogeneity degree of their tail
     use_picard = getattr(profile, "tail_degree", None) is not None
     if use_picard:
-        run = solve_picard(spec, profile, plan)
+        run = solve_picard(profile, plan)
         mesh = run.config.mesh
         # hand off at the first converged slice that the grid resolves
         h = max(grid.axis_spacing(i) for i in range(grid.ndim))

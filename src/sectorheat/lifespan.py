@@ -28,6 +28,7 @@ from .semigroup import (KernelPlan, apply_kernel, linear_sup, psi_fast,
                         psi_sup, psi_values)
 from .evolve import (STATUS_BLEWUP, STATUS_GLOBAL, EvolveControls,
                      estimate_tmax, run_trajectory)
+from .picard import check_profile_spec
 
 
 # ---------------------------------------------------------------------------
@@ -55,16 +56,16 @@ class LifespanCurve:
                             for v in row])
 
 
-def sweep_lifespan(spec: SectorSpec, profile, lambdas, plan: KernelPlan,
+def sweep_lifespan(profile, lambdas, plan: KernelPlan,
                    controls: EvolveControls | None = None) -> LifespanCurve:
     """T_max(lam * profile) across amplitudes, with sigma-scaled values and
-    a log-log slope fit.  Inconclusive points are kept in the record but
-    excluded from the fit."""
+    a log-log slope fit; the plan's spec is the run's.  Inconclusive points
+    are kept in the record but excluded from the fit."""
+    spec = plan.spec
     lambdas = [float(l) for l in lambdas]
     t_max, unc, scaled, statuses = [], [], [], []
     for lam in lambdas:
-        rec = estimate_tmax(spec, profile.scaled(lam), plan,
-                            controls=controls)
+        rec = estimate_tmax(profile.scaled(lam), plan, controls=controls)
         statuses.append(rec.status)
         if rec.status == STATUS_BLEWUP:
             t_max.append(rec.t_max)
@@ -156,16 +157,17 @@ def dilation_limits(spec: SectorSpec, profile, lambdas,
 CRITICAL_THRESHOLD = lambda alpha: (1.0 / alpha) ** (1.0 / alpha)
 
 
-def blowup_criterion_check(spec: SectorSpec, z, plan: KernelPlan,
+def blowup_criterion_check(z, plan: KernelPlan,
                            zero_tol: float = 1e-8) -> dict:
     """Blow-up prediction from a dilation-limit candidate z >= 0 on the
-    sector.
+    sector of the plan's spec.
 
     Subcritical alpha: any nontrivial z predicts finite-time blow-up.
     Critical alpha = 2/(gamma+m): prediction requires the linear-flow
     sup-norm ||e^D z|| to exceed (1/alpha)^(1/alpha).
     """
-    grid = plan.grid
+    check_profile_spec(z, plan)
+    spec, grid = plan.spec, plan.grid
     if isinstance(z, Field):
         zf = z
     else:
@@ -216,34 +218,35 @@ def lam_for_shift(spec: SectorSpec, s: float) -> float:
     return float(np.exp(-2.0 * s / spec.sigma))
 
 
-def _tmax_of(spec, profile, plan, controls):
-    rec = estimate_tmax(spec, profile, plan, controls=controls)
+def _tmax_of(profile, plan, controls):
+    rec = estimate_tmax(profile, plan, controls=controls)
     if rec.status != STATUS_BLEWUP:
         raise RuntimeError(f"expected finite life span, got {rec.status}")
     return rec.t_max, rec.uncertainty
 
 
-def oscillation_experiment(spec: SectorSpec, plan: KernelPlan,
-                           eps: float = 0.05,
+def oscillation_experiment(plan: KernelPlan, eps: float = 0.05,
                            controls: EvolveControls | None = None,
                            check_lambda: float = 0.5) -> dict:
     """Scaled life-span limits of psi0 (sin^2(log|x|) + eps) along the two
     shift-matched amplitude subsequences (period pi vs offset pi/2), plus a
-    homogeneous control and a direct simulation validating the identity."""
+    homogeneous control and a direct simulation validating the identity;
+    the plan's spec is the run's."""
     from .profiles import SinSquaredLog
+    spec = plan.spec
     base = ModulatedProfile(spec, SinSquaredLog(eps))
-    t_a, u_a = _tmax_of(spec, base.log_shifted(0.0), plan, controls)
-    t_b, u_b = _tmax_of(spec, base.log_shifted(0.5 * np.pi), plan, controls)
+    t_a, u_a = _tmax_of(base.log_shifted(0.0), plan, controls)
+    t_b, u_b = _tmax_of(base.log_shifted(0.5 * np.pi), plan, controls)
     gap = abs(t_a - t_b)
     combined = u_a + u_b
     # control: constant modulation shows no shift dependence at all
     ctrl = ModulatedProfile(spec, ConstantModulation(1.0 + eps))
-    c_a, cu_a = _tmax_of(spec, ctrl.log_shifted(0.0), plan, controls)
-    c_b, cu_b = _tmax_of(spec, ctrl.log_shifted(0.5 * np.pi), plan, controls)
+    c_a, cu_a = _tmax_of(ctrl.log_shifted(0.0), plan, controls)
+    c_b, cu_b = _tmax_of(ctrl.log_shifted(0.5 * np.pi), plan, controls)
     # identity validation: simulate lam * f directly at a moderate amplitude
     lam = check_lambda
-    direct, d_unc = _tmax_of(spec, base.scaled(lam), plan, controls)
-    via_shift, s_unc = _tmax_of(spec, shifted_equivalent(spec, base, lam),
+    direct, d_unc = _tmax_of(base.scaled(lam), plan, controls)
+    via_shift, s_unc = _tmax_of(shifted_equivalent(spec, base, lam),
                                 plan, controls)
     identity_rel = abs(lam ** spec.sigma * direct - via_shift) / via_shift
     return {
@@ -262,22 +265,23 @@ def oscillation_experiment(spec: SectorSpec, plan: KernelPlan,
     }
 
 
-def two_limit_experiment(spec: SectorSpec, plan: KernelPlan, c1: float = 1.0,
-                         c2: float = 2.0, blocks: tuple = (6, 8),
+def two_limit_experiment(plan: KernelPlan, c1: float = 1.0, c2: float = 2.0,
+                         blocks: tuple = (6, 8),
                          controls: EvolveControls | None = None) -> dict:
     """Tail interpolating c1*psi0 and c2*psi0 on alternating log-radius
     blocks of geometrically growing length: the scaled life span along
     shift sequences centered in even blocks tends to T_max(c1 psi0), along
     odd blocks to T_max(c2 psi0), so the small-amplitude limit genuinely
-    depends on the subsequence."""
+    depends on the subsequence.  The plan's spec is the run's."""
+    spec = plan.spec
     g = LogBlockModulation(c1, c2)
     prof = ModulatedProfile(spec, g)
-    lim_a = [_tmax_of(spec, prof.log_shifted(g.block_center(2 * k)), plan,
+    lim_a = [_tmax_of(prof.log_shifted(g.block_center(2 * k)), plan,
                       controls) for k in blocks]
-    lim_b = [_tmax_of(spec, prof.log_shifted(g.block_center(2 * k + 1)), plan,
+    lim_b = [_tmax_of(prof.log_shifted(g.block_center(2 * k + 1)), plan,
                       controls) for k in blocks]
-    ref1, r1u = _tmax_of(spec, Psi0Profile(spec, c1), plan, controls)
-    ref2, r2u = _tmax_of(spec, Psi0Profile(spec, c2), plan, controls)
+    ref1, r1u = _tmax_of(Psi0Profile(spec, c1), plan, controls)
+    ref2, r2u = _tmax_of(Psi0Profile(spec, c2), plan, controls)
     t_a, u_a = lim_a[-1]
     t_b, u_b = lim_b[-1]
     stab_a = max(abs(t - t_a) for t, _ in lim_a)
@@ -318,13 +322,14 @@ def global_smallness_threshold(spec: SectorSpec, t0: float) -> float:
         ** (-1.0 / spec.alpha)
 
 
-def global_smallness_check(spec: SectorSpec, plan: KernelPlan, t0: float = 0.1,
+def global_smallness_check(plan: KernelPlan, t0: float = 0.1,
                            lam: float | None = None,
                            horizon_factor: float = 100.0,
                            controls: EvolveControls | None = None) -> dict:
     """Long-horizon run with data lam * Psi(t0), asserting the envelope
-    |u(t)| <= 2 lam Psi(t + t0) nodewise to the horizon."""
-    grid = plan.grid
+    |u(t)| <= 2 lam Psi(t + t0) nodewise to the horizon, for the plan's
+    spec on its grid."""
+    spec, grid = plan.spec, plan.grid
     thr = global_smallness_threshold(spec, t0)
     if lam is None:
         lam = 0.5 * thr

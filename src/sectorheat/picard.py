@@ -44,8 +44,6 @@ class PicardConfig:
 @dataclass
 class PicardRun:
     config: PicardConfig
-    spec: SectorSpec
-    grid: GridSpec
     slices: list          # converged u(s_j) Fields
     increments: list      # |||u^(k+1) - u^(k)||| per sweep
     ratios: list          # successive increment ratios
@@ -140,14 +138,27 @@ def _nonlinear_values(spec: SectorSpec, values: np.ndarray) -> np.ndarray:
     return np.abs(values) ** spec.alpha * values
 
 
-def solve_picard(spec: SectorSpec, profile, plan: KernelPlan,
-                 K: float | None = None, J: int = 12) -> PicardRun:
+def check_profile_spec(profile, plan: KernelPlan) -> None:
+    """Refuse data built for another spec than the plan's: the plan is
+    the run, and a profile (or Field) carries the spec it was made for.
+    A bare callable carries none, so it has nothing to disagree with."""
+    spec = getattr(profile, "spec", plan.spec)
+    if spec != plan.spec:
+        raise ValueError(f"profile spec {spec} differs from plan spec "
+                         f"{plan.spec}")
+
+
+def solve_picard(profile, plan: KernelPlan, K: float | None = None,
+                 J: int = 12) -> PicardRun:
     """Iterate the Duhamel map to its fixed point inside the ball |||u||| <= M.
 
-    Non-contraction (an increment ratio >= 1) aborts: the constants
-    guarantee contraction, so that can only mean quadrature failure.
+    The plan is the run: its spec sets the equation (alpha, the sign a,
+    Psi) and its grid the slices.  Non-contraction (an increment ratio
+    >= 1) aborts: the constants guarantee contraction, so that can only
+    mean quadrature failure.
     """
-    grid = plan.grid
+    check_profile_spec(profile, plan)
+    spec, grid = plan.spec, plan.grid
     if K is None:
         K = profile.x_norm()
     M, T = admissible_constants(spec, K)
@@ -204,9 +215,9 @@ def solve_picard(spec: SectorSpec, profile, plan: KernelPlan,
 
     slices = [Field(spec, grid, v, time_tag=s) for v, s in zip(u, mesh)]
     xt = max(float(np.max(np.abs(v) / p)) for v, p in zip(u, psi_slices))
-    return PicardRun(config=config, spec=spec, grid=grid, slices=slices,
-                     increments=increments, ratios=ratios, xt_norm=xt,
-                     converged=converged, psi_slices=psi_slices)
+    return PicardRun(config=config, slices=slices, increments=increments,
+                     ratios=ratios, xt_norm=xt, converged=converged,
+                     psi_slices=psi_slices)
 
 
 def lipschitz_check(run1: PicardRun, run2: PicardRun,

@@ -193,6 +193,8 @@ def apply_kernel(plan: KernelPlan, t: float, f: Field) -> Field:
     """
     if t <= 0.0:
         raise ValueError("apply_kernel requires t > 0")
+    if f.grid != plan.grid:
+        raise ValueError("field and plan differ in grid")
     analytic = f.profile is not None
     if analytic:
         F = f.profile(_quad_mesh(plan, t))

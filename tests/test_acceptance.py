@@ -45,7 +45,7 @@ def setup20():
 @pytest.fixture(scope="module")
 def sweep11(setup11):
     spec, grid, plan = setup11
-    return sweep_lifespan(spec, Psi0Profile(spec), (0.5, 1.0, 2.0), plan)
+    return sweep_lifespan(Psi0Profile(spec), (0.5, 1.0, 2.0), plan)
 
 
 def _sup_law_spread(spec, plan):
@@ -84,11 +84,11 @@ def test_criterion_02_cross_method(setup21):
 
 def test_criterion_03_picard_certification(setup11):
     spec, grid, plan = setup11
-    run = solve_picard(spec, Psi0Profile(spec), plan, J=10)
+    run = solve_picard(Psi0Profile(spec), plan, J=10)
     q = contraction_bound(spec, run.config.M, run.config.T)
     p1, p2 = Psi0Profile(spec, 1.0), Psi0Profile(spec, 1.1)
-    r1 = solve_picard(spec, p1, plan, K=1.1, J=8)
-    r2 = solve_picard(spec, p2, plan, K=1.1, J=8)
+    r1 = solve_picard(p1, plan, K=1.1, J=8)
+    r2 = solve_picard(p2, plan, K=1.1, J=8)
     lratio = lipschitz_check(r1, r2, data_x_distance(spec, grid, p1, p2))
     lbound = lipschitz_bound(spec, r1.config.M, r1.config.T)
     ok = (run.converged and run.xt_norm <= run.config.M * (1 + 1e-9)
@@ -103,8 +103,7 @@ def test_criterion_03_picard_certification(setup11):
 def _ode_tmax(n):
     spec = SectorSpec(1, 0, 0.5, 1.0)
     grid = GridSpec(L=np.pi, n=n, axes=(AXIS_PERIODIC,))
-    return estimate_tmax(spec, ConstantProfile(spec, 1.0),
-                         KernelPlan(spec, grid))
+    return estimate_tmax(ConstantProfile(spec, 1.0), KernelPlan(spec, grid))
 
 
 def test_criterion_04_ode_oracle():
@@ -145,24 +144,22 @@ def test_criterion_07_order_properties(setup11):
 
     checks = {}
     # (1) positivity, amplifying sign
-    r_pos = solve_picard(spec, Psi0Profile(spec), plan, J=8)
+    r_pos = solve_picard(Psi0Profile(spec), plan, J=8)
     checks["positivity a=+1"] = all(
         np.all(s.values >= -slack(s.values)) for s in r_pos.slices)
     # (2) positivity, absorbing sign
-    r_neg = solve_picard(neg, Psi0Profile(neg), plan, J=8)
+    r_neg = solve_picard(Psi0Profile(neg), KernelPlan(neg, grid), J=8)
     checks["positivity a=-1"] = all(
         np.all(s.values >= -slack(s.values)) for s in r_neg.slices)
     # (3) comparison for ordered data
-    r_small = solve_picard(spec, Psi0Profile(spec, 1.0), plan, K=1.2, J=8)
-    r_big = solve_picard(spec, Psi0Profile(spec, 1.2), plan, K=1.2, J=8)
+    r_small = solve_picard(Psi0Profile(spec, 1.0), plan, K=1.2, J=8)
+    r_big = solve_picard(Psi0Profile(spec, 1.2), plan, K=1.2, J=8)
     checks["comparison"] = all(
         np.all(a.values <= b.values + slack(b.values))
         for a, b in zip(r_small.slices, r_big.slices))
     # (4) modulus domination for sign-changing data
-    r_signed = solve_picard(spec, ModulatedProfile(spec, np.sin), plan,
-                            K=1.0, J=8)
-    r_mod = solve_picard(spec,
-                         ModulatedProfile(spec, lambda s: np.abs(np.sin(s))),
+    r_signed = solve_picard(ModulatedProfile(spec, np.sin), plan, K=1.0, J=8)
+    r_mod = solve_picard(ModulatedProfile(spec, lambda s: np.abs(np.sin(s))),
                          plan, K=1.0, J=8)
     checks["modulus domination"] = all(
         np.all(np.abs(a.values) <= b.values + slack(b.values))
@@ -180,7 +177,7 @@ def test_criterion_07_order_properties(setup11):
 
 def test_criterion_08_oscillating_lifespan(setup10):
     spec, grid, plan = setup10
-    report = oscillation_experiment(spec, plan)
+    report = oscillation_experiment(plan)
     ok = (report["gap_significant"] and report["control_flat"]
           and report["identity_rel_error"] < 1e-3)
     _verdict(8, "subsequence-dependent scaled life span", ok,
@@ -195,8 +192,8 @@ def test_criterion_09_criterion_end_to_end(setup11):
     prof = ModulatedProfile(spec, SinSquaredLog(eps=0.05))
     # along lam = e^{pi k} the dilation probes coincide with the profile
     # itself: a nontrivial nonnegative limit
-    report = blowup_criterion_check(spec, prof, plan)
-    rec = estimate_tmax(spec, prof, plan)
+    report = blowup_criterion_check(prof, plan)
+    rec = estimate_tmax(prof, plan)
     part1 = (report["verdict"] == "blowup_predicted"
              and rec.status == STATUS_BLEWUP and np.isfinite(rec.t_max))
     # compactly supported small data, alpha > 2/N: zero limit, no
@@ -207,8 +204,7 @@ def test_criterion_09_criterion_end_to_end(setup11):
     bump = Field(sup_spec, sup_grid,
                  0.05 * np.exp(-sup_grid.radii() ** 2))
     zrep = blowup_criterion_check(
-        sup_spec, Field(sup_spec, sup_grid, np.zeros(sup_grid.shape())),
-        sup_plan)
+        Field(sup_spec, sup_grid, np.zeros(sup_grid.shape())), sup_plan)
     traj, last = run_trajectory(sup_plan, bump, 0.0,
                                 EvolveControls(horizon=10.0))
     part2 = (zrep["verdict"] == "undetermined"
@@ -223,8 +219,7 @@ def test_criterion_10_global_smallness(setup11):
     spec, grid, plan = setup11
     sup_spec = SectorSpec(spec.N, spec.m, spec.gamma, 2.0, +1)
     sup_plan = KernelPlan(sup_spec, grid)
-    report = global_smallness_check(sup_spec, sup_plan, t0=0.1,
-                                    horizon_factor=100.0)
+    report = global_smallness_check(sup_plan, t0=0.1, horizon_factor=100.0)
     _verdict(10, "global existence by smallness", report["certified"],
              f"half-threshold data, horizon {report['horizon']:.0f}, "
              f"status {report['status']}, violation "
@@ -248,7 +243,7 @@ def test_criterion_11_robustness():
     spec = SectorSpec(1, 1, 0.5, 0.5, +1)
     grid = GridSpec.for_spec(spec, L=15.0, n=512)
     plan = KernelPlan(spec, grid)
-    curve = sweep_lifespan(spec, Psi0Profile(spec), (0.5, 1.0, 2.0), plan)
+    curve = sweep_lifespan(Psi0Profile(spec), (0.5, 1.0, 2.0), plan)
     base = curve.t_max[curve.lambdas.index(1.0)]
     devs = [abs(lam ** spec.sigma * t / base - 1.0)
             for lam, t in zip(curve.lambdas, curve.t_max) if lam != 1.0]

@@ -44,6 +44,15 @@ def test_manifest_rejections():
             spec={"N": 1, "m": 1, "gamma": 0.5, "alpha": "-"}))
     with pytest.raises(ConfigError):
         RunManifest.from_dict(_manifest_dict(tolerances={"x": 0.0}))
+    with pytest.raises(ConfigError, match="'cross_method' must be positive"):
+        RunManifest.from_dict(_manifest_dict(
+            tolerances={"cross_method": 0.0}))
+    # a tolerance no experiment reads is refused, each name given
+    with pytest.raises(ConfigError) as info:
+        RunManifest.from_dict(_manifest_dict(
+            tolerances={"cross_methd": 1e-3, "picard": 1e-9}))
+    for key in ("'tolerances.cross_methd'", "'tolerances.picard'"):
+        assert key in str(info.value)
     # misspelt or retired keys are refused, each one named, at every level
     with pytest.raises(ConfigError, match="'horizn'"):
         RunManifest.from_dict(_manifest_dict(horizn=0.5))

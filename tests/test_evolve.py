@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sectorheat.evolve as evolve
 from sectorheat import (AXIS_PERIODIC, Field, GridSpec, KernelPlan,
                         SectorSpec, field_from_profile)
 from sectorheat.evolve import (STATUS_BLEWUP, STATUS_GLOBAL, BlowupSignal,
@@ -107,7 +108,7 @@ def test_constant_data_matches_scalar_ode():
     # scalar value 1/(alpha c^alpha) exactly
     spec = SectorSpec(1, 0, 0.5, 1.0)
     grid = _periodic(spec, n=16)
-    rec = estimate_tmax(spec, ConstantProfile(spec, 1.0),
+    rec = estimate_tmax(ConstantProfile(spec, 1.0),
                         KernelPlan(spec, grid))
     assert rec.status == STATUS_BLEWUP
     assert rec.t_max == pytest.approx(1.0, abs=1e-3)
@@ -118,12 +119,28 @@ def test_constant_data_matches_scalar_ode():
 
 def test_singular_data_blows_up_with_picard_handoff(setup11):
     spec, grid, plan = setup11
-    rec = estimate_tmax(spec, Psi0Profile(spec), plan)
+    rec = estimate_tmax(Psi0Profile(spec), plan)
     assert rec.status == STATUS_BLEWUP
     assert rec.handoff_time is not None and rec.handoff_time > 0.0
     assert rec.fit_residual < 0.02
     assert 3.5 < rec.t_max < 5.5
     assert rec.extrapolation_justified
+
+
+def test_tmax_refuses_profile_of_another_spec(setup11, monkeypatch):
+    # a = -1 data on the a = +1 plan fail at the entry, before any Picard
+    # sweep or Strang step
+    spec, grid, plan = setup11
+    neg = SectorSpec(spec.N, spec.m, spec.gamma, spec.alpha, sign_a=-1)
+
+    def entered(*args, **kwargs):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(evolve, "solve_picard", entered)
+    monkeypatch.setattr(evolve, "run_trajectory", entered)
+    with pytest.raises(ValueError) as info:
+        estimate_tmax(Psi0Profile(neg), KernelPlan(spec, grid))
+    assert str(spec) in str(info.value) and str(neg) in str(info.value)
 
 
 def test_absorbing_sign_is_global(setup11):
@@ -226,7 +243,7 @@ def test_unjustified_extrapolation_is_flagged():
     grid = GridSpec(L=np.pi, n=8, axes=(AXIS_PERIODIC,) * 3)
     # cap kept low: with alpha = 4 the blow-up remainders under a 1e8 cap
     # drop below the float resolution of the accumulated time
-    rec = estimate_tmax(spec, ConstantProfile(spec, 1.0),
+    rec = estimate_tmax(ConstantProfile(spec, 1.0),
                         KernelPlan(spec, grid),
                         controls=EvolveControls(cap=1e3))
     assert not rec.extrapolation_justified

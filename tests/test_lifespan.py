@@ -21,7 +21,7 @@ from sectorheat.profiles import (GaussianDerivativeProfile, ModulatedProfile,
 def test_sweep_lifespan_scaling(setup11, tmp_path):
     spec, grid, plan = setup11
     lambdas = (1.0, 2.0)
-    curve = sweep_lifespan(spec, Psi0Profile(spec), lambdas, plan)
+    curve = sweep_lifespan(Psi0Profile(spec), lambdas, plan)
     assert curve.statuses == ["blew_up", "blew_up"]
     assert curve.monotone
     assert curve.t_max[1] < curve.t_max[0]
@@ -63,7 +63,7 @@ def test_dilation_limit_of_localized_data_is_zero(setup11):
     probe = dilation_limits(spec, prof, [8.0, 16.0, 32.0])
     assert probe.converged
     assert float(np.max(np.abs(probe.limit))) < 1e-12
-    report = blowup_criterion_check(spec, _zero_field(spec, grid), plan)
+    report = blowup_criterion_check(_zero_field(spec, grid), plan)
     assert report["verdict"] == "undetermined"
 
 
@@ -74,7 +74,7 @@ def _zero_field(spec, grid):
 
 def test_criterion_subcritical_predicts_blowup(setup11):
     spec, grid, plan = setup11
-    report = blowup_criterion_check(spec, Psi0Profile(spec), plan)
+    report = blowup_criterion_check(Psi0Profile(spec), plan)
     assert report["verdict"] == "blowup_predicted"
     assert spec.alpha < report["alpha_critical"]
 
@@ -83,7 +83,14 @@ def test_criterion_rejects_sign_changing_data(setup11):
     spec, grid, plan = setup11
     prof = ModulatedProfile(spec, lambda s: np.sin(s))
     with pytest.raises(ValueError):
-        blowup_criterion_check(spec, prof, plan)
+        blowup_criterion_check(prof, plan)
+
+
+def test_criterion_refuses_data_of_another_spec(setup11):
+    spec, grid, plan = setup11
+    other = SectorSpec(spec.N, spec.m, spec.gamma, 2.0)
+    with pytest.raises(ValueError, match="differs from plan spec"):
+        blowup_criterion_check(Psi0Profile(other), plan)
 
 
 def test_sweep_releases_picard_kernel_matrices(setup11, monkeypatch):
@@ -104,7 +111,7 @@ def test_sweep_releases_picard_kernel_matrices(setup11, monkeypatch):
         return run
 
     monkeypatch.setattr(evolve, "solve_picard", spy)
-    curve = sweep_lifespan(spec, Psi0Profile(spec), (0.5, 1.0, 2.0), plan,
+    curve = sweep_lifespan(Psi0Profile(spec), (0.5, 1.0, 2.0), plan,
                            controls=EvolveControls(horizon=0.05))
     assert len(curve.statuses) == len(held) == 3
     assert all(n > 0 and own for n, own in held)
@@ -123,8 +130,8 @@ def test_criterion_critical_threshold_flip():
     C_inf = psi_sup(spec, 1.0)
     c_small = 0.8 * thr / C_inf
     c_large = 1.2 * thr / C_inf
-    low = blowup_criterion_check(spec, Psi0Profile(spec, c_small), plan)
-    high = blowup_criterion_check(spec, Psi0Profile(spec, c_large), plan)
+    low = blowup_criterion_check(Psi0Profile(spec, c_small), plan)
+    high = blowup_criterion_check(Psi0Profile(spec, c_large), plan)
     assert low["verdict"] == "undetermined"
     assert high["verdict"] == "blowup_predicted"
     assert low["linear_sup"] < thr < high["linear_sup"]
@@ -177,7 +184,7 @@ def test_global_smallness_certificate(setup11):
     spec, grid, plan = setup11
     sup_spec = SectorSpec(spec.N, spec.m, spec.gamma, 2.0)
     sup_plan = KernelPlan(sup_spec, grid)
-    report = global_smallness_check(sup_spec, sup_plan, t0=0.1,
+    report = global_smallness_check(sup_plan, t0=0.1,
                                     horizon_factor=10.0)
     assert report["certified"]
     assert report["status"] == "global_horizon_reached"
@@ -190,7 +197,7 @@ def test_global_smallness_envelope_fails_for_large_data(setup11):
     sup_spec = SectorSpec(spec.N, spec.m, spec.gamma, 2.0)
     sup_plan = KernelPlan(sup_spec, grid)
     thr = global_smallness_threshold(sup_spec, 0.1)
-    report = global_smallness_check(sup_spec, sup_plan, t0=0.1,
+    report = global_smallness_check(sup_plan, t0=0.1,
                                     lam=50.0 * thr, horizon_factor=5.0)
     assert not report["certified"]
 
@@ -199,8 +206,7 @@ def test_global_smallness_leaves_controls_untouched(setup11):
     spec, grid, plan = setup11
     sup_spec = SectorSpec(spec.N, spec.m, spec.gamma, 2.0)
     controls = EvolveControls(horizon=123.0)
-    report = global_smallness_check(sup_spec, KernelPlan(sup_spec, grid),
-                                    t0=0.1,
+    report = global_smallness_check(KernelPlan(sup_spec, grid), t0=0.1,
                                     horizon_factor=1.0, controls=controls)
     assert report["horizon"] == pytest.approx(0.1)
     assert controls.horizon == 123.0

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sectorheat import SectorSpec, alpha_time_integral, apply_kernel, \
-    field_from_profile, psi_fast
+from sectorheat import KernelPlan, SectorSpec, alpha_time_integral, \
+    apply_kernel, field_from_profile, psi_fast
 import sectorheat.picard as picard
 from sectorheat.picard import (admissible_constants, contraction_bound,
                                data_x_distance, duhamel_weights,
@@ -90,7 +90,7 @@ def test_duhamel_weights_converge_on_smooth_integrand():
 
 def test_solve_picard_certificates(setup11):
     spec, grid, plan = setup11
-    run = solve_picard(spec, Psi0Profile(spec), plan, J=10)
+    run = solve_picard(Psi0Profile(spec), plan, J=10)
     assert run.converged
     assert run.xt_norm <= run.config.M * (1 + 1e-9)
     q = contraction_bound(spec, run.config.M, run.config.T)
@@ -98,10 +98,20 @@ def test_solve_picard_certificates(setup11):
     assert all(np.all(np.isfinite(s.values)) for s in run.slices)
 
 
+def test_solve_picard_refuses_profile_of_another_spec(setup11):
+    # the plan is the run: psi0 data built for gamma = 0.75 are not the
+    # gamma = 0.5 run's data, though the psi0 branch reads only amplitudes
+    spec, grid, plan = setup11
+    other = SectorSpec(spec.N, spec.m, 0.75, spec.alpha)
+    with pytest.raises(ValueError) as info:
+        solve_picard(Psi0Profile(other), plan)
+    assert str(spec) in str(info.value) and str(other) in str(info.value)
+
+
 def test_solve_picard_positivity(setup11):
     # a = +1 and nonnegative data keep every slice nonnegative
     spec, grid, plan = setup11
-    run = solve_picard(spec, Psi0Profile(spec), plan, J=8)
+    run = solve_picard(Psi0Profile(spec), plan, J=8)
     for s in run.slices:
         assert s.values.min() >= -1e-12
 
@@ -110,7 +120,7 @@ def test_kato_inequality_absorbing_sign(setup11):
     # a = -1, psi >= 0: the fixed point sits below the linear flow
     spec, grid, plan = setup11
     neg = SectorSpec(spec.N, spec.m, spec.gamma, spec.alpha, sign_a=-1)
-    run = solve_picard(neg, Psi0Profile(neg), plan, J=8)
+    run = solve_picard(Psi0Profile(neg), KernelPlan(neg, grid), J=8)
     psi0f = field_from_profile(neg, grid, Psi0Profile(neg))
     for s in run.slices:
         lin = apply_kernel(plan, s.time_tag, psi0f)
@@ -129,8 +139,8 @@ def test_comparison_with_modulus_data(setup11):
     g = lambda s: np.sin(s)
     prof = ModulatedProfile(spec, g)
     prof_abs = ModulatedProfile(spec, lambda s: np.abs(np.sin(s)))
-    run = solve_picard(spec, prof, plan, K=1.0, J=8)
-    run_abs = solve_picard(spec, prof_abs, plan, K=1.0, J=8)
+    run = solve_picard(prof, plan, K=1.0, J=8)
+    run_abs = solve_picard(prof_abs, plan, K=1.0, J=8)
     for a, b in zip(run.slices, run_abs.slices):
         assert np.all(np.abs(a.values) <= b.values * (1 + 1e-8) + 1e-12)
 
@@ -139,7 +149,7 @@ def test_initial_trace(setup11):
     # the Duhamel correction vanishes at the bottom of the mesh, so u(s_1)
     # approaches the linear flow of the data in the weighted norm
     spec, grid, plan = setup11
-    run = solve_picard(spec, Psi0Profile(spec), plan, J=12)
+    run = solve_picard(Psi0Profile(spec), plan, J=12)
     mesh = run.config.mesh
     M = run.config.M
     psi0f = field_from_profile(spec, grid, Psi0Profile(spec))
@@ -161,8 +171,8 @@ def test_lipschitz_dependence_on_data(setup11):
     p1 = Psi0Profile(spec, 1.0)
     p2 = Psi0Profile(spec, 1.1)
     # shared K => shared horizon and mesh, as lipschitz_check requires
-    run1 = solve_picard(spec, p1, plan, K=1.1, J=8)
-    run2 = solve_picard(spec, p2, plan, K=1.1, J=8)
+    run1 = solve_picard(p1, plan, K=1.1, J=8)
+    run2 = solve_picard(p2, plan, K=1.1, J=8)
     dist = data_x_distance(spec, grid, p1, p2)
     assert dist == pytest.approx(0.1, rel=1e-12)
     ratio = lipschitz_check(run1, run2, dist)
@@ -170,7 +180,7 @@ def test_lipschitz_dependence_on_data(setup11):
     assert 1.0 - 1e-9 <= ratio <= L * 1.05
     with pytest.raises(ValueError):
         lipschitz_check(run1, run2, 0.0)
-    run3 = solve_picard(spec, p1, plan, K=1.0, J=8)
+    run3 = solve_picard(p1, plan, K=1.0, J=8)
     with pytest.raises(ValueError):
         lipschitz_check(run1, run3, dist)
 
@@ -195,7 +205,7 @@ def test_psi0_linear_part_comes_from_cache(setup11, monkeypatch):
     monkeypatch.setattr(picard, "_nonlinear_values",
                         lambda spec, v: np.zeros_like(v))
     prof = Psi0Profile(spec, 1.3)
-    run = solve_picard(spec, prof, plan, J=12)
+    run = solve_picard(prof, plan, J=12)
     mesh = run.config.mesh
     y = grid.axis_nodes(0) / np.sqrt(mesh[0])
     assert np.mean(y >= 0.95 * grid.axis_nodes(0)[-1]) > 0.5

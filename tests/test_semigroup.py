@@ -150,6 +150,19 @@ def test_spectral_refuses_field_on_another_grid():
         apply_spectral(plan, 0.1, Field(spec, other, np.ones(32)))
 
 
+def test_kernel_refuses_field_on_another_grid():
+    # same node count, another box: the shapes agree, the quadrature would
+    # mix the plan's nodes with the field's values
+    spec = SectorSpec(1, 1, 0.5, 1.0)
+    plan = KernelPlan(spec, GridSpec.for_spec(spec, L=10.0, n=64))
+    other = GridSpec.for_spec(spec, L=15.0, n=64)
+    grid_field = Field(spec, other, np.exp(-other.axis_nodes(0) ** 2))
+    profile_field = field_from_profile(spec, other, Psi0Profile(spec))
+    for f in (grid_field, profile_field):
+        with pytest.raises(ValueError, match="differ in grid"):
+            apply_kernel(plan, 0.1, f)
+
+
 def test_spectral_composition_exact():
     spec = SectorSpec(2, 1, 1.0, 0.5)
     grid = GridSpec.for_spec(spec, L=6.0, n=48)

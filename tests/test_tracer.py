@@ -55,7 +55,7 @@ def test_tracer_records_psi_spans(monkeypatch):
     tr.install()
     try:
         semigroup.build_psi_cache(spec, grid)
-        report = lifespan.global_smallness_check(spec, KernelPlan(spec, grid),
+        report = lifespan.global_smallness_check(KernelPlan(spec, grid),
                                                  t0=0.1, horizon_factor=2.0)
         summary = tr.summary()
     finally:
