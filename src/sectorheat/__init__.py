@@ -1,9 +1,9 @@
 """sectorheat: a numerical laboratory for the semilinear heat equation
 u_t = Lap u + a|u|^alpha u with anti-symmetric singular initial data."""
 
-from .geometry import (AXIS_ANTISYM, AXIS_FULL, AXIS_PERIODIC, AXIS_SYM,
-                       Field, GridSpec, SectorSpec, field_from_profile,
-                       load_field, save_field)
+from .geometry import (AXIS_ANTISYM, AXIS_PERIODIC, AXIS_SYM, Field,
+                       GridSpec, SectorSpec, field_from_profile, load_field,
+                       save_field)
 from .profiles import (ConstantProfile, CustomProfile,
                        GaussianDerivativeProfile, LogBlockModulation,
                        ModulatedProfile, Psi0Profile, SinSquaredLog,

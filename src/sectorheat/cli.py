@@ -35,6 +35,14 @@ EXPERIMENTS = ("semigroup_checks", "picard", "tmax", "sweep", "dilation",
                "criteria", "two_limit", "global_smallness", "cache_build")
 # the tolerances a manifest may set, each read by one experiment
 TOLERANCES = ("cross_method",)
+# the keys a manifest's "profile" may carry, by profile kind
+PROFILE_KEYS = {
+    "psi0": ("kind", "amplitude"),
+    "modulated_psi0": ("kind", "amplitude", "modulation", "eps", "shift",
+                       "c1", "c2"),
+    "gaussian_derivative": ("kind", "amplitude", "t0"),
+    "constant": ("kind", "amplitude"),
+}
 
 
 class ConfigError(ValueError):
@@ -57,7 +65,12 @@ class RunManifest:
     def from_dict(cls, d: dict) -> "RunManifest":
         if not isinstance(d, dict):
             raise ConfigError("malformed manifest: not a JSON object")
-        unknown = cls._unknown_keys(d)
+        prof = d.get("profile", {})
+        pkind = prof.get("kind", "psi0") if isinstance(prof, dict) else "psi0"
+        if not isinstance(pkind, str) or pkind not in PROFILE_KEYS:
+            raise ConfigError(f"unknown profile kind {pkind!r}; choose one "
+                              f"of {tuple(PROFILE_KEYS)}")
+        unknown = cls._unknown_keys(d, PROFILE_KEYS[pkind])
         if unknown:
             raise ConfigError("unknown manifest keys: "
                               + ", ".join(map(repr, unknown)))
@@ -96,10 +109,10 @@ class RunManifest:
         return man
 
     @staticmethod
-    def _unknown_keys(d: dict) -> list[str]:
+    def _unknown_keys(d: dict, profile_keys: tuple) -> list[str]:
         """Manifest keys that name no field of RunManifest, of SectorSpec
-        and GridSpec inside "spec" and "grid", or no tolerance inside
-        "tolerances"."""
+        and GridSpec inside "spec" and "grid", none of ``profile_keys``
+        inside "profile", or no tolerance inside "tolerances"."""
         def names(cls):
             return {f.name for f in fields(cls)}
 
@@ -107,6 +120,7 @@ class RunManifest:
         for where, known in (("", names(RunManifest)),
                              ("spec", names(SectorSpec)),
                              ("grid", names(GridSpec)),
+                             ("profile", set(profile_keys)),
                              ("tolerances", set(TOLERANCES))):
             sub = d.get(where) if where else d
             if isinstance(sub, dict):

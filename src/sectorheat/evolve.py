@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Field, GridSpec, SectorSpec, field_from_profile
-from .semigroup import KernelPlan, _spectral_flow
-from .picard import check_profile_spec, solve_picard
+from .semigroup import KernelPlan, _spectral_flow, check_profile_spec
+from .picard import solve_picard
 
 STATUS_BLEWUP = "blew_up"
 STATUS_GLOBAL = "global_horizon_reached"
@@ -231,7 +231,7 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
         handoff_time=t0, bound_violation=violation)
     if not justified and status == STATUS_BLEWUP:
         rec.notes["extrapolation_unjustified"] = True
-    last = None if v is None else Field(spec, grid, v, time_tag=t)
+    last = None if v is None else Field(spec, grid, v)
     return rec, last
 
 

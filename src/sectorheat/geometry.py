@@ -2,7 +2,9 @@
 checksummed on-disk container for fields and Psi caches.
 
 The working domain is the sector {x_1 > 0, ..., x_m > 0} of R^N, truncated
-to a box of half-width L.  Grids never place a node at the origin or on a
+to a box of half-width L.  Each grid axis is one of three kinds: antisym
+(the half-line x_i > 0 of a coordinate the data are odd in), sym (the
+whole line) or periodic.  Grids never place a node at the origin or on a
 sector wall, so singular reference profiles are evaluable everywhere.
 """
 
@@ -17,10 +19,12 @@ import numpy as np
 
 AXIS_ANTISYM = "antisym"   # nodes in (0, L), implied zero at the wall
 AXIS_SYM = "sym"           # half-cell offset nodes in (-L, L)
-AXIS_FULL = "full"         # odd mirror of an antisym axis: nodes in (-L,0)u(0,L)
 AXIS_PERIODIC = "periodic" # uniform nodes on [-L, L) with wraparound
 
-_AXIS_KINDS = (AXIS_ANTISYM, AXIS_SYM, AXIS_FULL, AXIS_PERIODIC)
+_AXIS_KINDS = (AXIS_ANTISYM, AXIS_SYM, AXIS_PERIODIC)
+
+# Field.is_nonnegative tolerates values down to -NONNEG_REL_TOL * max(sup, 1)
+NONNEG_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,8 @@ class GridSpec:
     L     box half-width
     n     points per axis
     axes  per-axis kind; antisym axes carry n nodes in (0, L), the others
-          n (or 2n, for "full") nodes spanning (-L, L)
+          n nodes spanning (-L, L).  Data odd in x_i belong on an antisym
+          axis i, all other data on a sym or periodic one
     """
 
     L: float
@@ -112,10 +117,6 @@ class GridSpec:
         if kind == AXIS_ANTISYM:
             h = self.L / (self.n + 1)
             return h * np.arange(1, self.n + 1)
-        if kind == AXIS_FULL:
-            h = self.L / (self.n + 1)
-            pos = h * np.arange(1, self.n + 1)
-            return np.concatenate([-pos[::-1], pos])
         if kind == AXIS_SYM:
             h = 2.0 * self.L / self.n
             return -self.L + h * (np.arange(self.n) + 0.5)
@@ -125,7 +126,7 @@ class GridSpec:
 
     def axis_spacing(self, i: int) -> float:
         kind = self.axes[i]
-        if kind in (AXIS_ANTISYM, AXIS_FULL):
+        if kind == AXIS_ANTISYM:
             return self.L / (self.n + 1)
         return 2.0 * self.L / self.n
 
@@ -158,7 +159,6 @@ class Field:
     spec: SectorSpec
     grid: GridSpec
     values: np.ndarray
-    time_tag: float | None = None
     profile: object | None = None
 
     def __post_init__(self):
@@ -173,15 +173,13 @@ class Field:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def is_nonnegative(self, rel_tol: float = 1e-12) -> bool:
+    def is_nonnegative(self) -> bool:
         vmax = float(np.max(self.values, initial=0.0))
-        return float(np.min(self.values)) >= -rel_tol * max(vmax, 1.0)
+        return float(np.min(self.values)) >= -NONNEG_REL_TOL * max(vmax, 1.0)
 
 
-def field_from_profile(spec: SectorSpec, grid: GridSpec, profile,
-                       time_tag=None) -> Field:
-    values = profile(grid.points())
-    return Field(spec, grid, values, time_tag=time_tag, profile=profile)
+def field_from_profile(spec: SectorSpec, grid: GridSpec, profile) -> Field:
+    return Field(spec, grid, profile(grid.points()), profile=profile)
 
 
 # ---------------------------------------------------------------------------

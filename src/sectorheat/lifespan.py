@@ -17,18 +17,35 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Field, SectorSpec, field_from_profile
 from .profiles import (ConstantModulation, LogBlockModulation,
                        ModulatedProfile, Psi0Profile, eval_psi0)
-from .semigroup import (KernelPlan, apply_kernel, linear_sup, psi_fast,
-                        psi_sup, psi_values)
+from .semigroup import (KernelPlan, apply_kernel, check_profile_spec,
+                        linear_sup, psi_fast, psi_sup, psi_values)
 from .evolve import (STATUS_BLEWUP, STATUS_GLOBAL, EvolveControls,
                      estimate_tmax, run_trajectory)
-from .picard import check_profile_spec
+
+# dilation probes sample N_RADIAL log-spaced radii in ANNULUS along
+# N_ANGULAR sector directions, and call two probes equal within CONV_TOL
+ANNULUS = (1.0, 2.0)
+N_RADIAL = 64
+N_ANGULAR = 16
+CONV_TOL = 1e-6
+# the blow-up criterion calls a candidate limit zero below this mean |z|
+ZERO_TOL = 1e-8
+# the oscillating life span uses psi0 (sin^2(log|x|) + OSC_EPS) and checks
+# the log-shift identity by a direct run at amplitude CHECK_LAMBDA
+OSC_EPS = 0.05
+CHECK_LAMBDA = 0.5
+# log-radius blocks whose centres the two-limit experiment shifts to
+BLOCKS = (6, 8)
+# short times at which the nonexistence signature compares Psi to the
+# universal bound
+NONEXISTENCE_T0 = (1e-2, 1e-3, 1e-4, 1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +53,6 @@ from .picard import check_profile_spec
 
 @dataclass
 class LifespanCurve:
-    profile_kind: str
     sigma: float
     lambdas: list
     t_max: list
@@ -87,8 +103,7 @@ def sweep_lifespan(profile, lambdas, plan: KernelPlan,
     monotone = all(t_lo + u_lo + u_hi >= t_hi
                    for (_, t_lo, u_lo), (_, t_hi, u_hi)
                    in zip(finite, finite[1:]))
-    return LifespanCurve(profile_kind=getattr(profile, "kind", "custom"),
-                         sigma=spec.sigma, lambdas=lambdas, t_max=t_max,
+    return LifespanCurve(sigma=spec.sigma, lambdas=lambdas, t_max=t_max,
                          uncertainty=unc, scaled=scaled, statuses=statuses,
                          slope=slope, monotone=monotone)
 
@@ -99,8 +114,7 @@ def sweep_lifespan(profile, lambdas, plan: KernelPlan,
 @dataclass
 class DilationProbe:
     lambdas: list
-    annulus: tuple
-    points: np.ndarray      # annulus sample points, shape (P, N)
+    points: np.ndarray      # ANNULUS sample points, shape (P, N)
     probes: np.ndarray      # lam^(gamma+m) f(lam x) per lambda, shape (len, P)
     distances: np.ndarray   # pairwise mean-L1 on the annulus
     limit: np.ndarray | None
@@ -108,28 +122,26 @@ class DilationProbe:
     bound_ok: bool          # every probe obeys |.| <= K psi0
 
 
-def _annulus_points(spec: SectorSpec, annulus: tuple, n_radial: int = 64,
-                    n_angular: int = 16) -> np.ndarray:
-    """Sector sample points with radii log-spaced in the annulus; directions
+def _annulus_points(spec: SectorSpec) -> np.ndarray:
+    """Sector sample points with radii log-spaced in ANNULUS; directions
     sampled in the open sector interior."""
-    r0, r1 = annulus
-    radii = np.geomspace(r0 * 1.001, r1 * 0.999, n_radial)
+    r0, r1 = ANNULUS
+    radii = np.geomspace(r0 * 1.001, r1 * 0.999, N_RADIAL)
     rng = np.random.default_rng(20240817)
-    dirs = np.abs(rng.standard_normal((n_angular, spec.N))) + 0.05
+    dirs = np.abs(rng.standard_normal((N_ANGULAR, spec.N))) + 0.05
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, spec.N)
     return pts
 
 
-def dilation_limits(spec: SectorSpec, profile, lambdas,
-                    annulus: tuple = (1.0, 2.0), conv_tol: float = 1e-6,
-                    K: float | None = None) -> DilationProbe:
+def dilation_limits(spec: SectorSpec, profile, lambdas) -> DilationProbe:
     """Evaluate lam^{gamma+m} f(lam x) on a fixed annulus for growing lam.
 
     Convergence (the tail of pairwise distances below tolerance) identifies
-    a limit candidate; non-convergence is itself a finding.
+    a limit candidate; non-convergence is itself a finding.  The bound
+    check uses K = ||f||_X, infinite for a profile with no x_norm.
     """
-    pts = _annulus_points(spec, annulus)
+    pts = _annulus_points(spec)
     lambdas = [float(l) for l in lambdas]
     psi0v = eval_psi0(spec, pts)
     probes = np.array([lam ** spec.decay * np.asarray(profile(pts * lam))
@@ -141,12 +153,11 @@ def dilation_limits(spec: SectorSpec, profile, lambdas,
             dist[i, j] = dist[j, i] = float(
                 np.mean(np.abs(probes[i] - probes[j])))
     scale = max(float(np.max(np.abs(probes))), 1e-300)
-    converged = P >= 2 and dist[-1, -2] <= conv_tol * scale + conv_tol
+    converged = P >= 2 and dist[-1, -2] <= CONV_TOL * scale + CONV_TOL
     limit = probes[-1].copy() if converged else None
-    if K is None:
-        K = getattr(profile, "x_norm", lambda: np.inf)()
+    K = getattr(profile, "x_norm", lambda: np.inf)()
     bound_ok = bool(np.all(np.abs(probes) <= K * psi0v[None, :] * (1 + 1e-10)))
-    return DilationProbe(lambdas=lambdas, annulus=annulus, points=pts,
+    return DilationProbe(lambdas=lambdas, points=pts,
                          probes=probes, distances=dist, limit=limit,
                          converged=converged, bound_ok=bound_ok)
 
@@ -157,8 +168,7 @@ def dilation_limits(spec: SectorSpec, profile, lambdas,
 CRITICAL_THRESHOLD = lambda alpha: (1.0 / alpha) ** (1.0 / alpha)
 
 
-def blowup_criterion_check(z, plan: KernelPlan,
-                           zero_tol: float = 1e-8) -> dict:
+def blowup_criterion_check(z, plan: KernelPlan) -> dict:
     """Blow-up prediction from a dilation-limit candidate z >= 0 on the
     sector of the plan's spec.
 
@@ -172,12 +182,12 @@ def blowup_criterion_check(z, plan: KernelPlan,
         zf = z
     else:
         zf = field_from_profile(spec, grid, z)
-    if not zf.is_nonnegative(rel_tol=1e-10):
+    if not zf.is_nonnegative():
         raise ValueError("criterion requires z >= 0 on the sector")
     mass = float(np.mean(np.abs(zf.values)))
     report = {"mass": mass, "alpha": spec.alpha,
               "alpha_critical": spec.alpha_critical}
-    if mass <= zero_tol:
+    if mass <= ZERO_TOL:
         report["verdict"] = "undetermined"
         report["reason"] = "z is numerically zero"
         return report
@@ -218,36 +228,33 @@ def lam_for_shift(spec: SectorSpec, s: float) -> float:
     return float(np.exp(-2.0 * s / spec.sigma))
 
 
-def _tmax_of(profile, plan, controls):
+def _tmax_of(profile, plan, controls=None):
     rec = estimate_tmax(profile, plan, controls=controls)
     if rec.status != STATUS_BLEWUP:
         raise RuntimeError(f"expected finite life span, got {rec.status}")
     return rec.t_max, rec.uncertainty
 
 
-def oscillation_experiment(plan: KernelPlan, eps: float = 0.05,
-                           controls: EvolveControls | None = None,
-                           check_lambda: float = 0.5) -> dict:
-    """Scaled life-span limits of psi0 (sin^2(log|x|) + eps) along the two
+def oscillation_experiment(plan: KernelPlan) -> dict:
+    """Scaled life-span limits of psi0 (sin^2(log|x|) + OSC_EPS) along the two
     shift-matched amplitude subsequences (period pi vs offset pi/2), plus a
     homogeneous control and a direct simulation validating the identity;
     the plan's spec is the run's."""
     from .profiles import SinSquaredLog
     spec = plan.spec
-    base = ModulatedProfile(spec, SinSquaredLog(eps))
-    t_a, u_a = _tmax_of(base.log_shifted(0.0), plan, controls)
-    t_b, u_b = _tmax_of(base.log_shifted(0.5 * np.pi), plan, controls)
+    base = ModulatedProfile(spec, SinSquaredLog(OSC_EPS))
+    t_a, u_a = _tmax_of(base.log_shifted(0.0), plan)
+    t_b, u_b = _tmax_of(base.log_shifted(0.5 * np.pi), plan)
     gap = abs(t_a - t_b)
     combined = u_a + u_b
     # control: constant modulation shows no shift dependence at all
-    ctrl = ModulatedProfile(spec, ConstantModulation(1.0 + eps))
-    c_a, cu_a = _tmax_of(ctrl.log_shifted(0.0), plan, controls)
-    c_b, cu_b = _tmax_of(ctrl.log_shifted(0.5 * np.pi), plan, controls)
+    ctrl = ModulatedProfile(spec, ConstantModulation(1.0 + OSC_EPS))
+    c_a, cu_a = _tmax_of(ctrl.log_shifted(0.0), plan)
+    c_b, cu_b = _tmax_of(ctrl.log_shifted(0.5 * np.pi), plan)
     # identity validation: simulate lam * f directly at a moderate amplitude
-    lam = check_lambda
-    direct, d_unc = _tmax_of(base.scaled(lam), plan, controls)
-    via_shift, s_unc = _tmax_of(shifted_equivalent(spec, base, lam),
-                                plan, controls)
+    lam = CHECK_LAMBDA
+    direct, d_unc = _tmax_of(base.scaled(lam), plan)
+    via_shift, s_unc = _tmax_of(shifted_equivalent(spec, base, lam), plan)
     identity_rel = abs(lam ** spec.sigma * direct - via_shift) / via_shift
     return {
         "scaled_limit_seq_a": t_a, "uncertainty_a": u_a,
@@ -266,7 +273,6 @@ def oscillation_experiment(plan: KernelPlan, eps: float = 0.05,
 
 
 def two_limit_experiment(plan: KernelPlan, c1: float = 1.0, c2: float = 2.0,
-                         blocks: tuple = (6, 8),
                          controls: EvolveControls | None = None) -> dict:
     """Tail interpolating c1*psi0 and c2*psi0 on alternating log-radius
     blocks of geometrically growing length: the scaled life span along
@@ -277,9 +283,9 @@ def two_limit_experiment(plan: KernelPlan, c1: float = 1.0, c2: float = 2.0,
     g = LogBlockModulation(c1, c2)
     prof = ModulatedProfile(spec, g)
     lim_a = [_tmax_of(prof.log_shifted(g.block_center(2 * k)), plan,
-                      controls) for k in blocks]
+                      controls) for k in BLOCKS]
     lim_b = [_tmax_of(prof.log_shifted(g.block_center(2 * k + 1)), plan,
-                      controls) for k in blocks]
+                      controls) for k in BLOCKS]
     ref1, r1u = _tmax_of(Psi0Profile(spec, c1), plan, controls)
     ref2, r2u = _tmax_of(Psi0Profile(spec, c2), plan, controls)
     t_a, u_a = lim_a[-1]
@@ -324,8 +330,7 @@ def global_smallness_threshold(spec: SectorSpec, t0: float) -> float:
 
 def global_smallness_check(plan: KernelPlan, t0: float = 0.1,
                            lam: float | None = None,
-                           horizon_factor: float = 100.0,
-                           controls: EvolveControls | None = None) -> dict:
+                           horizon_factor: float = 100.0) -> dict:
     """Long-horizon run with data lam * Psi(t0), asserting the envelope
     |u(t)| <= 2 lam Psi(t + t0) nodewise to the horizon, for the plan's
     spec on its grid."""
@@ -333,9 +338,8 @@ def global_smallness_check(plan: KernelPlan, t0: float = 0.1,
     thr = global_smallness_threshold(spec, t0)
     if lam is None:
         lam = 0.5 * thr
-    c = replace(controls or EvolveControls(), horizon=horizon_factor * t0)
-    f0 = psi_fast(spec, t0, grid)
-    f0 = Field(spec, grid, lam * f0.values, time_tag=0.0)
+    c = EvolveControls(horizon=horizon_factor * t0)
+    f0 = Field(spec, grid, lam * psi_fast(spec, t0, grid).values)
     M = 2.0 * lam
     pts = grid.points()
 
@@ -353,19 +357,18 @@ def global_smallness_check(plan: KernelPlan, t0: float = 0.1,
     }
 
 
-def nonexistence_signature(spec: SectorSpec,
-                           t0_list=(1e-2, 1e-3, 1e-4, 1e-5)) -> dict:
+def nonexistence_signature(spec: SectorSpec) -> dict:
     """Supercritical nonexistence evidence: for data >= psi0 near 0 the
     short-time linear value violates the universal bound ||u(t)|| <=
     (alpha t)^{-1/alpha}, increasingly so as t0 -> 0."""
     if spec.subcritical:
         raise ValueError("signature applies to supercritical alpha only")
     ratios = []
-    for t0 in t0_list:
+    for t0 in NONEXISTENCE_T0:
         bound = (spec.alpha * t0) ** (-1.0 / spec.alpha)
         ratios.append(psi_sup(spec, t0) / bound)
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
-    return {"t0": list(t0_list), "ratio_to_bound": ratios,
+    return {"t0": list(NONEXISTENCE_T0), "ratio_to_bound": ratios,
             "diverges": bool(increasing and ratios[-1] > 1.0),
             "verdict": ("nonexistence_evidence"
                         if increasing and ratios[-1] > 1.0 else

@@ -24,7 +24,7 @@ import numpy as np
 from .geometry import Field, GridSpec, SectorSpec, field_from_profile
 from .profiles import Psi0Profile
 from .semigroup import (KernelPlan, alpha_time_integral, apply_kernel,
-                        psi_fast, psi_sup)
+                        check_profile_spec, psi_fast, psi_sup)
 
 # the Duhamel part of condition (A) uses MARGIN of the gap M - K; the
 # iteration stops once an increment falls below TOL, or after MAX_ITER sweeps
@@ -44,7 +44,7 @@ class PicardConfig:
 @dataclass
 class PicardRun:
     config: PicardConfig
-    slices: list          # converged u(s_j) Fields
+    slices: list          # converged u(s_j) Fields, s_j = config.mesh[j]
     increments: list      # |||u^(k+1) - u^(k)||| per sweep
     ratios: list          # successive increment ratios
     xt_norm: float
@@ -138,16 +138,6 @@ def _nonlinear_values(spec: SectorSpec, values: np.ndarray) -> np.ndarray:
     return np.abs(values) ** spec.alpha * values
 
 
-def check_profile_spec(profile, plan: KernelPlan) -> None:
-    """Refuse data built for another spec than the plan's: the plan is
-    the run, and a profile (or Field) carries the spec it was made for.
-    A bare callable carries none, so it has nothing to disagree with."""
-    spec = getattr(profile, "spec", plan.spec)
-    if spec != plan.spec:
-        raise ValueError(f"profile spec {spec} differs from plan spec "
-                         f"{plan.spec}")
-
-
 def solve_picard(profile, plan: KernelPlan, K: float | None = None,
                  J: int = 12) -> PicardRun:
     """Iterate the Duhamel map to its fixed point inside the ball |||u||| <= M.
@@ -213,7 +203,7 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
             converged = True
             break
 
-    slices = [Field(spec, grid, v, time_tag=s) for v, s in zip(u, mesh)]
+    slices = [Field(spec, grid, v) for v in u]
     xt = max(float(np.max(np.abs(v) / p)) for v, p in zip(u, psi_slices))
     return PicardRun(config=config, slices=slices, increments=increments,
                      ratios=ratios, xt_norm=xt, converged=converged,

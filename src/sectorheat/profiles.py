@@ -117,30 +117,32 @@ class ConstantModulation:
         return abs(self.value)
 
 
+# LogBlockModulation's block edges a_k = BLOCK_BASE * BLOCK_GROWTH^k
+BLOCK_BASE = 1.0
+BLOCK_GROWTH = 2.0
+
+
 class LogBlockModulation:
     """Piecewise-constant g alternating between c1 and c2 on log-radius
     blocks [a_k, a_{k+1}) with geometrically growing lengths, so dilation
     along matched sequences sees a single constant over any fixed annulus."""
 
-    def __init__(self, c1: float, c2: float, base: float = 1.0,
-                 growth: float = 2.0):
+    def __init__(self, c1: float, c2: float):
         self.c1 = c1
         self.c2 = c2
-        self.base = base
-        self.growth = growth
 
     def block_edge(self, k: int) -> float:
-        return self.base * self.growth ** k
+        return BLOCK_BASE * BLOCK_GROWTH ** k
 
     def block_center(self, k: int) -> float:
         return 0.5 * (self.block_edge(k) + self.block_edge(k + 1))
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        # block index: k such that base*growth^k <= s < base*growth^(k+1);
-        # everything below the first edge belongs to block 0
-        k = np.floor(np.log(np.maximum(s, self.base) / self.base)
-                     / np.log(self.growth)).astype(int)
+        # block index: k such that a_k <= s < a_{k+1}; everything below
+        # the first edge belongs to block 0
+        k = np.floor(np.log(np.maximum(s, BLOCK_BASE) / BLOCK_BASE)
+                     / np.log(BLOCK_GROWTH)).astype(int)
         return np.where(k % 2 == 0, self.c1, self.c2)
 
     @property

@@ -1,13 +1,18 @@
-"""The heat semigroup on the sector, three ways.
+"""The heat semigroup on the sector, three ways, on grids whose axes are
+antisym (the sector's walls), sym or periodic.
 
 * apply_kernel: quadrature against the reflected product kernel
       K_t(x,y) = (4 pi t)^{-N/2} prod_sym exp(-(x_j-y_j)^2/4t)
                  * prod_anti [exp(-(x_i-y_i)^2/4t) - exp(-(x_i+y_i)^2/4t)],
-  with geometric (dyadic-shell) radial refinement toward the origin so
-  singular data integrate accurately, and analytic continuation of the
-  quadrature beyond the box for profile-backed fields.
-* apply_spectral: the sine/Fourier basis (Dirichlet outer boundary) on
-  the box, exact in time for the discrete modes; for bounded
+  periodised by images on periodic axes.  Grid fields take the grid as
+  the rule.  Profile-backed fields take geometric (dyadic-shell) radial
+  refinement toward the origin, so singular data integrate accurately,
+  and analytic continuation of the quadrature beyond the box; a profile
+  is not periodic, so profile-backed fields on a periodic axis are
+  refused.
+* apply_spectral: the per-axis sine/Fourier basis (DST-I on antisym axes,
+  DST-II on sym axes, both with a Dirichlet outer boundary; the DFT on
+  periodic axes), exact in time for the discrete modes; for bounded
   post-smoothing data.  Per-axis propagator matrices from that basis,
   built once per grid and once per repeated step size, so a time step
   runs no transform.
@@ -35,8 +40,8 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import erfc, hyp1f1, poch
 from scipy.special import gamma as gamma_fn
 
-from .geometry import (AXIS_ANTISYM, AXIS_FULL, AXIS_PERIODIC, AXIS_SYM,
-                       Field, GridSpec, SectorSpec, _read_container,
+from .geometry import (AXIS_ANTISYM, AXIS_PERIODIC, AXIS_SYM, Field,
+                       GridSpec, SectorSpec, _read_container,
                        _write_container, field_from_profile)
 from .profiles import _split_points
 
@@ -107,13 +112,21 @@ def _axis_rule(plan: KernelPlan, axis: int, t: float, analytic: bool):
     """Per-axis quadrature nodes/weights.
 
     Grid-only fields use the midpoint rule on the grid itself; analytic
-    (profile-backed) fields get the refined composite rule.
+    (profile-backed) fields get the refined composite rule, which integrates
+    the profile over the whole line.  A profile is not periodic, so against
+    the periodised kernel that rule would count every image twice: profile
+    data on a periodic axis are refused.
     """
     kind = plan.grid.axes[axis]
     key = (axis, float(t), analytic)
     rule = plan._rules.get(key)
     if rule is not None:
         return rule
+    if analytic and kind == AXIS_PERIODIC:
+        raise ValueError(
+            f"analytic rule: axis {axis} is {kind!r}, but profile-backed data "
+            f"live on the whole space: apply them on {AXIS_ANTISYM!r} or "
+            f"{AXIS_SYM!r} axes, or sample them as a grid field")
     if not analytic:
         nodes = plan.grid.axis_nodes(axis)
         weights = np.full(nodes.size, plan.grid.axis_spacing(axis))
@@ -129,7 +142,7 @@ def _axis_rule(plan: KernelPlan, axis: int, t: float, analytic: bool):
         # construction
         pos = np.concatenate([sing_nodes, smooth_nodes])
         wts = np.concatenate([sing_w, smooth_w])
-        if kind in (AXIS_SYM, AXIS_FULL, AXIS_PERIODIC):
+        if kind == AXIS_SYM:
             pos = np.concatenate([-pos[::-1], pos])
             wts = np.concatenate([wts[::-1], wts])
         rule = (pos, wts)
@@ -208,9 +221,7 @@ def apply_kernel(plan: KernelPlan, t: float, f: Field) -> Field:
         _warn_tail_mass(plan, t, f)
     mats = [_axis_matrix(plan, i, t, analytic, f.grid.axis_nodes(i))
             for i in range(f.grid.ndim)]
-    values = _contract(mats, F)
-    prev = f.time_tag or 0.0
-    return Field(f.spec, f.grid, values, time_tag=prev + t)
+    return Field(f.spec, f.grid, _contract(mats, F))
 
 
 def _warn_tail_mass(plan: KernelPlan, t: float, f: Field) -> None:
@@ -260,7 +271,7 @@ def _axis_freqs(grid: GridSpec, i: int) -> np.ndarray:
     n = len(grid.axis_nodes(i))
     if kind == AXIS_ANTISYM:
         return np.arange(1, n + 1) * np.pi / grid.L
-    if kind in (AXIS_SYM, AXIS_FULL):
+    if kind == AXIS_SYM:
         return np.arange(1, n + 1) * np.pi / (2.0 * grid.L)
     # periodic
     return 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * grid.L / n)
@@ -270,7 +281,7 @@ def _forward(kind: str, v: np.ndarray) -> np.ndarray:
     """Forward transform of each column of v."""
     if kind == AXIS_ANTISYM:
         return dst(v, type=1, axis=0)
-    if kind in (AXIS_SYM, AXIS_FULL):
+    if kind == AXIS_SYM:
         return dst(v, type=2, axis=0)
     return fft(v, axis=0)
 
@@ -279,7 +290,7 @@ def _inverse(kind: str, v: np.ndarray) -> np.ndarray:
     """Inverse transform of each column of v."""
     if kind == AXIS_ANTISYM:
         return idst(v, type=1, axis=0)
-    if kind in (AXIS_SYM, AXIS_FULL):
+    if kind == AXIS_SYM:
         return idst(v, type=2, axis=0)
     return ifft(v, axis=0)
 
@@ -343,9 +354,7 @@ def apply_spectral(plan: KernelPlan, t: float, f: Field) -> Field:
         raise ValueError("apply_spectral requires t >= 0")
     if f.grid != plan.grid:
         raise ValueError("field and plan differ in grid")
-    prev = f.time_tag or 0.0
-    return Field(f.spec, f.grid, _spectral_flow(plan, t, f.values),
-                 time_tag=prev + t)
+    return Field(f.spec, f.grid, _spectral_flow(plan, t, f.values))
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +396,25 @@ def _check_psi_grid(grid: GridSpec, m: int) -> None:
                 f"{AXIS_ANTISYM!r} and none {AXIS_PERIODIC!r}")
 
 
+def check_profile_spec(profile, plan: KernelPlan) -> None:
+    """Refuse data built for another spec than the plan's: the plan is
+    the run, and a profile (or Field) carries the spec it was made for.
+    A bare callable carries none, so it has nothing to disagree with."""
+    spec = getattr(profile, "spec", plan.spec)
+    if spec != plan.spec:
+        raise ValueError(f"profile spec {spec} differs from plan spec "
+                         f"{plan.spec}")
+
+
 def linear_sup(plan: KernelPlan, profile, t: float) -> float:
-    """sup-norm of e^{t D_Omega} applied to an analytic profile.
+    """sup-norm of e^{t D_Omega} applied to an analytic profile made for
+    the plan's spec.
 
     Starts from the grid argmax (plus the origin when no axis is
     anti-symmetric, since offset grids exclude it) and refines off-grid with
     a simplex search over pointwise quadrature evaluations.
     """
+    check_profile_spec(profile, plan)
     spec, grid = plan.spec, plan.grid
     sampled = apply_kernel(plan, t, field_from_profile(spec, grid, profile))
     idx = np.unravel_index(np.argmax(np.abs(sampled.values)),
@@ -455,7 +476,7 @@ def psi_fast(spec: SectorSpec, t: float, grid: GridSpec) -> Field:
     grid must be anti-symmetric and none may be periodic.
     """
     _check_psi_grid(grid, spec.m)
-    return Field(spec, grid, psi_values(spec, t, grid.points()), time_tag=t)
+    return Field(spec, grid, psi_values(spec, t, grid.points()))
 
 
 def psi_sup(spec: SectorSpec, t: float) -> float:

@@ -167,9 +167,9 @@ def test_criterion_07_order_properties(setup11):
     # (5) absorbing sign sits below the linear flow
     psi0f = field_from_profile(neg, grid, Psi0Profile(neg))
     checks["linear domination a=-1"] = all(
-        np.all(s.values <= (lv := apply_kernel(plan, s.time_tag,
+        np.all(s.values <= (lv := apply_kernel(plan, s_j,
                                                psi0f).values) + slack(lv))
-        for s in r_neg.slices)
+        for s_j, s in zip(r_neg.config.mesh, r_neg.slices))
     failed = [k for k, v in checks.items() if not v]
     _verdict(7, "order and comparison matrix", not failed,
              "5 cases ok" if not failed else f"failed: {failed}")

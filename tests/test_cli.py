@@ -65,6 +65,21 @@ def test_manifest_rejections():
             grid={"L": 10.0, "n": 64, "nodes": 64}))
     for key in ("'horizn'", "'spec.sign'", "'grid.nodes'"):
         assert key in str(info.value)
+    # inside "profile" the known keys are those of its kind
+    for prof, key in (({"kind": "psi0", "amplitud": 2.0}, "amplitud"),
+                      ({"amplitude": 2.0, "t0": 0.5}, "t0"),
+                      ({"kind": "modulated_psi0", "epsilon": 0.1}, "epsilon"),
+                      ({"kind": "gaussian_derivative", "eps": 0.1}, "eps"),
+                      ({"kind": "constant", "value": 2.0}, "value")):
+        with pytest.raises(ConfigError, match=f"'profile.{key}'"):
+            RunManifest.from_dict(_manifest_dict(profile=prof))
+    with pytest.raises(ConfigError, match="unknown profile kind 'wat'"):
+        RunManifest.from_dict(_manifest_dict(profile={"kind": "wat"}))
+    RunManifest.from_dict(_manifest_dict(profile={
+        "kind": "modulated_psi0", "amplitude": 1.0, "modulation": "sin2log",
+        "eps": 0.1, "shift": 0.0, "c1": 1.0, "c2": 2.0}))
+    RunManifest.from_dict(_manifest_dict(profile={
+        "kind": "gaussian_derivative", "amplitude": 1.0, "t0": 0.5}))
     # one axis kind per dimension
     with pytest.raises(ConfigError, match=r"axes .* N=1"):
         RunManifest.from_dict(_manifest_dict(
@@ -226,13 +241,34 @@ def test_criteria_undetermined_verdict_is_inconclusive(tmp_path):
 
 
 def test_picard_rejects_off_sector_grid(tmp_path, capsys):
-    # Psi is positive only on the sector, so a "full" first axis must be
+    # Psi is positive only on the sector, so a "sym" first axis must be
     # refused before the weighted norm divides by its negative half
     d = _manifest_dict(experiment="picard",
+                       grid={"L": 10.0, "n": 64, "axes": ["sym"]},
+                       output_dir=str(tmp_path / "out"))
+    assert main([_write_manifest(tmp_path, d), "-q"]) == EXIT_CONFIG
+    assert "axis 0 is 'sym'" in capsys.readouterr().err
+
+
+def test_unknown_axis_kind_is_a_config_error(tmp_path, capsys):
+    d = _manifest_dict(experiment="tmax",
+                       spec={"N": 1, "m": 0, "gamma": 0.5, "alpha": 1.0},
                        grid={"L": 10.0, "n": 64, "axes": ["full"]},
                        output_dir=str(tmp_path / "out"))
     assert main([_write_manifest(tmp_path, d), "-q"]) == EXIT_CONFIG
-    assert "axis 0 is 'full'" in capsys.readouterr().err
+    assert "unknown axis kind 'full'" in capsys.readouterr().err
+
+
+def test_semigroup_checks_on_periodic_axis_is_a_config_error(tmp_path,
+                                                             capsys):
+    # the sup-norm law applies psi0 by the analytic rule, which would
+    # count the periodic images twice
+    d = _manifest_dict(experiment="semigroup_checks",
+                       spec={"N": 1, "m": 0, "gamma": 0.5, "alpha": 1.0},
+                       grid={"L": 10.0, "n": 128, "axes": [AXIS_PERIODIC]},
+                       output_dir=str(tmp_path / "out"))
+    assert main([_write_manifest(tmp_path, d), "-q"]) == EXIT_CONFIG
+    assert "axis 0 is 'periodic'" in capsys.readouterr().err
 
 
 def test_psi_cache_on_periodic_axis_is_a_config_error(tmp_path, capsys):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sectorheat import (AXIS_FULL, Field, GridSpec, SectorSpec, load_field,
-                        save_field)
+from sectorheat import (AXIS_PERIODIC, AXIS_SYM, Field, GridSpec, SectorSpec,
+                        load_field, save_field)
 
 
 def test_spec_validation():
@@ -59,7 +59,7 @@ def test_field_validation_and_flags():
 def test_field_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     for spec, axes in [(SectorSpec(2, 1, 1.0, 0.75, -1), None),
-                       (SectorSpec(2, 1, 1.0, 0.5), (AXIS_FULL, "sym")),
+                       (SectorSpec(2, 1, 1.0, 0.5), (AXIS_PERIODIC, AXIS_SYM)),
                        (SectorSpec(1, 0, 0.5, 1.0), ("periodic",)),
                        (SectorSpec(3, 2, 1.5, 0.5), None)]:
         grid = GridSpec.for_spec(spec, L=6.0, n=5) if axes is None \

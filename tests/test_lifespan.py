@@ -202,14 +202,13 @@ def test_global_smallness_envelope_fails_for_large_data(setup11):
     assert not report["certified"]
 
 
-def test_global_smallness_leaves_controls_untouched(setup11):
+def test_global_smallness_horizon_is_factor_times_t0(setup11):
     spec, grid, plan = setup11
     sup_spec = SectorSpec(spec.N, spec.m, spec.gamma, 2.0)
-    controls = EvolveControls(horizon=123.0)
-    report = global_smallness_check(KernelPlan(sup_spec, grid), t0=0.1,
-                                    horizon_factor=1.0, controls=controls)
-    assert report["horizon"] == pytest.approx(0.1)
-    assert controls.horizon == 123.0
+    horizon_factor, t0 = 1.0, 0.1
+    report = global_smallness_check(KernelPlan(sup_spec, grid), t0=t0,
+                                    horizon_factor=horizon_factor)
+    assert report["horizon"] == pytest.approx(horizon_factor * t0)
 
 
 def test_nonexistence_signature(setup11):

@@ -122,8 +122,8 @@ def test_kato_inequality_absorbing_sign(setup11):
     neg = SectorSpec(spec.N, spec.m, spec.gamma, spec.alpha, sign_a=-1)
     run = solve_picard(Psi0Profile(neg), KernelPlan(neg, grid), J=8)
     psi0f = field_from_profile(neg, grid, Psi0Profile(neg))
-    for s in run.slices:
-        lin = apply_kernel(plan, s.time_tag, psi0f)
+    for s_j, s in zip(run.config.mesh, run.slices):
+        lin = apply_kernel(plan, s_j, psi0f)
         assert np.all(s.values <= lin.values * (1 + 1e-9) + 1e-12)
         assert s.values.min() >= -1e-12
 
@@ -210,9 +210,9 @@ def test_psi0_linear_part_comes_from_cache(setup11, monkeypatch):
     y = grid.axis_nodes(0) / np.sqrt(mesh[0])
     assert np.mean(y >= 0.95 * grid.axis_nodes(0)[-1]) > 0.5
     data = field_from_profile(spec, grid, prof)
+    assert len(run.slices) == mesh.size      # slice j is u(mesh[j])
     for s_j, sl in zip(mesh, run.slices):
         closed = 1.3 * psi_fast(spec, s_j, grid).values
         assert np.array_equal(sl.values, closed)
-        assert sl.time_tag == s_j
         direct = apply_kernel(plan, s_j, data).values
         assert np.max(np.abs(closed - direct) / np.abs(direct)) < 1e-3

@@ -149,7 +149,7 @@ def test_x_norms():
 
 
 def test_log_block_modulation_structure():
-    g = LogBlockModulation(1.0, 2.0, base=1.0, growth=2.0)
+    g = LogBlockModulation(1.0, 2.0)
     assert g(np.array([1.5]))[0] == 1.0      # block 0: [1, 2)
     assert g(np.array([3.0]))[0] == 2.0      # block 1: [2, 4)
     assert g(np.array([5.0]))[0] == 1.0      # block 2: [4, 8)

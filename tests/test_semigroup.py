@@ -3,13 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from sectorheat import (Field, GridSpec, KernelPlan, SectorSpec,
+from sectorheat import (AXIS_ANTISYM, AXIS_PERIODIC, AXIS_SYM, Field,
+                        GridSpec, KernelPlan, SectorSpec,
                         alpha_time_integral, apply_kernel, apply_spectral,
                         build_psi_cache, field_from_profile, linear_sup,
                         load_cache, psi_fast, psi_sup, psi_values, save_cache)
-from sectorheat.profiles import (CustomProfile, GaussianDerivativeProfile,
+from sectorheat.profiles import (ConstantProfile, CustomProfile,
+                                 GaussianDerivativeProfile,
                                  Psi0Profile, eval_gaussian_derivative,
                                  eval_psi0)
 from sectorheat.semigroup import E, _axis_rule, _k1d, heat_at_points
@@ -57,6 +60,67 @@ def test_heat_at_points_matches_apply_kernel_2d():
     idx = (np.array([0, 3, 9, 15]), np.array([0, 8, 2, 15]))
     at_points = heat_at_points(plan, 0.5, prof, grid.points()[idx])
     assert np.allclose(at_points, on_grid.values[idx], rtol=1e-12, atol=0)
+
+
+def _exact_factor(kind, x, t):
+    """Whole-space flow of the one-axis datum: x e^{-x^2} on an antisym
+    axis, e^{-x^2} on the others; e^{tD} e^{-x^2} = s^{-1/2} e^{-x^2/s}
+    with s = 1 + 4t, and x e^{-x^2} is its x-derivative over -2."""
+    s = 1.0 + 4.0 * t
+    if kind == AXIS_ANTISYM:
+        return s ** -1.5 * x * np.exp(-x * x / s)
+    return s ** -0.5 * np.exp(-x * x / s)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.sampled_from((AXIS_ANTISYM, AXIS_SYM, AXIS_PERIODIC)),
+                min_size=1, max_size=3),
+       st.floats(9.0, 10.0), st.floats(0.1, 0.5))
+def test_both_engines_match_the_exact_flow(axes, L, t):
+    # the exact flow is the product of the per-axis flows.  L >= 9 and
+    # t <= 0.5 keep the walls invisible (e^{-L^2/(1+4t)} < 1e-11), and
+    # about 7 nodes per unit length resolve the data and a kernel of
+    # t >= 0.1; the transform pair alone could not see a wrong basis
+    grid = GridSpec(L=L, n=int(np.ceil(7.0 * L)), axes=tuple(axes))
+    spec = SectorSpec(grid.ndim, 0, 0.5, 1.0)
+    plan = KernelPlan(spec, grid)
+    mesh = grid.meshgrid()
+    f = Field(spec, grid, np.prod([_exact_factor(k, x, 0.0)
+                                   for k, x in zip(axes, mesh)], axis=0))
+    exact = np.prod([_exact_factor(k, x, t) for k, x in zip(axes, mesh)],
+                    axis=0)
+    for engine in (apply_kernel, apply_spectral):
+        err = np.max(np.abs(engine(plan, t, f).values - exact))
+        assert err <= 1e-9 * np.max(np.abs(exact)), engine.__name__
+
+
+def test_analytic_apply_refuses_periodic_axis():
+    # the analytic rule integrates the profile over the whole line, which
+    # against the periodised kernel counts every image twice; the grid
+    # apply of the same constant stays exact
+    spec = SectorSpec(1, 0, 0.5, 1.0)
+    grid = GridSpec(np.pi, 32, (AXIS_PERIODIC,))
+    plan = KernelPlan(spec, grid)
+    one = ConstantProfile(spec, 1.0)
+    with pytest.raises(ValueError, match="axis 0 is 'periodic'"):
+        apply_kernel(plan, 0.05, field_from_profile(spec, grid, one))
+    with pytest.raises(ValueError, match="axis 0 is 'periodic'"):
+        linear_sup(plan, one, 1.0)
+    with pytest.raises(ValueError, match="axis 1 is 'periodic'"):
+        heat_at_points(KernelPlan(SectorSpec(2, 1, 1.0, 0.5),
+                                  GridSpec(4.0, 8, ("antisym", "periodic"))),
+                       0.5, Psi0Profile(SectorSpec(2, 1, 1.0, 0.5)),
+                       [[1.0, 0.5]])
+    out = apply_kernel(plan, 2.0, Field(spec, grid, np.ones(32)))
+    assert np.max(np.abs(out.values - 1.0)) < 1e-9
+
+
+def test_linear_sup_refuses_profile_of_another_spec():
+    spec = SectorSpec(1, 0, 0.5, 1.0)
+    plan = KernelPlan(spec, GridSpec.for_spec(spec, L=10.0, n=64))
+    other = SectorSpec(1, 0, 0.75, 1.0)
+    with pytest.raises(ValueError, match="differs from plan spec"):
+        linear_sup(plan, Psi0Profile(other), 1.0)
 
 
 def test_positivity_and_sub_markov():
@@ -316,9 +380,9 @@ def test_psi_fast_rejects_off_sector_grid(setup11):
     # off the sector Psi is negative, and the weighted norm divides by it,
     # so a grid whose first m axes leave the sector is refused up front
     spec, grid, plan = setup11
-    full = GridSpec(grid.L, grid.n, ("full",))
-    with pytest.raises(ValueError, match="axis 0 is 'full'"):
-        psi_fast(spec, 1.0, full)
+    off = GridSpec(grid.L, grid.n, ("sym",))
+    with pytest.raises(ValueError, match="axis 0 is 'sym'"):
+        psi_fast(spec, 1.0, off)
     sym = SectorSpec(2, 1, 1.0, 0.5)
     with pytest.raises(ValueError, match="axis 0 is 'sym'"):
         psi_fast(sym, 1.0, GridSpec(4.0, 4, ("sym", "antisym")))

@@ -6,11 +6,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.fft import dst, fft, idst, ifft
 
-from sectorheat import (AXIS_ANTISYM, AXIS_FULL, AXIS_PERIODIC, AXIS_SYM,
-                        GridSpec, KernelPlan, SectorSpec)
+from sectorheat import (AXIS_ANTISYM, AXIS_PERIODIC, AXIS_SYM, GridSpec,
+                        KernelPlan, SectorSpec)
 from sectorheat.semigroup import _spectral_basis, _spectral_flow
 
-KINDS = (AXIS_ANTISYM, AXIS_SYM, AXIS_FULL, AXIS_PERIODIC)
+KINDS = (AXIS_ANTISYM, AXIS_SYM, AXIS_PERIODIC)
 FEW = settings(max_examples=15, deadline=None)
 
 
@@ -38,7 +38,7 @@ def _transform_pair(grid, t, values):
         if kind == AXIS_ANTISYM:
             v = dst(v, type=1, axis=i)
             k = np.arange(1, n + 1) * np.pi / grid.L
-        elif kind in (AXIS_SYM, AXIS_FULL):
+        elif kind == AXIS_SYM:
             v = dst(v, type=2, axis=i)
             k = np.arange(1, n + 1) * np.pi / (2.0 * grid.L)
         else:
@@ -50,7 +50,7 @@ def _transform_pair(grid, t, values):
     for i, kind in enumerate(grid.axes):
         if kind == AXIS_ANTISYM:
             v = idst(v, type=1, axis=i)
-        elif kind in (AXIS_SYM, AXIS_FULL):
+        elif kind == AXIS_SYM:
             v = idst(v, type=2, axis=i)
         else:
             v = ifft(v, axis=i)
@@ -89,26 +89,27 @@ def test_semigroup_composition(grid, s, t, seed):
 
 
 @FEW
-@given(grids(st.sampled_from((AXIS_FULL, AXIS_SYM, AXIS_PERIODIC))),
+@given(grids(st.sampled_from((AXIS_SYM, AXIS_PERIODIC))),
        st.floats(0.0, 0.5), st.integers(0, 2 ** 32 - 1))
-def test_odd_data_on_full_axes_stay_odd(grid, t, seed):
-    full = [i for i, kind in enumerate(grid.axes) if kind == AXIS_FULL]
-    if not full:
-        grid = GridSpec(grid.L, grid.n, (AXIS_FULL,) + grid.axes[1:])
-        full = [0]
+def test_odd_data_on_sym_axes_stay_odd(grid, t, seed):
+    # sym nodes are symmetric under x -> -x, so reversing an axis reflects it
+    sym = [i for i, kind in enumerate(grid.axes) if kind == AXIS_SYM]
+    if not sym:
+        grid = GridSpec(grid.L, grid.n, (AXIS_SYM,) + grid.axes[1:])
+        sym = [0]
     plan = _plan(grid)
     v = _data(grid, seed)
-    for i in full:
+    for i in sym:
         v = v - np.flip(v, axis=i)
     for _ in range(2):
         out = _spectral_flow(plan, t, v)
-        for i in full:
+        for i in sym:
             assert np.max(np.abs(out + np.flip(out, axis=i))) \
                 <= 1e-12 * np.max(np.abs(out))
 
 
 def test_caches_stay_bounded_over_distinct_step_sizes():
-    grid = GridSpec(L=5.0, n=16, axes=(AXIS_ANTISYM, AXIS_FULL))
+    grid = GridSpec(L=5.0, n=16, axes=(AXIS_ANTISYM, AXIS_SYM))
     plan = _plan(grid)
     v = _data(grid, 7)
     for dt in np.linspace(1e-3, 5e-2, 50):
