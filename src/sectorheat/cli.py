@@ -35,14 +35,15 @@ EXPERIMENTS = ("semigroup_checks", "picard", "tmax", "sweep", "dilation",
                "criteria", "two_limit", "global_smallness", "cache_build")
 # the tolerances a manifest may set, each read by one experiment
 TOLERANCES = ("cross_method",)
-# the keys a manifest's "profile" may carry, by profile kind
+# the keys a manifest's "profile" may carry, by profile kind, and those a
+# modulated_psi0 profile adds, by modulation
 PROFILE_KEYS = {
     "psi0": ("kind", "amplitude"),
-    "modulated_psi0": ("kind", "amplitude", "modulation", "eps", "shift",
-                       "c1", "c2"),
+    "modulated_psi0": ("kind", "amplitude", "modulation"),
     "gaussian_derivative": ("kind", "amplitude", "t0"),
     "constant": ("kind", "amplitude"),
 }
+MODULATION_KEYS = {"sin2log": ("eps", "shift"), "log_blocks": ("c1", "c2")}
 
 
 class ConfigError(ValueError):
@@ -70,7 +71,14 @@ class RunManifest:
         if not isinstance(pkind, str) or pkind not in PROFILE_KEYS:
             raise ConfigError(f"unknown profile kind {pkind!r}; choose one "
                               f"of {tuple(PROFILE_KEYS)}")
-        unknown = cls._unknown_keys(d, PROFILE_KEYS[pkind])
+        keys = PROFILE_KEYS[pkind]
+        if pkind == "modulated_psi0":
+            mod = prof.get("modulation", "sin2log")
+            if not isinstance(mod, str) or mod not in MODULATION_KEYS:
+                raise ConfigError(f"unknown modulation {mod!r}; choose one "
+                                  f"of {tuple(MODULATION_KEYS)}")
+            keys += MODULATION_KEYS[mod]
+        unknown = cls._unknown_keys(d, keys)
         if unknown:
             raise ConfigError("unknown manifest keys: "
                               + ", ".join(map(repr, unknown)))
@@ -106,6 +114,15 @@ class RunManifest:
         for name, tol in man.tolerances.items():
             if not tol > 0:
                 raise ConfigError(f"tolerance {name!r} must be positive")
+        # a zero, negative or NaN time, or no amplitude, gives a verdict
+        # that no computation earned
+        for name in ("horizon", "t0"):
+            if not 0.0 < getattr(man, name) < np.inf:
+                raise ConfigError(f"{name!r} must be finite and positive, "
+                                  f"got {getattr(man, name)}")
+        if not man.lambdas or not all(0.0 < x < np.inf for x in man.lambdas):
+            raise ConfigError(f"'lambdas' must be a non-empty list of finite "
+                              f"positive amplitudes, got {man.lambdas}")
         return man
 
     @staticmethod
@@ -196,10 +213,9 @@ def run_semigroup_checks(man, plan, out):
     spec, grid = man.spec, man.grid
     tol = man.tolerances.get("cross_method", 1e-3)
     report = {}
-    ones = Field(spec, grid, np.ones(grid.shape()))
-    report["sub_markov_max"] = apply_kernel(plan, 0.5, ones).values.max()
-    report["positivity_ok"] = bool(
-        apply_kernel(plan, 0.5, ones).values.min() >= -1e-12)
+    heated = apply_kernel(plan, 0.5, Field(spec, grid, np.ones(grid.shape())))
+    report["sub_markov_max"] = heated.values.max()
+    report["positivity_ok"] = bool(heated.values.min() >= -1e-12)
     sup_law = [t ** (spec.decay / 2.0) * linear_sup(plan, Psi0Profile(spec), t)
                for t in (0.25, 1.0, 4.0)]
     report["sup_law_values"] = sup_law

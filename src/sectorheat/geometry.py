@@ -95,8 +95,9 @@ class GridSpec:
     axes: tuple[str, ...]
 
     def __post_init__(self):
-        if self.L <= 0.0 or self.n < 4:
-            raise ValueError("need L > 0 and n >= 4")
+        if not 0.0 < self.L < np.inf or self.n < 4:
+            raise ValueError(f"grid needs a finite L > 0 and n >= 4, got "
+                             f"L={self.L}, n={self.n}")
         # a tuple keeps the grid hashable: spectral bases are cached by grid
         object.__setattr__(self, "axes", tuple(self.axes))
         for kind in self.axes:

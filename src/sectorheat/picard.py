@@ -16,15 +16,15 @@ with I(T) = int_0^T ||Psi||^alpha, which hold for M = 2K and T small.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Field, GridSpec, SectorSpec, field_from_profile
 from .profiles import Psi0Profile
-from .semigroup import (KernelPlan, alpha_time_integral, apply_kernel,
-                        check_profile_spec, psi_fast, psi_sup)
+from .semigroup import (KernelPlan, _check_psi_grid, _keep_matrices,
+                        _kernel_flow, alpha_time_integral, apply_kernel,
+                        check_profile_spec, psi_sup, psi_values)
 
 # the Duhamel part of condition (A) uses MARGIN of the gap M - K; the
 # iteration stops once an increment falls below TOL, or after MAX_ITER sweeps
@@ -123,17 +123,6 @@ def duhamel_weights(spec: SectorSpec, mesh: np.ndarray, i: int) -> np.ndarray:
     return s ** beta * (hi ** (1.0 - beta) - lo ** (1.0 - beta)) / (1.0 - beta)
 
 
-def _apply_or_identity(plan: KernelPlan, gap: float, f: Field) -> Field:
-    """Heat apply tolerant of zero/tiny gaps: below the grid-resolvable
-    scale the flow is within quadrature error of the identity."""
-    h = max(f.grid.axis_spacing(i) for i in range(f.grid.ndim))
-    if gap <= (0.75 * h) ** 2:
-        return f
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return apply_kernel(plan, gap, f)
-
-
 def _nonlinear_values(spec: SectorSpec, values: np.ndarray) -> np.ndarray:
     return np.abs(values) ** spec.alpha * values
 
@@ -155,13 +144,13 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
     mesh = graded_mesh(spec, T, J)
     config = PicardConfig(K=K, M=M, T=T, mesh=mesh)
 
-    psi_slices = [psi_fast(spec, s, grid).values for s in mesh]
-    # the kernel matrices of a solve depend on the grid and the mesh only:
-    # a new mesh (a new amplitude) releases the last one's, and data that
-    # share a mesh (log shifts of one profile) share them
-    if plan._mesh != mesh.tobytes():
-        plan._mats.clear()
-        plan._mesh = mesh.tobytes()
+    _check_psi_grid(grid, spec.m)
+    pts = grid.points()
+    psi_slices = [psi_values(spec, s, pts) for s in mesh]
+    gaps = mesh[:, None] - mesh[None, :]
+    # a new mesh (a new amplitude) releases the last one's kernel matrices;
+    # data that share a mesh (log shifts of one profile) share them
+    _keep_matrices(plan, np.concatenate([mesh, gaps.ravel()]))
     if isinstance(profile, Psi0Profile):
         # data A*psi0: e^{sD}(A psi0) = A Psi(s), so the linear part
         # is the closed form with no quadrature
@@ -170,6 +159,10 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
         data = field_from_profile(spec, grid, profile)
         lin = [apply_kernel(plan, s, data).values for s in mesh]
     weights = [duhamel_weights(spec, mesh, i) for i in range(J)]
+    # below the grid-resolvable scale the heat flow of a Duhamel term is
+    # within quadrature error of the identity
+    identity = (0.75 * max(grid.axis_spacing(i)
+                           for i in range(grid.ndim))) ** 2
 
     def xnorm(deltas):
         return max(float(np.max(np.abs(d) / p))
@@ -179,17 +172,21 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
     increments: list[float] = []
     ratios: list[float] = []
     converged = False
-    for _ in range(MAX_ITER):
-        nl = [Field(spec, grid, _nonlinear_values(spec, v)) for v in u]
+    for sweep in range(MAX_ITER):
+        nl = [_nonlinear_values(spec, v) for v in u]
         new = []
-        for i, s_i in enumerate(mesh):
+        for i in range(J):
             acc = lin[i].copy()
             w = weights[i]
             for j in range(i + 1):
-                g = _apply_or_identity(plan, s_i - mesh[j], nl[j])
-                acc = acc + spec.sign_a * w[j] * g.values
+                g = nl[j] if gaps[i, j] <= identity \
+                    else _kernel_flow(plan, gaps[i, j], nl[j])
+                acc = acc + spec.sign_a * w[j] * g
             new.append(acc)
         inc = xnorm([a - b for a, b in zip(new, u)])
+        if not np.isfinite(inc):
+            raise ValueError(f"Picard sweep {sweep + 1}: increment {inc} is "
+                             "not finite")
         if increments and increments[-1] > 0.0:
             r = inc / increments[-1]
             ratios.append(r)
@@ -204,9 +201,8 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
             break
 
     slices = [Field(spec, grid, v) for v in u]
-    xt = max(float(np.max(np.abs(v) / p)) for v, p in zip(u, psi_slices))
     return PicardRun(config=config, slices=slices, increments=increments,
-                     ratios=ratios, xt_norm=xt, converged=converged,
+                     ratios=ratios, xt_norm=xnorm(u), converged=converged,
                      psi_slices=psi_slices)
 
 

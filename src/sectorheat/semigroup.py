@@ -66,7 +66,6 @@ class KernelPlan:
     grid: GridSpec
     _rules: dict = field(default_factory=dict, repr=False)
     _mats: dict = field(default_factory=dict, repr=False)
-    _mesh: bytes | None = field(default=None, repr=False)
     _last_dt: float | None = field(default=None, repr=False)
     _propagator: tuple | None = field(default=None, repr=False)
 
@@ -108,44 +107,37 @@ def _positive_partition(plan: KernelPlan, t: float) -> np.ndarray:
     return np.concatenate([shells, body, ext])
 
 
-def _axis_rule(plan: KernelPlan, axis: int, t: float, analytic: bool):
-    """Per-axis quadrature nodes/weights.
-
-    Grid-only fields use the midpoint rule on the grid itself; analytic
-    (profile-backed) fields get the refined composite rule, which integrates
-    the profile over the whole line.  A profile is not periodic, so against
-    the periodised kernel that rule would count every image twice: profile
-    data on a periodic axis are refused.
+def _axis_rule(plan: KernelPlan, axis: int, t: float):
+    """Per-axis nodes/weights of the analytic rule, the refined composite
+    rule that integrates a profile-backed field over the whole line.  A
+    profile is not periodic, so against the periodised kernel this rule
+    would count every image twice: profile data on a periodic axis are
+    refused.
     """
     kind = plan.grid.axes[axis]
-    key = (axis, float(t), analytic)
+    key = (axis, float(t))
     rule = plan._rules.get(key)
     if rule is not None:
         return rule
-    if analytic and kind == AXIS_PERIODIC:
+    if kind == AXIS_PERIODIC:
         raise ValueError(
             f"analytic rule: axis {axis} is {kind!r}, but profile-backed data "
             f"live on the whole space: apply them on {AXIS_ANTISYM!r} or "
             f"{AXIS_SYM!r} axes, or sample them as a grid field")
-    if not analytic:
-        nodes = plan.grid.axis_nodes(axis)
-        weights = np.full(nodes.size, plan.grid.axis_spacing(axis))
-        rule = (nodes, weights)
-    else:
-        edges = _positive_partition(plan, t)
-        h = min(plan.grid.axis_spacing(i) for i in range(plan.grid.ndim))
-        w = min(h, np.sqrt(t), 0.5)
-        n_shells = int(np.searchsorted(edges, w * (1.0 + 1e-12)))
-        sing_nodes, sing_w = _gl_on_cells(edges[:n_shells + 1], GL_SINGULAR)
-        smooth_nodes, smooth_w = _gl_on_cells(edges[n_shells:], GL_SMOOTH)
-        # innermost dropped core [0, edges[0]] is below REFINE_TARGET by
-        # construction
-        pos = np.concatenate([sing_nodes, smooth_nodes])
-        wts = np.concatenate([sing_w, smooth_w])
-        if kind == AXIS_SYM:
-            pos = np.concatenate([-pos[::-1], pos])
-            wts = np.concatenate([wts[::-1], wts])
-        rule = (pos, wts)
+    edges = _positive_partition(plan, t)
+    h = min(plan.grid.axis_spacing(i) for i in range(plan.grid.ndim))
+    w = min(h, np.sqrt(t), 0.5)
+    n_shells = int(np.searchsorted(edges, w * (1.0 + 1e-12)))
+    sing_nodes, sing_w = _gl_on_cells(edges[:n_shells + 1], GL_SINGULAR)
+    smooth_nodes, smooth_w = _gl_on_cells(edges[n_shells:], GL_SMOOTH)
+    # innermost dropped core [0, edges[0]] is below REFINE_TARGET by
+    # construction
+    pos = np.concatenate([sing_nodes, smooth_nodes])
+    wts = np.concatenate([sing_w, smooth_w])
+    if kind == AXIS_SYM:
+        pos = np.concatenate([-pos[::-1], pos])
+        wts = np.concatenate([wts[::-1], wts])
+    rule = (pos, wts)
     plan._rules[key] = rule
     return rule
 
@@ -169,21 +161,27 @@ def _k1d(kind: str, x: np.ndarray, y: np.ndarray, t: float,
     return c * np.exp(-dx * dx / (4.0 * t))
 
 
-def _axis_matrix(plan: KernelPlan, axis: int, t: float, analytic: bool,
-                 out_nodes: np.ndarray) -> np.ndarray:
-    key = (axis, float(t), analytic, out_nodes.size,
-           float(out_nodes[0]), float(out_nodes[-1]))
-    mat = plan._mats.get(key)
-    if mat is not None:
-        return mat
-    y, w = _axis_rule(plan, axis, t, analytic)
-    mat = _k1d(plan.grid.axes[axis], out_nodes, y, t, plan.grid.L) * w[None, :]
-    plan._mats[key] = mat
-    return mat
+def _axis_matrix(plan: KernelPlan, axis: int, t: float,
+                 analytic: bool) -> np.ndarray:
+    key = (axis, float(t), analytic)
+    if key not in plan._mats:
+        grid = plan.grid
+        y, w = _axis_rule(plan, axis, t) if analytic \
+            else (grid.axis_nodes(axis), grid.axis_spacing(axis))
+        plan._mats[key] = _k1d(grid.axes[axis], grid.axis_nodes(axis), y, t,
+                               grid.L) * w
+    return plan._mats[key]
+
+
+def _keep_matrices(plan: KernelPlan, times) -> None:
+    """Release the plan's kernel matrices at times not in ``times``, so a
+    plan holds one Picard mesh's: its nodes and the gaps between them."""
+    keep = {float(t) for t in times}
+    plan._mats = {k: m for k, m in plan._mats.items() if k[1] in keep}
 
 
 def _quad_mesh(plan: KernelPlan, t: float) -> np.ndarray:
-    axes = [_axis_rule(plan, i, t, True)[0] for i in range(plan.grid.ndim)]
+    axes = [_axis_rule(plan, i, t)[0] for i in range(plan.grid.ndim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack(mesh, axis=-1)
 
@@ -208,20 +206,24 @@ def apply_kernel(plan: KernelPlan, t: float, f: Field) -> Field:
         raise ValueError("apply_kernel requires t > 0")
     if f.grid != plan.grid:
         raise ValueError("field and plan differ in grid")
-    analytic = f.profile is not None
-    if analytic:
-        F = f.profile(_quad_mesh(plan, t))
-    else:
-        F = f.values
+    if f.profile is None:
         h = max(f.grid.axis_spacing(i) for i in range(f.grid.ndim))
         if np.sqrt(4.0 * t) < 1.5 * h:
             warnings.warn(
                 f"apply_kernel: kernel width sqrt(4t)={np.sqrt(4 * t):.3g} "
                 f"under-resolved by grid spacing {h:.3g}", RuntimeWarning)
         _warn_tail_mass(plan, t, f)
-    mats = [_axis_matrix(plan, i, t, analytic, f.grid.axis_nodes(i))
-            for i in range(f.grid.ndim)]
+        return Field(f.spec, f.grid, _kernel_flow(plan, t, f.values))
+    F = f.profile(_quad_mesh(plan, t))
+    mats = [_axis_matrix(plan, i, t, True) for i in range(f.grid.ndim)]
     return Field(f.spec, f.grid, _contract(mats, F))
+
+
+def _kernel_flow(plan: KernelPlan, t: float,
+                 values: np.ndarray) -> np.ndarray:
+    """Array kernel of apply_kernel's grid rule, with none of its checks."""
+    return _contract([_axis_matrix(plan, i, t, False)
+                      for i in range(plan.grid.ndim)], values)
 
 
 def _warn_tail_mass(plan: KernelPlan, t: float, f: Field) -> None:
@@ -252,7 +254,7 @@ def heat_at_points(plan: KernelPlan, t: float, profile, pts,
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if F is None:
         F = profile(_quad_mesh(plan, t))
-    rules = [_axis_rule(plan, i, t, True) for i in range(plan.grid.ndim)]
+    rules = [_axis_rule(plan, i, t) for i in range(plan.grid.ndim)]
     out = np.empty(pts.shape[0])
     for k, x in enumerate(pts):
         rows = [_k1d(plan.grid.axes[i], x[i:i + 1], y, t, plan.grid.L) * w

@@ -75,9 +75,23 @@ def test_manifest_rejections():
             RunManifest.from_dict(_manifest_dict(profile=prof))
     with pytest.raises(ConfigError, match="unknown profile kind 'wat'"):
         RunManifest.from_dict(_manifest_dict(profile={"kind": "wat"}))
+    # a modulated_psi0 profile takes the keys of its modulation only
     RunManifest.from_dict(_manifest_dict(profile={
         "kind": "modulated_psi0", "amplitude": 1.0, "modulation": "sin2log",
-        "eps": 0.1, "shift": 0.0, "c1": 1.0, "c2": 2.0}))
+        "eps": 0.1, "shift": 0.0}))
+    RunManifest.from_dict(_manifest_dict(profile={
+        "kind": "modulated_psi0", "amplitude": 1.0,
+        "modulation": "log_blocks", "c1": 1.0, "c2": 2.0}))
+    for prof, key in (({"kind": "modulated_psi0", "modulation": "sin2log",
+                        "eps": 0.1, "c1": 5.0}, "c1"),
+                      ({"kind": "modulated_psi0", "c2": 9.0}, "c2"),
+                      ({"kind": "modulated_psi0", "modulation": "log_blocks",
+                        "c1": 1.0, "shift": 0.5}, "shift")):
+        with pytest.raises(ConfigError, match=f"'profile.{key}'"):
+            RunManifest.from_dict(_manifest_dict(profile=prof))
+    with pytest.raises(ConfigError, match="unknown modulation 'wat'"):
+        RunManifest.from_dict(_manifest_dict(profile={
+            "kind": "modulated_psi0", "modulation": "wat"}))
     RunManifest.from_dict(_manifest_dict(profile={
         "kind": "gaussian_derivative", "amplitude": 1.0, "t0": 0.5}))
     # one axis kind per dimension
@@ -86,6 +100,33 @@ def test_manifest_rejections():
             grid={"L": 10.0, "n": 64, "axes": ["antisym", "sym"]}))
     with pytest.raises(ConfigError):
         RunManifest.from_dict(["not", "an", "object"])
+
+
+@pytest.mark.parametrize("experiment, over, key", [
+    ("global_smallness", {"horizon": 0}, "horizon"),
+    ("tmax", {"horizon": -1.0}, "horizon"),
+    ("tmax", {"horizon": float("nan")}, "horizon"),
+    ("global_smallness", {"t0": 0.0}, "t0"),
+    ("global_smallness", {"t0": float("inf")}, "t0"),
+    ("sweep", {"lambdas": []}, "lambdas"),
+    ("sweep", {"lambdas": [-1.0]}, "lambdas"),
+    ("sweep", {"lambdas": [1.0, float("nan")]}, "lambdas"),
+    ("tmax", {"grid": {"L": float("nan"), "n": 64}}, "L="),
+    ("tmax", {"grid": {"L": float("inf"), "n": 64}}, "L="),
+])
+def test_manifest_refuses_values_that_earn_no_verdict(tmp_path, capsys,
+                                                      experiment, over, key):
+    # each of these ran to exit 0 (or crashed) with a verdict no step
+    # earned: a zero or negative horizon, no amplitude, a negative one
+    # whose complex lam^sigma the report cannot hold, an infinite box
+    spec = {"N": 1, "m": 1, "gamma": 0.5,
+            "alpha": 2.0 if experiment == "global_smallness" else 0.5}
+    d = _manifest_dict(experiment=experiment, spec=spec,
+                       output_dir=str(tmp_path / "out"), **over)
+    assert main([_write_manifest(tmp_path, d), "-q"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_profile_descriptors():

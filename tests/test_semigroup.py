@@ -150,7 +150,7 @@ def test_quadrature_weights_positive_kernel_nonnegative():
     grid = GridSpec.for_spec(spec, L=8.0, n=32)
     plan = KernelPlan(spec, grid)
     for axis in range(2):
-        y, w = _axis_rule(plan, axis, 0.7, True)
+        y, w = _axis_rule(plan, axis, 0.7)
         assert np.all(w > 0)
         K = _k1d(grid.axes[axis], np.abs(grid.axis_nodes(axis)), np.abs(y),
                  0.7, grid.L)

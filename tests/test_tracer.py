@@ -8,7 +8,8 @@ import os
 import numpy as np
 
 from sectorheat import AXIS_PERIODIC, Field, GridSpec, KernelPlan, SectorSpec
-from sectorheat import cli, evolve, geometry, lifespan, semigroup
+from sectorheat import cli, evolve, geometry, lifespan, picard, semigroup
+from sectorheat.profiles import Psi0Profile
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -41,6 +42,27 @@ def test_tracer_records_stepping_spans(monkeypatch):
     assert summary["geometry.Field.init"]["calls"] == 1
     assert (evolve.strang_step, evolve.nonlinear_substep,
             evolve.run_trajectory, geometry.Field.__init__) == originals
+
+
+def test_tracer_records_picard_on_arrays(monkeypatch, setup11):
+    # the Picard sweeps run the grid quadrature on plain arrays: no public
+    # kernel apply, no warning, and the returned slices are the only Fields
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracer
+
+    spec, grid, plan = setup11
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        run = picard.solve_picard(Psi0Profile(spec), plan)
+        summary = tr.summary()
+    finally:
+        tr.uninstall()
+    assert run.converged
+    assert summary["picard.solve_picard"]["work"] == len(run.increments)
+    assert "semigroup.apply_kernel.grid" not in summary
+    assert sum(tr.warnings.values()) == 0
+    assert summary["geometry.Field.init"]["calls"] == len(run.slices)
 
 
 def test_tracer_records_psi_spans(monkeypatch):
