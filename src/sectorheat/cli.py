@@ -112,8 +112,9 @@ class RunManifest:
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"malformed manifest: {e}") from e
         for name, tol in man.tolerances.items():
-            if not tol > 0:
-                raise ConfigError(f"tolerance {name!r} must be positive")
+            if not (isinstance(tol, (int, float)) and 0.0 < tol < np.inf):
+                raise ConfigError(f"tolerance {name!r} must be positive "
+                                  f"and finite, got {tol!r}")
         # a zero, negative or NaN time, or no amplitude, gives a verdict
         # that no computation earned
         for name in ("horizon", "t0"):

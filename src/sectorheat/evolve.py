@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Field, GridSpec, SectorSpec, field_from_profile
+from .geometry import Field, SectorSpec, field_from_profile
 from .semigroup import KernelPlan, _spectral_flow, check_profile_spec
 from .picard import solve_picard
 
@@ -103,19 +103,23 @@ def nonlinear_substep(spec: SectorSpec, v: np.ndarray, dt: float):
         raise ValueError("dt must be positive")
     a, alpha = spec.sign_a, spec.alpha
     absv = np.abs(v)
-    vmax = float(absv.max())
+    vmax = absv.max()
     if not np.isfinite(vmax):
         raise ValueError("field values must be finite")
     if a > 0 and vmax > 0.0:
-        remaining = 1.0 / (alpha * vmax ** alpha)
+        # float64 arithmetic, so |u|^alpha that overflows gives remaining
+        # 0 and one that underflows gives inf, not a Python float's
+        # OverflowError or ZeroDivisionError
+        with np.errstate(over="ignore", divide="ignore"):
+            remaining = float(1.0 / (alpha * vmax ** alpha))
         if dt >= remaining:
             node = np.unravel_index(int(np.argmax(absv)), absv.shape)
             return BlowupSignal(node=node, remaining=remaining)
-    out = np.zeros_like(v)
-    nz = absv > 0.0
-    out[nz] = np.sign(v[nz]) * (absv[nz] ** -alpha
-                                - a * alpha * dt) ** (-1.0 / alpha)
-    return out
+    # |u|^-alpha is inf at a zero node (and overflows at a tiny one); the
+    # flow maps inf back to 0, so neither needs a mask
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = absv ** -alpha
+    return np.sign(v) * (inv - a * alpha * dt) ** (-1.0 / alpha)
 
 
 def strang_step(plan: KernelPlan, v: np.ndarray, dt: float):
@@ -128,12 +132,13 @@ def strang_step(plan: KernelPlan, v: np.ndarray, dt: float):
     return nonlinear_substep(plan.spec, heated, 0.5 * dt)
 
 
-def _pick_dt(spec: SectorSpec, grid: GridSpec, sup: float,
+def _pick_dt(spec: SectorSpec, dt_cap: float, sup: float,
              c: EvolveControls) -> float:
+    """The step: ``fixed_dt`` if set, else the grid cap ``dt_cap`` (the
+    run's DT_SAFETY h^2) or the growth cap, whichever is smaller."""
     if c.fixed_dt is not None:
         return c.fixed_dt
-    h = min(grid.axis_spacing(i) for i in range(grid.ndim))
-    dt = DT_SAFETY * h * h
+    dt = dt_cap
     if sup > 0.0:
         dt = min(dt, DT_GROWTH_FRAC / (spec.alpha * sup ** spec.alpha))
     return dt
@@ -187,6 +192,8 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
     if f0.spec != spec or f0.grid != grid:
         raise ValueError("initial field and plan differ in spec or grid")
     justified = (spec.N - 2) * spec.alpha < 4.0
+    h = min(grid.axis_spacing(i) for i in range(grid.ndim))
+    dt_cap = DT_SAFETY * h * h
     v = f0.values
     sup = f0.sup_norm()
     times, sups, dts = [t0], [sup], [0.0]
@@ -201,7 +208,7 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
         if spec.sign_a > 0 and sup >= c.cap:
             t_max, uncertainty, residual = _typeI_fit(spec, times, sups)
             break
-        dt = min(_pick_dt(spec, grid, sup, c), c.horizon - t + 1e-15)
+        dt = min(_pick_dt(spec, dt_cap, sup, c), c.horizon - t + 1e-15)
         stepped = strang_step(plan, v, dt)
         if isinstance(stepped, BlowupSignal):
             # the exact sub-flow diverged inside the step

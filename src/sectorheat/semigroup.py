@@ -5,7 +5,11 @@ antisym (the sector's walls), sym or periodic.
       K_t(x,y) = (4 pi t)^{-N/2} prod_sym exp(-(x_j-y_j)^2/4t)
                  * prod_anti [exp(-(x_i-y_i)^2/4t) - exp(-(x_i+y_i)^2/4t)],
   periodised by images on periodic axes.  Grid fields take the grid as
-  the rule.  Profile-backed fields take geometric (dyadic-shell) radial
+  the rule; its axes are uniform, so the kernel depends on node offsets
+  only, and each axis matrix is filled from about 2n exponentials:
+  Toeplitz in i - j minus Hankel in i + j on antisym axes, Toeplitz on
+  sym axes, Toeplitz with the images summed per offset on periodic axes.
+  Profile-backed fields take geometric (dyadic-shell) radial
   refinement toward the origin, so singular data integrate accurately,
   and analytic continuation of the quadrature beyond the box; a profile
   is not periodic, so profile-backed fields on a periodic axis are
@@ -36,6 +40,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import dst, idst, fft, ifft
+from scipy.linalg import hankel, toeplitz
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import erfc, hyp1f1, poch
 from scipy.special import gamma as gamma_fn
@@ -142,23 +147,42 @@ def _axis_rule(plan: KernelPlan, axis: int, t: float):
     return rule
 
 
-def _k1d(kind: str, x: np.ndarray, y: np.ndarray, t: float,
-         L: float) -> np.ndarray:
-    """One-axis kernel factor matrix, shape (len(x), len(y))."""
+def _k1d(kind: str, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
+    """One-axis kernel factor matrix at arbitrary nodes, shape
+    (len(x), len(y)); antisym or sym axes only, as the analytic rule."""
     c = (4.0 * np.pi * t) ** -0.5
     dx = x[:, None] - y[None, :]
     if kind == AXIS_ANTISYM:
         sx = x[:, None] + y[None, :]
         return c * (np.exp(-dx * dx / (4.0 * t))
                     - np.exp(-sx * sx / (4.0 * t)))
-    if kind == AXIS_PERIODIC:
-        images = int(np.ceil(4.0 * np.sqrt(t) / (2.0 * L))) + 1
-        out = np.zeros_like(dx)
-        for k in range(-images, images + 1):
-            d = dx + 2.0 * L * k
-            out += np.exp(-d * d / (4.0 * t))
-        return c * out
     return c * np.exp(-dx * dx / (4.0 * t))
+
+
+def _grid_matrix(grid: GridSpec, axis: int, t: float) -> np.ndarray:
+    """Kernel matrix of the grid rule on one axis, weight h included.
+
+    The nodes are uniform, so with g(k) = exp(-(h k)^2 / 4t) the matrix
+    depends on integer offsets only: g(i - j) - g(i + j + 2) on an antisym
+    axis (nodes h, 2h, ..., nh), Toeplitz minus Hankel; g(i - j) on a sym
+    axis; and on a periodic axis g(i - j) summed over the images of the
+    period 2L.  About 2n exponentials fill the n x n matrix."""
+    kind = grid.axes[axis]
+    n = grid.n
+    h = grid.axis_spacing(axis)
+    c = h * (4.0 * np.pi * t) ** -0.5
+    d = h * np.arange(2 * n + 1 if kind == AXIS_ANTISYM else n, dtype=float)
+    if kind == AXIS_PERIODIC:
+        images = int(np.ceil(4.0 * np.sqrt(t) / (2.0 * grid.L))) + 1
+        return toeplitz(c * sum(np.exp(-(d + 2.0 * grid.L * k) ** 2
+                                       / (4.0 * t))
+                                for k in range(-images, images + 1)))
+    g = c * np.exp(-d * d / (4.0 * t))
+    if kind == AXIS_SYM:
+        return toeplitz(g)
+    out = toeplitz(g[:n])
+    out -= hankel(g[2:n + 2], g[n + 1:])
+    return out
 
 
 def _axis_matrix(plan: KernelPlan, axis: int, t: float,
@@ -166,10 +190,12 @@ def _axis_matrix(plan: KernelPlan, axis: int, t: float,
     key = (axis, float(t), analytic)
     if key not in plan._mats:
         grid = plan.grid
-        y, w = _axis_rule(plan, axis, t) if analytic \
-            else (grid.axis_nodes(axis), grid.axis_spacing(axis))
-        plan._mats[key] = _k1d(grid.axes[axis], grid.axis_nodes(axis), y, t,
-                               grid.L) * w
+        if analytic:
+            y, w = _axis_rule(plan, axis, t)
+            plan._mats[key] = _k1d(grid.axes[axis], grid.axis_nodes(axis),
+                                   y, t) * w
+        else:
+            plan._mats[key] = _grid_matrix(grid, axis, t)
     return plan._mats[key]
 
 
@@ -257,7 +283,7 @@ def heat_at_points(plan: KernelPlan, t: float, profile, pts,
     rules = [_axis_rule(plan, i, t) for i in range(plan.grid.ndim)]
     out = np.empty(pts.shape[0])
     for k, x in enumerate(pts):
-        rows = [_k1d(plan.grid.axes[i], x[i:i + 1], y, t, plan.grid.L) * w
+        rows = [_k1d(plan.grid.axes[i], x[i:i + 1], y, t) * w
                 for i, (y, w) in enumerate(rules)]
         out[k] = _contract(rows, F).item()
     return out

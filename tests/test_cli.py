@@ -44,9 +44,13 @@ def test_manifest_rejections():
             spec={"N": 1, "m": 1, "gamma": 0.5, "alpha": "-"}))
     with pytest.raises(ConfigError):
         RunManifest.from_dict(_manifest_dict(tolerances={"x": 0.0}))
-    with pytest.raises(ConfigError, match="'cross_method' must be positive"):
-        RunManifest.from_dict(_manifest_dict(
-            tolerances={"cross_method": 0.0}))
+    # a tolerance must be a finite positive number: an infinite one passes
+    # its gate whatever the disagreement
+    for bad in (0.0, float("inf"), float("nan"), "1e-3"):
+        with pytest.raises(ConfigError,
+                           match="'cross_method' must be positive"):
+            RunManifest.from_dict(_manifest_dict(
+                tolerances={"cross_method": bad}))
     # a tolerance no experiment reads is refused, each name given
     with pytest.raises(ConfigError) as info:
         RunManifest.from_dict(_manifest_dict(
@@ -113,6 +117,8 @@ def test_manifest_rejections():
     ("sweep", {"lambdas": [1.0, float("nan")]}, "lambdas"),
     ("tmax", {"grid": {"L": float("nan"), "n": 64}}, "L="),
     ("tmax", {"grid": {"L": float("inf"), "n": 64}}, "L="),
+    ("semigroup_checks", {"tolerances": {"cross_method": float("inf")}},
+     "'cross_method'"),
 ])
 def test_manifest_refuses_values_that_earn_no_verdict(tmp_path, capsys,
                                                       experiment, over, key):

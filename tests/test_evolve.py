@@ -75,6 +75,53 @@ def test_reaction_subflow_composes(sign_a, alpha, total, share, seed):
         assert np.allclose(twice, once, rtol=1e-12, atol=0)
 
 
+def _masked_reaction(spec, v, dt):
+    # reference: the reaction flow with zeros masked out, so that only the
+    # nonzero nodes take the closed form
+    a, alpha = spec.sign_a, spec.alpha
+    absv = np.abs(v)
+    out = np.zeros_like(v)
+    nz = absv > 0.0
+    with np.errstate(over="ignore"):
+        out[nz] = np.sign(v[nz]) * (absv[nz] ** -alpha
+                                    - a * alpha * dt) ** (-1.0 / alpha)
+    return out
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([1, -1]), st.floats(0.2, 4.0),
+       st.lists(st.one_of(st.just(0.0), st.floats(-300.0, 300.0)),
+                min_size=1, max_size=40),
+       st.integers(0, 2 ** 32 - 1))
+def test_nonlinear_substep_at_extremes(sign_a, alpha, exponents, seed):
+    # moduli 10^(-300..300) of both signs, and zeros: the unmasked flow
+    # equals the masked one bit for bit, keeps zeros at exactly 0, stays
+    # finite and warns of nothing (the RuntimeWarning filter is an error).
+    # For a = +1 a finite step is a fraction of the largest node's blow-up
+    # time; that time is 0 where |u|^alpha overflows (then the flow must
+    # signal blow-up) and inf where it underflows
+    spec = SectorSpec(1, 0, 0.5, alpha, sign_a)
+    rng = np.random.default_rng(seed)
+    v = np.array([0.0 if e == 0.0 else 10.0 ** e for e in exponents])
+    v *= rng.choice([-1.0, 1.0], size=v.size)
+    vmax = np.max(np.abs(v))
+    dt = 0.5
+    if sign_a > 0 and vmax > 0.0:
+        with np.errstate(over="ignore", divide="ignore"):
+            remaining = 1.0 / (alpha * vmax ** alpha)
+        if remaining == 0.0:
+            sig = nonlinear_substep(spec, v, 1e-300)
+            assert isinstance(sig, BlowupSignal) and sig.remaining == 0.0
+            return
+        if np.isfinite(remaining):
+            dt = float(rng.uniform(0.01, 0.99) * remaining)
+    out = nonlinear_substep(spec, v, dt)
+    assert not isinstance(out, BlowupSignal)
+    assert np.all(np.isfinite(out))
+    assert np.all(out[v == 0.0] == 0.0)
+    assert np.array_equal(out, _masked_reaction(spec, v, dt))
+
+
 def test_nonlinear_substep_refuses_nan():
     spec = SectorSpec(1, 0, 0.5, 1.0, sign_a=-1)
     v = np.array([0.5, np.nan, 1.0])

@@ -15,7 +15,8 @@ from sectorheat.profiles import (ConstantProfile, CustomProfile,
                                  GaussianDerivativeProfile,
                                  Psi0Profile, eval_gaussian_derivative,
                                  eval_psi0)
-from sectorheat.semigroup import E, _axis_rule, _k1d, heat_at_points
+from sectorheat.semigroup import (E, _axis_rule, _grid_matrix, _k1d,
+                                  heat_at_points)
 
 
 def test_gaussian_semigroup_m0():
@@ -139,10 +140,34 @@ def test_kernel_symmetry():
     spec = SectorSpec(1, 1, 0.5, 1.0)
     grid = GridSpec.for_spec(spec, L=10.0, n=64)
     x = grid.axis_nodes(0)
-    K = _k1d("antisym", x, x, 0.3, grid.L)
+    K = _k1d("antisym", x, x, 0.3)
     assert np.max(np.abs(K - K.T)) < 1e-12
-    G = _k1d("sym", x, x, 0.3, grid.L)
+    G = _k1d("sym", x, x, 0.3)
     assert np.max(np.abs(G - G.T)) < 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from((AXIS_ANTISYM, AXIS_SYM, AXIS_PERIODIC)),
+       st.integers(16, 512), st.floats(1.0, 15.0), st.floats(1e-5, 10.0))
+def test_grid_matrix_matches_the_pairwise_kernel(kind, n, L, t):
+    # the offset-built matrix equals the kernel evaluated at every node
+    # pair (2n^2 exponentials, images of the period 2L summed on a
+    # periodic axis), times the weight h, and is symmetric
+    grid = GridSpec(L=L, n=n, axes=(kind,))
+    x = grid.axis_nodes(0)
+    dx = x[:, None] - x[None, :]
+    ref = np.exp(-dx * dx / (4.0 * t))
+    if kind == AXIS_ANTISYM:
+        sx = x[:, None] + x[None, :]
+        ref -= np.exp(-sx * sx / (4.0 * t))
+    if kind == AXIS_PERIODIC:
+        images = int(np.ceil(4.0 * np.sqrt(t) / (2.0 * L))) + 1
+        ref = sum(np.exp(-(dx + 2.0 * L * k) ** 2 / (4.0 * t))
+                  for k in range(-images, images + 1))
+    ref *= grid.axis_spacing(0) / np.sqrt(4.0 * np.pi * t)
+    K = _grid_matrix(grid, 0, t)
+    assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(K, K.T)
 
 
 def test_quadrature_weights_positive_kernel_nonnegative():
@@ -153,7 +178,7 @@ def test_quadrature_weights_positive_kernel_nonnegative():
         y, w = _axis_rule(plan, axis, 0.7)
         assert np.all(w > 0)
         K = _k1d(grid.axes[axis], np.abs(grid.axis_nodes(axis)), np.abs(y),
-                 0.7, grid.L)
+                 0.7)
         assert K.min() >= 0.0
 
 
