@@ -2,8 +2,7 @@
 u_t = Lap u + a|u|^alpha u with anti-symmetric singular initial data."""
 
 from .geometry import (AXIS_ANTISYM, AXIS_PERIODIC, AXIS_SYM, Field,
-                       GridSpec, SectorSpec, field_from_profile, load_field,
-                       save_field)
+                       GridSpec, SectorSpec, field_from_profile)
 from .profiles import (ConstantProfile, CustomProfile,
                        GaussianDerivativeProfile, LogBlockModulation,
                        ModulatedProfile, Psi0Profile, SinSquaredLog,

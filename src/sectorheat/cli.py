@@ -31,8 +31,6 @@ EXIT_CONFIG = 2
 EXIT_GATE = 3
 EXIT_INCONCLUSIVE = 4
 
-EXPERIMENTS = ("semigroup_checks", "picard", "tmax", "sweep", "dilation",
-               "criteria", "two_limit", "global_smallness", "cache_build")
 # the tolerances a manifest may set, each read by one experiment
 TOLERANCES = ("cross_method",)
 # the keys a manifest's "profile" may carry, by profile kind, and those a
@@ -99,14 +97,14 @@ class RunManifest:
                                 tuple(g["axes"]))
             else:
                 grid = GridSpec.for_spec(spec, float(g["L"]), int(g["n"]))
-            man = cls(experiment=kind, spec=spec, grid=grid,
-                      profile=dict(d.get("profile", {"kind": "psi0"})),
-                      lambdas=[float(x) for x in
-                               d.get("lambdas", [0.5, 1.0, 2.0])],
-                      horizon=float(d.get("horizon", 50.0)),
-                      t0=float(d.get("t0", 0.1)),
-                      tolerances=dict(d.get("tolerances", {})),
-                      output_dir=str(d.get("output_dir", ".")))
+            # absent keys keep the field defaults
+            man = cls(experiment=kind, spec=spec, grid=grid)
+            man.profile = dict(d.get("profile", man.profile))
+            man.lambdas = [float(x) for x in d.get("lambdas", man.lambdas)]
+            man.horizon = float(d.get("horizon", man.horizon))
+            man.t0 = float(d.get("t0", man.t0))
+            man.tolerances = dict(d.get("tolerances", man.tolerances))
+            man.output_dir = str(d.get("output_dir", man.output_dir))
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as e:
@@ -351,6 +349,7 @@ _RUNNERS = {
     "global_smallness": run_global_smallness,
     "cache_build": run_cache_build,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(man: RunManifest, cache_dir: str | None = None,

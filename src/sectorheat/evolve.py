@@ -235,7 +235,7 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
         times=np.array(times), sups=np.array(sups), dts=np.array(dts),
         status=status, t_max=t_max, uncertainty=uncertainty,
         fit_residual=residual, extrapolation_justified=justified,
-        handoff_time=t0, bound_violation=violation)
+        bound_violation=violation)
     if not justified and status == STATUS_BLEWUP:
         rec.notes["extrapolation_unjustified"] = True
     last = None if v is None else Field(spec, grid, v)

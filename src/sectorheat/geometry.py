@@ -1,5 +1,5 @@
 """Sector geometry: parameter specs, tensor grids, fields on them, and the
-checksummed on-disk container for fields and Psi caches.
+checksummed on-disk container of exported Psi caches.
 
 The working domain is the sector {x_1 > 0, ..., x_m > 0} of R^N, truncated
 to a box of half-width L.  Each grid axis is one of three kinds: antisym
@@ -252,12 +252,3 @@ def _read_container(path: str, extra: tuple[str, ...] = ()):
         raise ValueError(f"{path}: payload holds non-finite values")
     return spec, grid, values.copy(), extras
 
-
-def save_field(f: Field, path: str) -> None:
-    """Write a field as an SHC1 container."""
-    _write_container(path, f.spec, f.grid, f.values)
-
-
-def load_field(path: str) -> Field:
-    spec, grid, values, _ = _read_container(path)
-    return Field(spec, grid, values)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .geometry import Field, GridSpec, SectorSpec, field_from_profile
 from .profiles import Psi0Profile
-from .semigroup import (KernelPlan, _check_psi_grid, _keep_matrices,
-                        _kernel_flow, alpha_time_integral, apply_kernel,
+from .semigroup import (KernelPlan, _check_psi_grid, _contract,
+                        _grid_matrix, alpha_time_integral, apply_kernel,
                         check_profile_spec, psi_sup, psi_values)
 
 # the Duhamel part of condition (A) uses MARGIN of the gap M - K; the
@@ -148,9 +148,6 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
     pts = grid.points()
     psi_slices = [psi_values(spec, s, pts) for s in mesh]
     gaps = mesh[:, None] - mesh[None, :]
-    # a new mesh (a new amplitude) releases the last one's kernel matrices;
-    # data that share a mesh (log shifts of one profile) share them
-    _keep_matrices(plan, np.concatenate([mesh, gaps.ravel()]))
     if isinstance(profile, Psi0Profile):
         # data A*psi0: e^{sD}(A psi0) = A Psi(s), so the linear part
         # is the closed form with no quadrature
@@ -163,6 +160,10 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
     # within quadrature error of the identity
     identity = (0.75 * max(grid.axis_spacing(i)
                            for i in range(grid.ndim))) ** 2
+    # every sweep flows by the same gaps: build their per-axis kernel
+    # matrices once, and drop them with the solve
+    flows = {g: [_grid_matrix(grid, i, g) for i in range(grid.ndim)]
+             for g in np.unique(gaps[gaps > identity])}
 
     def xnorm(deltas):
         return max(float(np.max(np.abs(d) / p))
@@ -180,7 +181,7 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
             w = weights[i]
             for j in range(i + 1):
                 g = nl[j] if gaps[i, j] <= identity \
-                    else _kernel_flow(plan, gaps[i, j], nl[j])
+                    else _contract(flows[gaps[i, j]], nl[j])
                 acc = acc + spec.sign_a * w[j] * g
             new.append(acc)
         inc = xnorm([a - b for a, b in zip(new, u)])

@@ -72,8 +72,6 @@ def eval_gaussian_derivative(spec: SectorSpec, t: float, pts) -> np.ndarray:
 # profile objects (callables with metadata), usable as Field profile handles
 
 class Psi0Profile:
-    kind = "psi0"
-
     def __init__(self, spec: SectorSpec, amplitude: float = 1.0):
         self.spec = spec
         self.amplitude = amplitude
@@ -151,8 +149,6 @@ class LogBlockModulation:
 
 
 class ModulatedProfile:
-    kind = "modulated_psi0"
-
     def __init__(self, spec: SectorSpec, g, amplitude: float = 1.0):
         self.spec = spec
         self.g = g
@@ -189,8 +185,6 @@ class ModulatedProfile:
 
 
 class GaussianDerivativeProfile:
-    kind = "gaussian_derivative"
-
     def __init__(self, spec: SectorSpec, t0: float, amplitude: float = 1.0):
         if t0 <= 0.0:
             raise ValueError("t0 must be positive")
@@ -219,8 +213,6 @@ class GaussianDerivativeProfile:
 
 
 class ConstantProfile:
-    kind = "constant"
-
     def __init__(self, spec: SectorSpec, value: float = 1.0):
         self.spec = spec
         self.value = value
@@ -235,8 +227,6 @@ class ConstantProfile:
 
 
 class CustomProfile:
-    kind = "custom"
-
     def __init__(self, spec: SectorSpec, fn, tail_degree: float | None = None,
                  amplitude: float = 1.0):
         self.spec = spec

@@ -9,6 +9,8 @@ antisym (the sector's walls), sym or periodic.
   only, and each axis matrix is filled from about 2n exponentials:
   Toeplitz in i - j minus Hankel in i + j on antisym axes, Toeplitz on
   sym axes, Toeplitz with the images summed per offset on periodic axes.
+  Each call builds its matrices and keeps none; a Picard solve builds
+  those of its Duhamel gaps once and holds them for its sweeps only.
   Profile-backed fields take geometric (dyadic-shell) radial
   refinement toward the origin, so singular data integrate accurately,
   and analytic continuation of the quadrature beyond the box; a profile
@@ -65,12 +67,12 @@ TAIL_TOL = 1e-8
 @dataclass
 class KernelPlan:
     """Quadrature/transform plan bound to one sector spec and grid, with
-    its caches of rules, kernel matrices and spectral propagators."""
+    its caches of analytic rules and spectral propagators.  Kernel
+    matrices are built per call and not kept."""
 
     spec: SectorSpec
     grid: GridSpec
     _rules: dict = field(default_factory=dict, repr=False)
-    _mats: dict = field(default_factory=dict, repr=False)
     _last_dt: float | None = field(default=None, repr=False)
     _propagator: tuple | None = field(default=None, repr=False)
 
@@ -149,14 +151,20 @@ def _axis_rule(plan: KernelPlan, axis: int, t: float):
 
 def _k1d(kind: str, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
     """One-axis kernel factor matrix at arbitrary nodes, shape
-    (len(x), len(y)); antisym or sym axes only, as the analytic rule."""
-    c = (4.0 * np.pi * t) ** -0.5
-    dx = x[:, None] - y[None, :]
+    (len(x), len(y)); antisym or sym axes only, as the analytic rule.
+    Evaluated in place, so a build holds at most two such matrices."""
+    def gauss(d):
+        # exp(-d^2 / 4t), overwriting d
+        np.multiply(d, d, out=d)
+        np.negative(d, out=d)
+        np.divide(d, 4.0 * t, out=d)
+        return np.exp(d, out=d)
+
+    out = gauss(x[:, None] - y[None, :])
     if kind == AXIS_ANTISYM:
-        sx = x[:, None] + y[None, :]
-        return c * (np.exp(-dx * dx / (4.0 * t))
-                    - np.exp(-sx * sx / (4.0 * t)))
-    return c * np.exp(-dx * dx / (4.0 * t))
+        out -= gauss(x[:, None] + y[None, :])
+    out *= (4.0 * np.pi * t) ** -0.5
+    return out
 
 
 def _grid_matrix(grid: GridSpec, axis: int, t: float) -> np.ndarray:
@@ -185,25 +193,16 @@ def _grid_matrix(grid: GridSpec, axis: int, t: float) -> np.ndarray:
     return out
 
 
-def _axis_matrix(plan: KernelPlan, axis: int, t: float,
-                 analytic: bool) -> np.ndarray:
-    key = (axis, float(t), analytic)
-    if key not in plan._mats:
-        grid = plan.grid
-        if analytic:
-            y, w = _axis_rule(plan, axis, t)
-            plan._mats[key] = _k1d(grid.axes[axis], grid.axis_nodes(axis),
-                                   y, t) * w
-        else:
-            plan._mats[key] = _grid_matrix(grid, axis, t)
-    return plan._mats[key]
-
-
-def _keep_matrices(plan: KernelPlan, times) -> None:
-    """Release the plan's kernel matrices at times not in ``times``, so a
-    plan holds one Picard mesh's: its nodes and the gaps between them."""
-    keep = {float(t) for t in times}
-    plan._mats = {k: m for k, m in plan._mats.items() if k[1] in keep}
+def _analytic_rows(plan: KernelPlan, t: float, nodes) -> list[np.ndarray]:
+    """Per-axis kernel matrices of the analytic rule, weights included,
+    from the points nodes[i] of axis i to that axis's rule nodes."""
+    rows = []
+    for i, x in enumerate(nodes):
+        y, w = _axis_rule(plan, i, t)
+        row = _k1d(plan.grid.axes[i], x, y, t)
+        row *= w
+        rows.append(row)
+    return rows
 
 
 def _quad_mesh(plan: KernelPlan, t: float) -> np.ndarray:
@@ -239,17 +238,12 @@ def apply_kernel(plan: KernelPlan, t: float, f: Field) -> Field:
                 f"apply_kernel: kernel width sqrt(4t)={np.sqrt(4 * t):.3g} "
                 f"under-resolved by grid spacing {h:.3g}", RuntimeWarning)
         _warn_tail_mass(plan, t, f)
-        return Field(f.spec, f.grid, _kernel_flow(plan, t, f.values))
+        mats = [_grid_matrix(f.grid, i, t) for i in range(f.grid.ndim)]
+        return Field(f.spec, f.grid, _contract(mats, f.values))
     F = f.profile(_quad_mesh(plan, t))
-    mats = [_axis_matrix(plan, i, t, True) for i in range(f.grid.ndim)]
+    mats = _analytic_rows(plan, t, [f.grid.axis_nodes(i)
+                                    for i in range(f.grid.ndim)])
     return Field(f.spec, f.grid, _contract(mats, F))
-
-
-def _kernel_flow(plan: KernelPlan, t: float,
-                 values: np.ndarray) -> np.ndarray:
-    """Array kernel of apply_kernel's grid rule, with none of its checks."""
-    return _contract([_axis_matrix(plan, i, t, False)
-                      for i in range(plan.grid.ndim)], values)
 
 
 def _warn_tail_mass(plan: KernelPlan, t: float, f: Field) -> None:
@@ -280,13 +274,8 @@ def heat_at_points(plan: KernelPlan, t: float, profile, pts,
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if F is None:
         F = profile(_quad_mesh(plan, t))
-    rules = [_axis_rule(plan, i, t) for i in range(plan.grid.ndim)]
-    out = np.empty(pts.shape[0])
-    for k, x in enumerate(pts):
-        rows = [_k1d(plan.grid.axes[i], x[i:i + 1], y, t) * w
-                for i, (y, w) in enumerate(rules)]
-        out[k] = _contract(rows, F).item()
-    return out
+    return np.array([_contract(_analytic_rows(plan, t, x[:, None]), F).item()
+                     for x in pts])
 
 
 # ---------------------------------------------------------------------------

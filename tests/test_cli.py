@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sectorheat
 from sectorheat.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK,
                             ConfigError, RunManifest, cache_path, main,
                             profile_from_descriptor)
@@ -32,6 +35,10 @@ def test_manifest_roundtrip():
     assert again == man
     assert man.spec == SectorSpec(1, 1, 0.5, 0.5)
     assert man.grid.axes == ("antisym",)
+    # a manifest that names only the required keys gets the field defaults
+    minimal = RunManifest.from_dict(_manifest_dict())
+    assert minimal == RunManifest(minimal.experiment, minimal.spec,
+                                  minimal.grid)
 
 
 def test_manifest_rejections():
@@ -175,6 +182,21 @@ def test_main_bad_manifest(tmp_path, capsys):
     wrong = _write_manifest(tmp_path, _manifest_dict(experiment="nope"))
     assert main([wrong, "-q"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # the interpreter's exit status is main()'s return value: a tiny
+    # cache_build exits 0, a manifest with an unknown key exits 2
+    src = os.path.dirname(os.path.dirname(sectorheat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = str(tmp_path / "out")
+    for over, code in (({}, EXIT_OK), ({"horizn": 0.5}, EXIT_CONFIG)):
+        d = _manifest_dict(grid={"L": 4.0, "n": 16}, output_dir=out, **over)
+        done = subprocess.run(
+            [sys.executable, "-m", "sectorheat.cli",
+             _write_manifest(tmp_path, d), "-q", "--cache-dir", out],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr
 
 
 def test_main_semigroup_checks(tmp_path):

@@ -1,6 +1,5 @@
-"""The SHC1 container behind save_field/load_field and save_cache/load_cache:
-its byte layout, round trips, and a clean ValueError naming the file for
-every malformed input."""
+"""The SHC1 container behind save_cache/load_cache: its byte layout, round
+trips, and a clean ValueError naming the file for every malformed input."""
 
 import hashlib
 import json
@@ -11,20 +10,15 @@ import tempfile
 import numpy as np
 import pytest
 
-from sectorheat import (Field, GridSpec, PsiCache, SectorSpec, load_cache,
-                        load_field, save_cache, save_field)
+from sectorheat import GridSpec, PsiCache, SectorSpec, load_cache, save_cache
 from sectorheat.geometry import _write_container
 
 
-def _small_field() -> Field:
+def _small_cache() -> PsiCache:
     spec = SectorSpec(1, 1, 0.5, 0.5)
     grid = GridSpec.for_spec(spec, L=4.0, n=4)
-    return Field(spec, grid, np.array([0.25, -1.5, 3.0, 1e-300]))
-
-
-def _small_cache() -> PsiCache:
-    f = _small_field()
-    return PsiCache(spec=f.spec, grid=f.grid, values=np.abs(f.values) + 1.0,
+    return PsiCache(spec=spec, grid=grid,
+                    values=np.array([0.25, -1.5, 3.0, 1e-300]),
                     C_inf=1.2345678901234567)
 
 
@@ -39,14 +33,14 @@ def _written(spec, grid, values) -> bytes:
     """The bytes _write_container writes, which hold a valid digest."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "written.shc")
-        _write_container(path, spec, grid, values)
+        _write_container(path, spec, grid, values, C_inf=1.0)
         with open(path, "rb") as fh:
             return fh.read()
 
 
 def _header(**over) -> bytes:
     meta = {"N": 1, "m": 1, "gamma": 0.5, "alpha": 0.5, "sign_a": 1,
-            "L": 4.0, "n": 4, "axes": ["antisym"]}
+            "L": 4.0, "n": 4, "axes": ["antisym"], "C_inf": 1.0}
     meta.update(over)
     return json.dumps({k: v for k, v in meta.items() if v is not None},
                       sort_keys=True).encode()
@@ -64,10 +58,6 @@ def test_cache_layout_is_fixed(tmp_path):
     path = tmp_path / "psi.shc"
     save_cache(cache, str(path))
     assert path.read_bytes() == expected
-    # a field header is the cache header without C_inf
-    fpath = tmp_path / "field.shc"
-    save_field(_small_field(), str(fpath))
-    assert fpath.read_bytes()[8:].startswith(_header())
 
 
 def _payload(count: int, value: float = 1.0) -> bytes:
@@ -75,92 +65,79 @@ def _payload(count: int, value: float = 1.0) -> bytes:
 
 
 _MALFORMED = {
-    "truncated field": (load_field, lambda raw: raw[:-8], "checksum"),
+    "truncated cache": (lambda raw: raw[:-8], "checksum"),
     "negative header length": (
-        load_field, lambda raw: raw[:4] + struct.pack("<i", -5) + raw[8:],
+        lambda raw: raw[:4] + struct.pack("<i", -5) + raw[8:],
         "header length -5"),
-    "5-byte cache": (load_cache, lambda raw: raw[:5], "truncated"),
-    "non-UTF-8 bytes": (load_field, lambda raw: b"\xff\xfe\x00\x80" * 20,
-                        "bad magic"),
+    "5-byte cache": (lambda raw: raw[:5], "truncated"),
+    "non-UTF-8 bytes": (lambda raw: b"\xff\xfe\x00\x80" * 20, "bad magic"),
     "header not an object": (
-        load_field, lambda raw: _container(b"[1, 2]", _payload(4)),
-        "not a JSON object"),
-    "header not JSON": (
-        load_field, lambda raw: _container(b"\xff{", _payload(4)),
-        "bad header"),
-    "missing key": (load_field,
-                    lambda raw: _container(_header(axes=None), _payload(4)),
+        lambda raw: _container(b"[1, 2]", _payload(4)), "not a JSON object"),
+    "header not JSON": (lambda raw: _container(b"\xff{", _payload(4)),
+                        "bad header"),
+    "missing key": (lambda raw: _container(_header(axes=None), _payload(4)),
                     "lacks key 'axes'"),
-    "invalid spec": (load_field,
-                     lambda raw: _container(_header(gamma=7.0), _payload(4)),
+    "invalid spec": (lambda raw: _container(_header(gamma=7.0), _payload(4)),
                      "gamma must lie"),
     "axes length differs from N": (
-        load_field,
         lambda raw: _written(SectorSpec(1, 1, 0.5, 0.5),
                              GridSpec(4.0, 4, ("antisym", "sym")),
                              np.ones((4, 4))),
         "has 2 entries, but N=1"),
-    "wrong key type": (load_field,
-                       lambda raw: _container(_header(N="1"), _payload(4)),
+    "wrong key type": (lambda raw: _container(_header(N="1"), _payload(4)),
                        "bad header"),
-    "field given to load_cache": (load_cache, lambda raw: raw,
-                                  "lacks key 'C_inf'"),
-    "payload too short": (load_field,
-                          lambda raw: _container(_header(), _payload(3)),
+    "missing C_inf": (
+        lambda raw: _container(_header(C_inf=None), _payload(4)),
+        "lacks key 'C_inf'"),
+    "payload too short": (lambda raw: _container(_header(), _payload(3)),
                           "payload of 24 bytes"),
-    "absurd node count": (load_field,
-                          lambda raw: _container(_header(n=10 ** 15),
-                                                 _payload(4)),
-                          "payload of 32 bytes"),
+    "absurd node count": (
+        lambda raw: _container(_header(n=10 ** 15), _payload(4)),
+        "payload of 32 bytes"),
     "non-finite payload": (
-        load_field, lambda raw: _container(_header(), _payload(4, np.nan)),
-        "non-finite"),
+        lambda raw: _container(_header(), _payload(4, np.nan)), "non-finite"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_file_raises_value_error(tmp_path, case):
-    loader, mutate, what = _MALFORMED[case]
+    mutate, what = _MALFORMED[case]
     src = tmp_path / "good.shc"
-    save_field(_small_field(), str(src))
+    save_cache(_small_cache(), str(src))
     path = tmp_path / "bad.shc"
     path.write_bytes(mutate(src.read_bytes()))
     with pytest.raises(ValueError) as info:
-        loader(str(path))
+        load_cache(str(path))
     assert info.type is ValueError
     assert str(path) in str(info.value)
     assert what in str(info.value)
 
 
-def _assert_rejected(loader, path, data: bytes) -> None:
+def _assert_rejected(path, data: bytes) -> None:
     path.write_bytes(data)
     with pytest.raises(ValueError) as info:
-        loader(str(path))
+        load_cache(str(path))
     # not a subclass such as UnicodeDecodeError or JSONDecodeError
     assert info.type is ValueError
     assert str(path) in str(info.value)
 
 
-@pytest.mark.parametrize("kind", ["field", "cache"])
-def test_every_prefix_and_bit_flip_is_rejected(tmp_path, kind):
+def test_every_prefix_and_bit_flip_is_rejected(tmp_path):
     # the intact file round-trips exactly; every proper prefix and every
     # single-bit or whole-byte flip of it is refused
-    if kind == "field":
-        want, save, loader = _small_field(), save_field, load_field
-    else:
-        want, save, loader = _small_cache(), save_cache, load_cache
+    want = _small_cache()
     good = tmp_path / "good.shc"
-    save(want, str(good))
-    loaded = loader(str(good))
+    save_cache(want, str(good))
+    loaded = load_cache(str(good))
     assert loaded.spec == want.spec and loaded.grid == want.grid
     assert np.array_equal(loaded.values, want.values)
-    assert getattr(loaded, "C_inf", None) == getattr(want, "C_inf", None)
+    assert loaded.C_inf == want.C_inf
     raw = good.read_bytes()
     bad = tmp_path / "bad.shc"
     for k in range(len(raw)):
-        _assert_rejected(loader, bad, raw[:k])
+        _assert_rejected(bad, raw[:k])
     for i in range(len(raw)):
         for mask in (1, 2, 4, 8, 16, 32, 64, 128, 255):
             flipped = bytearray(raw)
             flipped[i] ^= mask
-            _assert_rejected(loader, bad, bytes(flipped))
+            _assert_rejected(bad, bytes(flipped))

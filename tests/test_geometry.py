@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sectorheat import (AXIS_PERIODIC, AXIS_SYM, Field, GridSpec, SectorSpec,
-                        load_field, save_field)
+from sectorheat import (AXIS_PERIODIC, AXIS_SYM, Field, GridSpec, PsiCache,
+                        SectorSpec, load_cache, save_cache)
 
 
 def test_spec_validation():
@@ -56,7 +56,9 @@ def test_field_validation_and_flags():
     assert not g.is_nonnegative()
 
 
-def test_field_serialization_roundtrip(tmp_path):
+def test_cache_serialization_roundtrip(tmp_path):
+    # the container keeps any spec, grid and values exactly, not only
+    # those build_psi_cache makes
     rng = np.random.default_rng(3)
     for spec, axes in [(SectorSpec(2, 1, 1.0, 0.75, -1), None),
                        (SectorSpec(2, 1, 1.0, 0.5), (AXIS_PERIODIC, AXIS_SYM)),
@@ -64,10 +66,12 @@ def test_field_serialization_roundtrip(tmp_path):
                        (SectorSpec(3, 2, 1.5, 0.5), None)]:
         grid = GridSpec.for_spec(spec, L=6.0, n=5) if axes is None \
             else GridSpec(6.0, 5, axes)
-        f = Field(spec, grid, rng.standard_normal(grid.shape()))
-        path = str(tmp_path / "field.shc")
-        save_field(f, path)
-        g = load_field(path)
+        c = PsiCache(spec, grid, rng.standard_normal(grid.shape()),
+                     C_inf=float(rng.random()))
+        path = str(tmp_path / "cache.shc")
+        save_cache(c, path)
+        g = load_cache(path)
         assert g.spec == spec
         assert g.grid == grid
-        assert np.array_equal(g.values, f.values)
+        assert np.array_equal(g.values, c.values)
+        assert g.C_inf == c.C_inf

@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import sectorheat.evolve as evolve
 from sectorheat import GridSpec, KernelPlan, SectorSpec, psi_sup
-from sectorheat.evolve import EvolveControls
 from sectorheat.lifespan import (CRITICAL_THRESHOLD, blowup_criterion_check,
                                  dilation_limits, global_smallness_check,
                                  global_smallness_threshold, lam_for_shift,
@@ -91,30 +89,6 @@ def test_criterion_refuses_data_of_another_spec(setup11):
     other = SectorSpec(spec.N, spec.m, spec.gamma, 2.0)
     with pytest.raises(ValueError, match="differs from plan spec"):
         blowup_criterion_check(Psi0Profile(other), plan)
-
-
-def test_sweep_releases_picard_kernel_matrices(setup11, monkeypatch):
-    # each amplitude gets its own graded mesh, so the kernel matrices of one
-    # Picard solve cannot serve the next: after every solve the plan holds
-    # the matrices of that solve's mesh only
-    spec, grid, _ = setup11
-    plan = KernelPlan(spec, grid)
-    held = []
-    solve = evolve.solve_picard
-
-    def spy(*args, **kwargs):
-        run = solve(*args, **kwargs)
-        mesh = run.config.mesh
-        gaps = {float(s - r) for i, s in enumerate(mesh) for r in mesh[:i]}
-        times = {key[1] for key in plan._mats}
-        held.append((len(plan._mats), times <= gaps))
-        return run
-
-    monkeypatch.setattr(evolve, "solve_picard", spy)
-    curve = sweep_lifespan(Psi0Profile(spec), (0.5, 1.0, 2.0), plan,
-                           controls=EvolveControls(horizon=0.05))
-    assert len(curve.statuses) == len(held) == 3
-    assert all(n > 0 and own for n, own in held)
 
 
 def test_criterion_critical_threshold_flip():

@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from sectorheat import Field, KernelPlan, SectorSpec, alpha_time_integral, \
     apply_kernel, field_from_profile, psi_fast
 import sectorheat.picard as picard
+import sectorheat.semigroup as semigroup
 from sectorheat.picard import (admissible_constants, contraction_bound,
                                data_x_distance, duhamel_weights,
                                graded_mesh, lipschitz_bound, lipschitz_check,
@@ -226,6 +227,30 @@ def test_solve_picard_raises_on_non_finite_sweep(setup11, monkeypatch):
                         lambda spec, v: np.full_like(v, np.nan))
     with pytest.raises(ValueError, match="Picard sweep 1: increment"):
         solve_picard(Psi0Profile(spec), plan, J=4)
+
+
+def test_picard_builds_each_gap_matrix_once(setup11, monkeypatch):
+    # every sweep flows by the same Duhamel gaps, so a solve builds one
+    # kernel matrix per axis and distinct gap above the identity threshold,
+    # however many sweeps it takes
+    spec, grid, plan = setup11
+    build = semigroup._grid_matrix
+    calls = []
+
+    def spy(grid, axis, t):
+        calls.append((axis, t))
+        return build(grid, axis, t)
+
+    monkeypatch.setattr(semigroup, "_grid_matrix", spy)
+    monkeypatch.setattr(picard, "_grid_matrix", spy)
+    run = solve_picard(Psi0Profile(spec), plan)
+    assert len(run.increments) > 1
+    mesh = run.config.mesh
+    identity = (0.75 * grid.axis_spacing(0)) ** 2
+    gaps = {s_i - mesh[j] for i, s_i in enumerate(mesh)
+            for j in range(i + 1) if s_i - mesh[j] > identity}
+    assert gaps
+    assert len(calls) == grid.ndim * len(gaps)
 
 
 @pytest.mark.filterwarnings("error:apply_kernel. boundary truncation"

@@ -144,6 +144,15 @@ def test_kernel_symmetry():
     assert np.max(np.abs(K - K.T)) < 1e-12
     G = _k1d("sym", x, x, 0.3)
     assert np.max(np.abs(G - G.T)) < 1e-12
+    # the in-place build does the arithmetic of the plain expression
+    t, y = 0.37, x[::3] + 0.1
+    c = (4.0 * np.pi * t) ** -0.5
+    dx, sx = x[:, None] - y[None, :], x[:, None] + y[None, :]
+    assert np.array_equal(_k1d("sym", x, y, t),
+                          c * np.exp(-dx * dx / (4.0 * t)))
+    assert np.array_equal(_k1d("antisym", x, y, t),
+                          c * (np.exp(-dx * dx / (4.0 * t))
+                               - np.exp(-sx * sx / (4.0 * t))))
 
 
 @settings(max_examples=15, deadline=None)

@@ -118,7 +118,6 @@ def test_caches_stay_bounded_over_distinct_step_sizes():
     # one propagator slot per plan, the last repeated step size
     assert plan._propagator[0] == dt
     assert len(plan._propagator[1]) == grid.ndim
-    assert plan._mats == {}
     info = _spectral_basis.cache_info()
     assert info.currsize <= info.maxsize
 
