@@ -1,12 +1,14 @@
 """Forward time stepping past the contraction horizon, with blow-up capture.
 
 Strang splitting of u_t = Lap u + a|u|^alpha u into two exactly solvable
-sub-flows: the spectral heat step (exact in time for the discrete modes)
-and the pointwise nonlinear flow
+sub-flows: the spectral heat step S (exact in time for the discrete modes)
+and the pointwise nonlinear flow N
 
     u' = a|u|^alpha u   =>   |u|^{-alpha} -> |u|^{-alpha} - a alpha dt,
 
-sign preserved, which blows up in finite time exactly when a = +1.
+sign preserved, which blows up in finite time exactly when a = +1.  N is a
+semigroup, so each step's trailing half fuses with the next leading half,
+and monotone in |u|, so a step's sup is the scalar flow of the heated sup.
 T_max is reported from the scalar remainder at the last resolved state,
 gated by a type-I rate fit ||u(t)|| ~ (alpha (T - t))^{-1/alpha}.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +95,22 @@ class TrajectoryRecord:
             json.dump(rec, fh, sort_keys=True, indent=1)
 
 
+def _remaining(spec: SectorSpec, vmax) -> float:
+    """Scalar blow-up time 1/(alpha vmax^alpha) of the reaction flow, inf
+    unless a = +1.  float64 under errstate: overflow gives 0, vmax 0 inf."""
+    if spec.sign_a < 0:
+        return math.inf
+    return float(1.0 / (spec.alpha * vmax ** spec.alpha))
+
+
+def _modulus_flow(spec: SectorSpec, absv, dt: float):
+    """Moduli (array or scalar) after the reaction flow over dt.  |u|^-alpha
+    is inf at a zero node (and overflows at a tiny one); the flow maps inf
+    back to 0, so neither needs a mask, only the caller's errstate."""
+    a, alpha = spec.sign_a, spec.alpha
+    return (absv ** -alpha - a * alpha * dt) ** (-1.0 / alpha)
+
+
 def nonlinear_substep(spec: SectorSpec, v: np.ndarray, dt: float):
     """Exact pointwise flow of u' = a|u|^alpha u over dt.
 
@@ -101,35 +120,26 @@ def nonlinear_substep(spec: SectorSpec, v: np.ndarray, dt: float):
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    a, alpha = spec.sign_a, spec.alpha
     absv = np.abs(v)
     vmax = absv.max()
-    if not np.isfinite(vmax):
+    if not math.isfinite(vmax):
         raise ValueError("field values must be finite")
-    if a > 0 and vmax > 0.0:
-        # float64 arithmetic, so |u|^alpha that overflows gives remaining
-        # 0 and one that underflows gives inf, not a Python float's
-        # OverflowError or ZeroDivisionError
-        with np.errstate(over="ignore", divide="ignore"):
-            remaining = float(1.0 / (alpha * vmax ** alpha))
+    with np.errstate(over="ignore", divide="ignore"):
+        remaining = _remaining(spec, vmax)
         if dt >= remaining:
             node = np.unravel_index(int(np.argmax(absv)), absv.shape)
             return BlowupSignal(node=node, remaining=remaining)
-    # |u|^-alpha is inf at a zero node (and overflows at a tiny one); the
-    # flow maps inf back to 0, so neither needs a mask
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = absv ** -alpha
-    return np.sign(v) * (inv - a * alpha * dt) ** (-1.0 / alpha)
+        return np.copysign(_modulus_flow(spec, absv, dt), v)
 
 
-def strang_step(plan: KernelPlan, v: np.ndarray, dt: float):
-    """Half nonlinear flow, exact spectral heat step, half nonlinear flow,
-    on raw values over the plan's grid."""
-    half = nonlinear_substep(plan.spec, v, 0.5 * dt)
-    if isinstance(half, BlowupSignal):
-        return half
-    heated = _spectral_flow(plan, dt, half)
-    return nonlinear_substep(plan.spec, heated, 0.5 * dt)
+def strang_step(plan: KernelPlan, w: np.ndarray, pending: float, dt: float):
+    """Fused Strang leg on raw values over the plan's grid: the reaction flow
+    over ``pending`` plus the leading half dt/2, then the spectral heat
+    step.  The result has the trailing half dt/2 pending on it."""
+    lead = nonlinear_substep(plan.spec, w, pending + 0.5 * dt)
+    if isinstance(lead, BlowupSignal):
+        return lead
+    return _spectral_flow(plan, dt, lead)
 
 
 def _pick_dt(spec: SectorSpec, dt_cap: float, sup: float,
@@ -194,41 +204,50 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
     justified = (spec.N - 2) * spec.alpha < 4.0
     h = min(grid.axis_spacing(i) for i in range(grid.ndim))
     dt_cap = DT_SAFETY * h * h
-    v = f0.values
+    w, tau = f0.values, 0.0     # post-heat state, reaction time pending
     sup = f0.sup_norm()
     times, sups, dts = [t0], [sup], [0.0]
     violation = None
     t = t0
     status = STATUS_INCONCLUSIVE
     t_max = uncertainty = residual = None
-    for _ in range(MAX_STEPS):
-        if t >= c.horizon:
-            status = STATUS_GLOBAL
-            break
-        if spec.sign_a > 0 and sup >= c.cap:
-            t_max, uncertainty, residual = _typeI_fit(spec, times, sups)
-            break
-        dt = min(_pick_dt(spec, dt_cap, sup, c), c.horizon - t + 1e-15)
-        stepped = strang_step(plan, v, dt)
-        if isinstance(stepped, BlowupSignal):
-            # the exact sub-flow diverged inside the step
-            _, uncertainty, residual = _typeI_fit(spec, times, sups)
-            t_max = t + stepped.remaining
-            v = None
-            break
-        v = stepped
-        sup = float(np.max(np.abs(v)))
-        if not np.isfinite(sup):
-            raise ValueError("field values must be finite")
-        t += dt
-        times.append(t)
-        sups.append(sup)
-        dts.append(dt)
-        if bound_fn is not None and violation is None:
-            excess = np.abs(v) - bound_fn(t)
-            if np.any(excess > 0.0):
-                violation = (t, np.unravel_index(int(np.argmax(excess)),
-                                                 v.shape))
+    # inf is part of the reaction formula, and every state is checked finite
+    with np.errstate(over="ignore", divide="ignore"):
+        for _ in range(MAX_STEPS):
+            if t >= c.horizon:
+                status = STATUS_GLOBAL
+                break
+            if spec.sign_a > 0 and sup >= c.cap:
+                t_max, uncertainty, residual = _typeI_fit(spec, times, sups)
+                break
+            dt = min(_pick_dt(spec, dt_cap, sup, c), c.horizon - t + 1e-15)
+            stepped = strang_step(plan, w, tau, dt)
+            if isinstance(stepped, BlowupSignal):
+                # remaining counts from the reaction time t - tau of w
+                t_max = t - tau + stepped.remaining
+                break
+            w, tau, t = stepped, 0.5 * dt, t + dt
+            m = np.abs(w).max()
+            if not math.isfinite(m):
+                raise ValueError("field values must be finite")
+            if tau >= (rem := _remaining(spec, m)):   # trailing half
+                t_max = t - tau + rem
+                break
+            sup = float(_modulus_flow(spec, m, tau))
+            if not math.isfinite(sup):
+                raise ValueError("field values must be finite")
+            times.append(t)
+            sups.append(sup)
+            dts.append(dt)
+            if bound_fn is not None and violation is None:
+                excess = _modulus_flow(spec, np.abs(w), tau) - bound_fn(t)
+                if np.any(excess > 0.0):
+                    violation = (t, np.unravel_index(
+                        int(np.argmax(excess)), w.shape))
+    if t_max is not None and uncertainty is None:
+        # a sub-flow diverged inside the last step: no state to return
+        _, uncertainty, residual = _typeI_fit(spec, times, sups)
+        w = None
     if residual is not None and residual < FIT_RESIDUAL_GATE:
         status = STATUS_BLEWUP
     rec = TrajectoryRecord(
@@ -238,8 +257,9 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
         bound_violation=violation)
     if not justified and status == STATUS_BLEWUP:
         rec.notes["extrapolation_unjustified"] = True
-    last = None if v is None else Field(spec, grid, v)
-    return rec, last
+    if w is not None and tau > 0.0:
+        w = nonlinear_substep(spec, w, tau)    # the pending trailing half
+    return rec, None if w is None else Field(spec, grid, w)
 
 
 def estimate_tmax(profile, plan: KernelPlan,

@@ -212,8 +212,12 @@ def _quad_mesh(plan: KernelPlan, t: float) -> np.ndarray:
 
 
 def _contract(mats: list[np.ndarray], F: np.ndarray) -> np.ndarray:
-    """Apply mats[i] along axis i of F.  Each contraction consumes the
-    leading axis and appends the new one, so the order comes back intact."""
+    """Apply mats[i] along axis i of F: A @ F in 1-D, A0 @ F @ A1.T in 2-D;
+    in 3-D each tensordot consumes the leading axis and appends the new."""
+    if len(mats) == 1:
+        return mats[0] @ F
+    if len(mats) == 2:
+        return mats[0] @ F @ mats[1].T
     out = F
     for A in mats:
         out = np.tensordot(out, A, axes=([0], [1]))

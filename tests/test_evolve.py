@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sectorheat.evolve as evolve
-from sectorheat import (AXIS_PERIODIC, Field, GridSpec, KernelPlan,
-                        SectorSpec, field_from_profile)
+from sectorheat import (AXIS_ANTISYM, AXIS_PERIODIC, AXIS_SYM, Field,
+                        GridSpec, KernelPlan, SectorSpec, field_from_profile)
 from sectorheat.evolve import (STATUS_BLEWUP, STATUS_GLOBAL, BlowupSignal,
                                EvolveControls, TrajectoryRecord, _typeI_fit,
                                estimate_tmax, nonlinear_substep,
                                run_trajectory, strang_step)
 from sectorheat.profiles import ConstantProfile, Psi0Profile
+from sectorheat.semigroup import apply_spectral
 
 
 def _periodic(spec, L=np.pi, n=64):
@@ -138,16 +139,134 @@ def test_strang_second_order_on_smooth_data():
     T = 0.4
 
     def advance(dt):
-        v = v0
+        # fused legs carry the trailing half dt/2; it is flowed once at the end
+        w, pending = v0, 0.0
         for _ in range(round(T / dt)):
-            v = strang_step(plan, v, dt)
-        return v
+            w, pending = strang_step(plan, w, pending, dt), 0.5 * dt
+        return nonlinear_substep(spec, w, pending)
 
     ref = advance(T / 512)
     errs = [np.max(np.abs(advance(dt) - ref)) for dt in (T / 8, T / 16, T / 32)]
     rates = np.log2(np.array(errs[:-1]) / errs[1:])
     assert np.all(rates > 1.8)
     assert np.all(rates < 2.3)
+
+
+@pytest.mark.parametrize("dt", [0.15, 0.3, 0.45, 0.7])
+def test_blowup_in_the_trailing_half_reports_exact_tmax(dt):
+    # constant data: the heat step is the identity and the reaction alone
+    # blows up at 1/(alpha c^alpha) = 2.  At dt = 0.3 and 0.7 the node
+    # diverges in a step's trailing half, whose remainder counts from the
+    # reaction time t + dt/2, not from t
+    spec = SectorSpec(1, 0, 0.5, 0.5)
+    grid = _periodic(spec, n=16)
+    rec, last = run_trajectory(KernelPlan(spec, grid),
+                               Field(spec, grid, np.ones(16)), 0.0,
+                               EvolveControls(fixed_dt=dt))
+    assert last is None
+    assert rec.t_max == pytest.approx(2.0, rel=1e-12)
+
+
+def _unfused(plan, v, t0, c, bound_fn=None):
+    """Reference stepper: the plain composition N(dt/2) S(dt) N(dt/2) per
+    step, with every state formed and its sup read off it.  Returns the
+    status, the sups, T_max, the first envelope violation and the last
+    state (None after a blow-up)."""
+    spec = plan.spec
+    h = min(plan.grid.axis_spacing(i) for i in range(plan.grid.ndim))
+    dt_cap = evolve.DT_SAFETY * h * h
+    t, sups, times = t0, [np.max(np.abs(v))], [t0]
+    violation = t_max = residual = None
+    while t < c.horizon:
+        if spec.sign_a > 0 and sups[-1] >= c.cap:
+            t_max, _, residual = _typeI_fit(spec, times, sups)
+            break
+        dt = min(evolve._pick_dt(spec, dt_cap, sups[-1], c),
+                 c.horizon - t + 1e-15)
+        out = nonlinear_substep(spec, v, 0.5 * dt)
+        spent = 0.0
+        if not isinstance(out, BlowupSignal):
+            heated = apply_spectral(plan, dt, Field(spec, plan.grid, out))
+            out = nonlinear_substep(spec, heated.values, 0.5 * dt)
+            spent = 0.5 * dt
+        if isinstance(out, BlowupSignal):
+            _, _, residual = _typeI_fit(spec, times, sups)
+            t_max, v = t + spent + out.remaining, None
+            break
+        v, t = out, t + dt
+        times.append(t)
+        sups.append(np.max(np.abs(v)))
+        if bound_fn is not None and violation is None:
+            excess = np.abs(v) - bound_fn(t)
+            if np.any(excess > 0.0):
+                violation = (t, np.unravel_index(int(np.argmax(excess)),
+                                                 v.shape))
+    if t >= c.horizon and t_max is None:
+        status = STATUS_GLOBAL
+    elif residual is not None and residual < evolve.FIT_RESIDUAL_GATE:
+        status = STATUS_BLEWUP
+    else:
+        status = evolve.STATUS_INCONCLUSIVE
+    return status, np.array(sups), t_max, violation, v
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([1, -1]), st.sampled_from([0.5, 1.0, 2.5]),
+       st.permutations([AXIS_ANTISYM, AXIS_SYM, AXIS_PERIODIC]),
+       st.integers(1, 3), st.sampled_from([None, 0.013, 0.07]),
+       st.floats(0.05, 1.5), st.floats(0.8, 1.6), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_fused_stepping_matches_unfused_strang(sign_a, alpha, kinds, ndim,
+                                               fixed_dt, horizon, amp,
+                                               envelope, seed):
+    # the fused loop (one reaction flow per step, the sup from the scalar
+    # flow, the state formed only where it is read) against the plain
+    # composition.  The horizon is no multiple of the step, so the last
+    # step is clipped; the envelope is crossed by growth (a = +1) or sits
+    # across the initial data (a = -1)
+    spec = SectorSpec(ndim, 0, 0.5, alpha, sign_a)
+    grid = GridSpec(L=2.0, n=8, axes=kinds[:ndim])
+    plan = KernelPlan(spec, grid)
+    v0 = amp * np.random.default_rng(seed).uniform(0.2, 1.0, grid.shape())
+    f0 = Field(spec, grid, v0)
+    bound_fn = None
+    if envelope:
+        level = np.full(grid.shape(), 1.05 * amp if sign_a > 0 else 0.6 * amp)
+        bound_fn = lambda t: level   # noqa: E731
+    c = EvolveControls(horizon=horizon, fixed_dt=fixed_dt)
+    status, sups, t_max, violation, v = _unfused(
+        KernelPlan(spec, grid), v0, 0.0, c, bound_fn)
+    rec, last = run_trajectory(plan, f0, 0.0, c, bound_fn=bound_fn)
+    assert rec.status == status
+    assert rec.sups.shape == sups.shape
+    # the exact flow u' = u^(1+alpha) multiplies a relative perturbation
+    # of u(0) by (u(t)/u(0))^alpha.  Adaptive steps are fractions of the
+    # remaining time, so both records shift along with their blow-up
+    # time; fixed steps sample at fixed times, where that factor applies
+    growth = np.ones_like(sups)
+    if fixed_dt is not None:
+        ratio = np.maximum(1.0, np.r_[1.0, sups[1:] / sups[:-1]])
+        growth = np.cumprod(ratio ** alpha)
+    assert np.all(np.abs(rec.sups - sups) <= 1e-12 * growth * sups)
+    if t_max is None:
+        assert rec.t_max is None
+    else:
+        assert rec.t_max == pytest.approx(t_max, rel=1e-12)
+    # the same envelope crossing: the same node at the same step, whose
+    # time sums adaptive steps taken from sups equal to rounding
+    if violation is None:
+        assert rec.bound_violation is None
+    else:
+        assert rec.bound_violation[1] == violation[1]
+        assert rec.bound_violation[0] == pytest.approx(violation[0],
+                                                       rel=1e-12)
+    if v is None:
+        assert last is None
+    else:
+        # relative to the sup: every heat step adds rounding of the order
+        # of the sup to each node, however small
+        assert np.max(np.abs(last.values - v)) \
+            <= 1e-12 * growth[-1] * np.max(np.abs(v))
 
 
 def test_constant_data_matches_scalar_ode():
@@ -272,16 +391,19 @@ def test_plan_must_match_initial_field():
 
 
 def test_bound_violation_recorded():
+    # constant data follow u(t) = 0.5/(1 - t/2), which crosses 0.552 at
+    # t = 0.188: the first state above it is the one at t = 0.19, whose
+    # post-heat state u(0.185) is still below it
     spec = SectorSpec(1, 0, 0.5, 1.0)
     grid = _periodic(spec, n=16)
     plan = KernelPlan(spec, grid)
     f0 = Field(spec, grid, np.full(16, 0.5))
     rec, _ = run_trajectory(plan, f0, 0.0,
                             EvolveControls(horizon=0.5, fixed_dt=0.01),
-                            bound_fn=lambda t: np.full(16, 0.55))
+                            bound_fn=lambda t: np.full(16, 0.552))
     assert rec.bound_violation is not None
     t_viol, node = rec.bound_violation
-    assert 0.0 < t_viol <= 0.5
+    assert t_viol == pytest.approx(0.19, rel=1e-12)
 
 
 def test_unjustified_extrapolation_is_flagged():

@@ -15,8 +15,8 @@ from sectorheat.profiles import (ConstantProfile, CustomProfile,
                                  GaussianDerivativeProfile,
                                  Psi0Profile, eval_gaussian_derivative,
                                  eval_psi0)
-from sectorheat.semigroup import (E, _axis_rule, _grid_matrix, _k1d,
-                                  heat_at_points)
+from sectorheat.semigroup import (E, _axis_rule, _contract, _grid_matrix,
+                                  _k1d, heat_at_points)
 
 
 def test_gaussian_semigroup_m0():
@@ -134,6 +134,29 @@ def test_positivity_and_sub_markov():
         out = apply_kernel(plan, 0.5, ones)
     assert out.values.min() >= -1e-12
     assert out.values.max() <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_contract_matches_tensordot(ndim, dtype):
+    # bare matmuls in 1-D and 2-D, the tensordot chain in 3-D, against the
+    # chain that applies mats[i] along axis i; rectangular on every axis,
+    # complex as the periodic Fourier factors are
+    rng = np.random.default_rng(ndim)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+    n_in, n_out = (7, 5, 4)[:ndim], (3, 6, 2)[:ndim]
+    mats = [draw(m, n) for m, n in zip(n_out, n_in)]
+    F = draw(*n_in)
+    ref = F
+    for A in mats:
+        ref = np.tensordot(ref, A, axes=([0], [1]))
+    out = _contract(mats, F)
+    assert out.shape == n_out
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_kernel_symmetry():
