@@ -193,8 +193,10 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
                    bound_fn=None) -> tuple[TrajectoryRecord, Field | None]:
     """Step f0 forward from time t0 until blow-up cap, horizon, or stall.
 
-    ``bound_fn(t) -> array`` is an optional nodewise envelope; the first
-    violation is recorded (used for global-existence certificates).
+    ``bound_fn(t, modulus)`` is an optional nodewise envelope: given the
+    moduli |u(t)| it returns their excess over it, or None when it certified
+    them without one.  The first violation (t, node) is recorded (used for
+    global-existence certificates).
     The last state is returned as a Field, or None after a blow-up.
     """
     c = controls or EvolveControls()
@@ -240,10 +242,10 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
             sups.append(sup)
             dts.append(dt)
             if bound_fn is not None and violation is None:
-                excess = _modulus_flow(spec, np.abs(w), tau) - bound_fn(t)
-                if np.any(excess > 0.0):
-                    violation = (t, np.unravel_index(
-                        int(np.argmax(excess)), w.shape))
+                excess = bound_fn(t, _modulus_flow(spec, np.abs(w), tau))
+                if excess is not None and np.any(excess > 0.0):
+                    node = np.unravel_index(int(np.argmax(excess)), w.shape)
+                    violation = (t, tuple(int(i) for i in node))
     if t_max is not None and uncertainty is None:
         # a sub-flow diverged inside the last step: no state to return
         _, uncertainty, residual = _typeI_fit(spec, times, sups)

@@ -24,8 +24,9 @@ import numpy as np
 from .geometry import Field, SectorSpec, field_from_profile
 from .profiles import (ConstantModulation, LogBlockModulation,
                        ModulatedProfile, Psi0Profile, eval_psi0)
-from .semigroup import (KernelPlan, apply_kernel, check_profile_spec,
-                        linear_sup, psi_fast, psi_sup, psi_values)
+from .semigroup import (KernelPlan, _kummer_params, apply_kernel,
+                        check_profile_spec, linear_sup, psi_fast, psi_sup,
+                        psi_values)
 from .evolve import (STATUS_BLEWUP, STATUS_GLOBAL, EvolveControls,
                      estimate_tmax, run_trajectory)
 
@@ -46,6 +47,8 @@ BLOCKS = (6, 8)
 # short times at which the nonexistence signature compares Psi to the
 # universal bound
 NONEXISTENCE_T0 = (1e-2, 1e-3, 1e-4, 1e-5)
+# margin of the smallness envelope's monotone bound over 1F1's 1e-12 error
+ENVELOPE_SLACK = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +336,15 @@ def global_smallness_check(plan: KernelPlan, t0: float = 0.1,
                            horizon_factor: float = 100.0) -> dict:
     """Long-horizon run with data lam * Psi(t0), asserting the envelope
     |u(t)| <= 2 lam Psi(t + t0) nodewise to the horizon, for the plan's
-    spec on its grid."""
+    spec on its grid.
+
+    Psi(s, x) = k x_1...x_m s^-a 1F1(a; b; -|x|^2/4s), a = gamma/2 + m, and
+    1F1(a; b; -z) is positive and decreasing in z for 0 < a < b, so
+    s^a Psi(s, x) is nondecreasing in s: Psi(s) >= (s1/s)^a Psi(s1) for
+    s >= s1.  A state below (1 - ENVELOPE_SLACK) times that bound from the
+    last exact envelope M Psi(s1) cannot violate; any other is compared
+    with M Psi(s) exactly, which becomes the new anchor.
+    """
     spec, grid = plan.spec, plan.grid
     thr = global_smallness_threshold(spec, t0)
     if lam is None:
@@ -342,11 +353,18 @@ def global_smallness_check(plan: KernelPlan, t0: float = 0.1,
     f0 = Field(spec, grid, lam * psi_fast(spec, t0, grid).values)
     M = 2.0 * lam
     pts = grid.points()
+    a = _kummer_params(spec)[0]
+    s1, bound1 = t0, 2.0 * f0.values    # the anchor: s1 and M Psi(s1)
 
-    def bound(t):
-        return M * psi_values(spec, t + t0, pts)
+    def envelope(t, modulus):
+        nonlocal s1, bound1
+        s = t + t0
+        if np.all(modulus <= (1.0 - ENVELOPE_SLACK) * (s1 / s) ** a * bound1):
+            return None
+        s1, bound1 = s, M * psi_values(spec, s, pts)
+        return modulus - bound1
 
-    rec, _ = run_trajectory(plan, f0, 0.0, c, bound_fn=bound)
+    rec, _ = run_trajectory(plan, f0, 0.0, c, bound_fn=envelope)
     return {
         "t0": t0, "lambda": lam, "threshold": thr,
         "horizon": c.horizon, "status": rec.status,

@@ -1,6 +1,16 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from sectorheat import GridSpec, KernelPlan, SectorSpec
+
+# with CI set, as GitHub Actions sets it, property tests draw the same
+# examples on every run and print the blob that replays a failure, so a red
+# run reproduces from its log
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # one pass/fail line per acceptance criterion, printed after the run
 ACCEPTANCE_LINES = []

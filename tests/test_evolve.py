@@ -197,7 +197,7 @@ def _unfused(plan, v, t0, c, bound_fn=None):
         times.append(t)
         sups.append(np.max(np.abs(v)))
         if bound_fn is not None and violation is None:
-            excess = np.abs(v) - bound_fn(t)
+            excess = bound_fn(t, np.abs(v))
             if np.any(excess > 0.0):
                 violation = (t, np.unravel_index(int(np.argmax(excess)),
                                                  v.shape))
@@ -232,7 +232,7 @@ def test_fused_stepping_matches_unfused_strang(sign_a, alpha, kinds, ndim,
     bound_fn = None
     if envelope:
         level = np.full(grid.shape(), 1.05 * amp if sign_a > 0 else 0.6 * amp)
-        bound_fn = lambda t: level   # noqa: E731
+        bound_fn = lambda t, modulus: modulus - level   # noqa: E731
     c = EvolveControls(horizon=horizon, fixed_dt=fixed_dt)
     status, sups, t_max, violation, v = _unfused(
         KernelPlan(spec, grid), v0, 0.0, c, bound_fn)
@@ -400,7 +400,7 @@ def test_bound_violation_recorded():
     f0 = Field(spec, grid, np.full(16, 0.5))
     rec, _ = run_trajectory(plan, f0, 0.0,
                             EvolveControls(horizon=0.5, fixed_dt=0.01),
-                            bound_fn=lambda t: np.full(16, 0.552))
+                            bound_fn=lambda t, modulus: modulus - 0.552)
     assert rec.bound_violation is not None
     t_viol, node = rec.bound_violation
     assert t_viol == pytest.approx(0.19, rel=1e-12)

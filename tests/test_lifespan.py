@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sectorheat import GridSpec, KernelPlan, SectorSpec, psi_sup
+from sectorheat import (Field, GridSpec, KernelPlan, SectorSpec, lifespan,
+                        psi_fast, psi_sup, psi_values)
+from sectorheat.evolve import EvolveControls, run_trajectory
 from sectorheat.lifespan import (CRITICAL_THRESHOLD, blowup_criterion_check,
                                  dilation_limits, global_smallness_check,
                                  global_smallness_threshold, lam_for_shift,
@@ -183,6 +185,75 @@ def test_global_smallness_horizon_is_factor_times_t0(setup11):
     report = global_smallness_check(KernelPlan(sup_spec, grid), t0=t0,
                                     horizon_factor=horizon_factor)
     assert report["horizon"] == pytest.approx(horizon_factor * t0)
+
+
+def _per_step_smallness(plan, t0, lam, horizon_factor):
+    """Reference envelope check: |u(t)| against 2 lam Psi(t + t0) with Psi
+    evaluated at every step."""
+    spec, grid = plan.spec, plan.grid
+    f0 = Field(spec, grid, lam * psi_fast(spec, t0, grid).values)
+    M, pts = 2.0 * lam, grid.points()
+
+    def bound(t, modulus):
+        return modulus - M * psi_values(spec, t + t0, pts)
+
+    rec, _ = run_trajectory(plan, f0, 0.0,
+                            EvolveControls(horizon=horizon_factor * t0),
+                            bound_fn=bound)
+    return rec
+
+
+@pytest.mark.parametrize("N, m, gamma, alpha, L, n, factor, horizon_factor", [
+    # the smallness-1d configuration (half the threshold, horizon 10),
+    # then larger data: certified at 3x, violated at 8x and 30x
+    (1, 1, 0.5, 2.0, 10.0, 256, 0.5, 100.0),
+    (1, 1, 0.5, 2.0, 10.0, 256, 3.0, 100.0),
+    (1, 1, 0.5, 2.0, 10.0, 256, 8.0, 100.0),
+    (1, 1, 0.5, 2.0, 10.0, 256, 30.0, 100.0),
+    (2, 0, 1.0, 3.0, 6.0, 24, 0.5, 20.0),
+    (2, 0, 1.0, 3.0, 6.0, 24, 20.0, 20.0),
+    (2, 1, 1.0, 3.0, 6.0, 24, 4.0, 20.0),
+    (2, 1, 1.0, 3.0, 6.0, 24, 20.0, 20.0),
+    (2, 2, 1.0, 3.0, 6.0, 24, 0.5, 20.0),
+    (2, 2, 1.0, 3.0, 6.0, 24, 20.0, 20.0)])
+def test_smallness_envelope_matches_per_step_reference(
+        monkeypatch, N, m, gamma, alpha, L, n, factor, horizon_factor):
+    # the monotone lower bound only skips steps that cannot violate, so
+    # the verdict, the first violation and the last sup are bit-equal to
+    # an exact comparison at every step, from a few Psi evaluations
+    spec = SectorSpec(N, m, gamma, alpha)
+    grid = GridSpec.for_spec(spec, L=L, n=n)
+    t0 = 0.1
+    lam = factor * global_smallness_threshold(spec, t0)
+    # a fresh plan per run: a plan keeps the propagator of its last step
+    # size, and a run that starts from it differs in the last bits
+    ref = _per_step_smallness(KernelPlan(spec, grid), t0, lam,
+                              horizon_factor)
+    calls = []
+
+    def counted(spec, t, pts):
+        calls.append(t)
+        return psi_values(spec, t, pts)
+
+    monkeypatch.setattr(lifespan, "psi_values", counted)
+    report = global_smallness_check(KernelPlan(spec, grid), t0=t0, lam=lam,
+                                    horizon_factor=horizon_factor)
+    assert report["status"] == ref.status
+    assert report["bound_violation"] == ref.bound_violation
+    assert report["final_sup"] == float(ref.sups[-1])
+    assert len(calls) <= 30
+
+
+def test_smallness_violation_node_is_written_as_integers(tmp_path):
+    spec = SectorSpec(1, 1, 0.5, 2.0)
+    plan = KernelPlan(spec, GridSpec.for_spec(spec, L=10.0, n=256))
+    lam = 30.0 * global_smallness_threshold(spec, 0.1)
+    report = global_smallness_check(plan, t0=0.1, lam=lam,
+                                    horizon_factor=5.0)
+    path = tmp_path / "global_smallness.json"
+    save_report(report, str(path))
+    _, node = json.loads(path.read_text())["bound_violation"]
+    assert node and all(type(i) is int for i in node)
 
 
 def test_nonexistence_signature(setup11):

@@ -12,7 +12,7 @@ from sectorheat import (GridSpec, KernelPlan, SectorSpec, apply_kernel,
                         build_psi_cache, field_from_profile, linear_sup,
                         psi_values)
 from sectorheat.profiles import Psi0Profile
-from sectorheat.semigroup import E, heat_at_points
+from sectorheat.semigroup import E, _kummer_params, heat_at_points
 
 FEW = settings(max_examples=15, deadline=None)
 
@@ -61,6 +61,33 @@ def test_psi_values_dilation_identity(spec, lam, t, seed):
     rhs = lam ** -spec.decay * psi_values(spec, t, x)
     assert np.allclose(lhs, rhs, rtol=1e-10, atol=0)
     assert np.all(psi_values(spec, t, x) > 0)
+
+
+@st.composite
+def specs_3d(draw):
+    """N <= 3, m <= N, 0 < gamma < N, kept 1e-6 from the ends."""
+    N = draw(st.integers(1, 3))
+    return SectorSpec(N, draw(st.integers(0, N)),
+                      draw(st.floats(1e-6, N - 1e-6)), 0.5)
+
+
+@FEW
+@given(specs_3d(), st.floats(1e-3, 10.0), st.floats(1.0, 1e3),
+       st.integers(0, 2 ** 32 - 1))
+def test_psi_monotone_lower_bound(spec, s1, ratio, seed):
+    # s^a Psi(s, x) = k x_1...x_m 1F1(a; b; -|x|^2/4s), a = gamma/2 + m, is
+    # nondecreasing in s, so Psi(s) >= (s1/s)^a Psi(s1): the bound that
+    # certifies the smallness envelope.  It is tight as |x| -> 0, where
+    # 1F1 -> 1, so the radii reach down to 1e-8 sqrt(s1)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((64, spec.N))
+    x[:, :spec.m] = np.abs(x[:, :spec.m])
+    radii = np.sqrt(s1) * 10.0 ** rng.uniform(-8.0, 1.5, 64)
+    x *= (radii / np.linalg.norm(x, axis=1))[:, None]
+    s = s1 * ratio
+    a = _kummer_params(spec)[0]
+    assert np.all(psi_values(spec, s, x) >= (s1 / s) ** a
+                  * psi_values(spec, s1, x) * (1.0 - 1e-12))
 
 
 @FEW
