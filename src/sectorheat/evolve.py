@@ -24,7 +24,7 @@ import numpy as np
 
 from .geometry import Field, SectorSpec, field_from_profile
 from .semigroup import KernelPlan, _spectral_flow, check_profile_spec
-from .picard import solve_picard
+from .picard import admissible_constants, solve_picard
 
 STATUS_BLEWUP = "blew_up"
 STATUS_GLOBAL = "global_horizon_reached"
@@ -203,6 +203,9 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
     spec, grid = plan.spec, plan.grid
     if f0.spec != spec or f0.grid != grid:
         raise ValueError("initial field and plan differ in spec or grid")
+    # the spectral slot starts empty, so a run's numbers do not depend on
+    # what the plan stepped before
+    plan._last_dt = plan._propagator = None
     justified = (spec.N - 2) * spec.alpha < 4.0
     h = min(grid.axis_spacing(i) for i in range(grid.ndim))
     dt_cap = DT_SAFETY * h * h
@@ -270,24 +273,32 @@ def estimate_tmax(profile, plan: KernelPlan,
     for singular data, then adaptive Strang stepping to blow-up or horizon.
     The plan is the run: its spec is the equation and its grid the box; a
     profile made for another spec is refused before any work.
+
+    Singular data hand off at the first node of the certificate's graded
+    mesh at or after max(HANDOFF_FRAC T, (2h)^2), and the Picard solve
+    covers only the mesh up to that node.  Their record's notes carry
+    ``picard_slices`` (solved) and ``picard_sweeps``.
     """
     check_profile_spec(profile, plan)
     spec, grid = plan.spec, plan.grid
     # singular data carry the homogeneity degree of their tail
     use_picard = getattr(profile, "tail_degree", None) is not None
     if use_picard:
-        run = solve_picard(profile, plan)
-        mesh = run.config.mesh
-        # hand off at the first converged slice that the grid resolves
+        K = profile.x_norm()
+        _, T = admissible_constants(spec, K)
+        # hand off at the first mesh node that the grid resolves: the
+        # solve stops there, and its last slice is the hand-off state
         h = max(grid.axis_spacing(i) for i in range(grid.ndim))
-        t_target = max(HANDOFF_FRAC * run.config.T, (2.0 * h) ** 2)
-        j = int(np.searchsorted(mesh, t_target))
-        j = min(j, len(mesh) - 1)
-        f0 = run.slices[j]
-        t0 = float(mesh[j])
+        run = solve_picard(profile, plan, K=K,
+                           until=max(HANDOFF_FRAC * T, (2.0 * h) ** 2))
+        f0 = run.slices[-1]
+        t0 = float(run.config.mesh[-1])
     else:
         f0 = field_from_profile(spec, grid, profile)
         t0 = 0.0
     rec, _ = run_trajectory(plan, f0, t0, controls)
-    rec.handoff_time = t0 if use_picard else None
+    if use_picard:
+        rec.handoff_time = t0
+        rec.notes.update(picard_slices=len(run.slices),
+                         picard_sweeps=len(run.increments))
     return rec

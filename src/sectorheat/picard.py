@@ -37,12 +37,14 @@ MAX_ITER = 30
 class PicardConfig:
     K: float
     M: float
-    T: float
-    mesh: np.ndarray
+    T: float              # the certificate's horizon
+    mesh: np.ndarray      # the solved nodes: all of (0, T] or a prefix
 
 
 @dataclass
 class PicardRun:
+    """A solve's result; the slices cover the solved nodes config.mesh."""
+
     config: PicardConfig
     slices: list          # converged u(s_j) Fields, s_j = config.mesh[j]
     increments: list      # |||u^(k+1) - u^(k)||| per sweep
@@ -128,13 +130,20 @@ def _nonlinear_values(spec: SectorSpec, values: np.ndarray) -> np.ndarray:
 
 
 def solve_picard(profile, plan: KernelPlan, K: float | None = None,
-                 J: int = 12) -> PicardRun:
+                 J: int = 12, until: float | None = None) -> PicardRun:
     """Iterate the Duhamel map to its fixed point inside the ball |||u||| <= M.
 
     The plan is the run: its spec sets the equation (alpha, the sign a,
     Psi) and its grid the slices.  Non-contraction (an increment ratio
     >= 1) aborts: the constants guarantee contraction, so that can only
     mean quadrature failure.
+
+    With ``until`` set, only the prefix of the J-node mesh up to the first
+    node >= until (or the whole mesh, if none is) is solved.  The map is
+    causal (slice i reads slices j <= i), so each sweep computes on the
+    prefix exactly what the full sweep computes there; the increments, and
+    so when the iteration stops, are taken over the solved slices.  K, M
+    and T stay the full certificate's.
     """
     check_profile_spec(profile, plan)
     spec, grid = plan.spec, plan.grid
@@ -142,6 +151,8 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
         K = profile.x_norm()
     M, T = admissible_constants(spec, K)
     mesh = graded_mesh(spec, T, J)
+    if until is not None:
+        mesh = mesh[:min(int(np.searchsorted(mesh, until)), J - 1) + 1]
     config = PicardConfig(K=K, M=M, T=T, mesh=mesh)
 
     _check_psi_grid(grid, spec.m)
@@ -155,7 +166,7 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
     else:
         data = field_from_profile(spec, grid, profile)
         lin = [apply_kernel(plan, s, data).values for s in mesh]
-    weights = [duhamel_weights(spec, mesh, i) for i in range(J)]
+    weights = [duhamel_weights(spec, mesh, i) for i in range(len(mesh))]
     # below the grid-resolvable scale the heat flow of a Duhamel term is
     # within quadrature error of the identity
     identity = (0.75 * max(grid.axis_spacing(i)
@@ -176,7 +187,7 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
     for sweep in range(MAX_ITER):
         nl = [_nonlinear_values(spec, v) for v in u]
         new = []
-        for i in range(J):
+        for i in range(len(mesh)):
             acc = lin[i].copy()
             w = weights[i]
             for j in range(i + 1):

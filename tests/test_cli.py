@@ -384,6 +384,18 @@ def test_tmax_constant_profile_matches_ode(tmp_path):
     assert os.path.exists(tmp_path / "out" / "trajectory.csv")
 
 
+def test_tmax_reports_picard_counters(tmp_path):
+    # singular data: the report names the slices the Picard solve covered
+    # (up to the hand-off node, not the whole 12-node mesh) and its sweeps
+    d = _manifest_dict(experiment="tmax", grid={"L": 10.0, "n": 256},
+                       profile={"kind": "psi0"},
+                       output_dir=str(tmp_path / "out"))
+    assert main([_write_manifest(tmp_path, d), "-q"]) == EXIT_OK
+    blob = json.load(open(tmp_path / "out" / "tmax.json"))
+    assert blob["status"] == "blew_up"
+    assert blob["notes"] == {"picard_slices": 5, "picard_sweeps": 6}
+
+
 def test_sweep_writes_csv(tmp_path):
     d = _manifest_dict(experiment="sweep", grid={"L": 10.0, "n": 128},
                        lambdas=[1.0, 2.0],

@@ -12,7 +12,9 @@ from sectorheat.evolve import (STATUS_BLEWUP, STATUS_GLOBAL, BlowupSignal,
                                EvolveControls, TrajectoryRecord, _typeI_fit,
                                estimate_tmax, nonlinear_substep,
                                run_trajectory, strang_step)
-from sectorheat.profiles import ConstantProfile, Psi0Profile
+from sectorheat.picard import solve_picard
+from sectorheat.profiles import (ConstantProfile, ModulatedProfile,
+                                 Psi0Profile, SinSquaredLog)
 from sectorheat.semigroup import apply_spectral
 
 
@@ -291,6 +293,36 @@ def test_singular_data_blows_up_with_picard_handoff(setup11):
     assert rec.fit_residual < 0.02
     assert 3.5 < rec.t_max < 5.5
     assert rec.extrapolation_justified
+
+
+def _full_solve_handoff_tmax(profile, plan):
+    """Reference T_max run: the whole Picard mesh solved, then the hand-off
+    at its first node >= max(HANDOFF_FRAC T, (2h)^2)."""
+    run = solve_picard(profile, plan)
+    mesh = run.config.mesh
+    h = plan.grid.axis_spacing(0)
+    target = max(evolve.HANDOFF_FRAC * run.config.T, (2.0 * h) ** 2)
+    j = min(int(np.searchsorted(mesh, target)), len(mesh) - 1)
+    rec, _ = run_trajectory(plan, run.slices[j], float(mesh[j]))
+    return rec, float(mesh[j])
+
+
+@pytest.mark.parametrize("profile", [
+    lambda spec: Psi0Profile(spec, 0.5), lambda spec: Psi0Profile(spec, 1.0),
+    lambda spec: Psi0Profile(spec, 2.0),
+    lambda spec: ModulatedProfile(spec, SinSquaredLog(0.05))],
+    ids=["psi0-0.5", "psi0-1", "psi0-2", "sin2log"])
+def test_prefix_handoff_matches_full_solve_handoff(setup11, profile):
+    # the prefix solve stops a sweep earlier than the full one, so its
+    # hand-off state moves within the Picard tolerance and T_max with it
+    spec, grid, plan = setup11
+    prof = profile(spec)
+    ref, t0 = _full_solve_handoff_tmax(prof, plan)
+    rec = estimate_tmax(prof, plan)
+    assert rec.status == ref.status == STATUS_BLEWUP
+    assert rec.handoff_time == t0
+    assert len(rec.times) == len(ref.times)
+    assert rec.t_max == pytest.approx(ref.t_max, rel=1e-10, abs=0.0)
 
 
 def test_tmax_refuses_profile_of_another_spec(setup11, monkeypatch):

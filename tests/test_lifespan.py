@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from sectorheat import (Field, GridSpec, KernelPlan, SectorSpec, lifespan,
                         psi_fast, psi_sup, psi_values)
-from sectorheat.evolve import EvolveControls, run_trajectory
+from sectorheat.evolve import EvolveControls, estimate_tmax, run_trajectory
 from sectorheat.lifespan import (CRITICAL_THRESHOLD, blowup_criterion_check,
                                  dilation_limits, global_smallness_check,
                                  global_smallness_threshold, lam_for_shift,
@@ -28,6 +28,11 @@ def test_sweep_lifespan_scaling(setup11, tmp_path):
     # lam^sigma T_max(lam psi0) is lam-independent for homogeneous data
     assert abs(curve.scaled[1] - curve.scaled[0]) < 0.02 * curve.scaled[0]
     assert curve.slope == pytest.approx(-spec.sigma, rel=0.02)
+    # the lam = 2 run starts on the plan the lam = 1 run stepped, and its
+    # numbers are those of a run on a fresh plan
+    fresh = estimate_tmax(Psi0Profile(spec, 2.0), KernelPlan(spec, grid))
+    assert (curve.t_max[1], curve.uncertainty[1]) == (fresh.t_max,
+                                                     fresh.uncertainty)
     path = tmp_path / "curve.csv"
     curve.save_csv(str(path))
     rows = list(csv.reader(open(path)))
@@ -178,6 +183,19 @@ def test_global_smallness_envelope_fails_for_large_data(setup11):
     assert not report["certified"]
 
 
+def test_global_smallness_runs_do_not_depend_on_plan_history():
+    # a plan keeps the propagator of its last step size; each run starts
+    # without it, so repeated runs on one plan give a fresh plan's numbers
+    spec = SectorSpec(1, 1, 0.5, 2.0)
+    grid = GridSpec.for_spec(spec, L=10.0, n=256)
+    fresh = global_smallness_check(KernelPlan(spec, grid), t0=0.1,
+                                   horizon_factor=5.0)
+    plan = KernelPlan(spec, grid)
+    for _ in range(2):
+        assert global_smallness_check(plan, t0=0.1,
+                                      horizon_factor=5.0) == fresh
+
+
 def test_global_smallness_horizon_is_factor_times_t0(setup11):
     spec, grid, plan = setup11
     sup_spec = SectorSpec(spec.N, spec.m, spec.gamma, 2.0)
@@ -225,8 +243,6 @@ def test_smallness_envelope_matches_per_step_reference(
     grid = GridSpec.for_spec(spec, L=L, n=n)
     t0 = 0.1
     lam = factor * global_smallness_threshold(spec, t0)
-    # a fresh plan per run: a plan keeps the propagator of its last step
-    # size, and a run that starts from it differs in the last bits
     ref = _per_step_smallness(KernelPlan(spec, grid), t0, lam,
                               horizon_factor)
     calls = []

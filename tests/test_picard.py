@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sectorheat import Field, KernelPlan, SectorSpec, alpha_time_integral, \
-    apply_kernel, field_from_profile, psi_fast
+from sectorheat import Field, GridSpec, KernelPlan, SectorSpec, \
+    alpha_time_integral, apply_kernel, field_from_profile, psi_fast
 import sectorheat.picard as picard
 import sectorheat.semigroup as semigroup
+from sectorheat.evolve import HANDOFF_FRAC, EvolveControls, estimate_tmax
 from sectorheat.picard import (admissible_constants, contraction_bound,
                                data_x_distance, duhamel_weights,
                                graded_mesh, lipschitz_bound, lipschitz_check,
@@ -229,11 +230,8 @@ def test_solve_picard_raises_on_non_finite_sweep(setup11, monkeypatch):
         solve_picard(Psi0Profile(spec), plan, J=4)
 
 
-def test_picard_builds_each_gap_matrix_once(setup11, monkeypatch):
-    # every sweep flows by the same Duhamel gaps, so a solve builds one
-    # kernel matrix per axis and distinct gap above the identity threshold,
-    # however many sweeps it takes
-    spec, grid, plan = setup11
+def _spy_matrix_builds(monkeypatch) -> list:
+    """The (axis, t) of every kernel-matrix build from here on."""
     build = semigroup._grid_matrix
     calls = []
 
@@ -243,14 +241,86 @@ def test_picard_builds_each_gap_matrix_once(setup11, monkeypatch):
 
     monkeypatch.setattr(semigroup, "_grid_matrix", spy)
     monkeypatch.setattr(picard, "_grid_matrix", spy)
+    return calls
+
+
+def _distinct_gaps(mesh, identity) -> set:
+    """The Duhamel gaps s_i - s_j of a mesh above the identity threshold."""
+    return {s_i - mesh[j] for i, s_i in enumerate(mesh)
+            for j in range(i + 1) if s_i - mesh[j] > identity}
+
+
+def test_picard_builds_each_gap_matrix_once(setup11, monkeypatch):
+    # every sweep flows by the same Duhamel gaps, so a solve builds one
+    # kernel matrix per axis and distinct gap above the identity threshold,
+    # however many sweeps it takes
+    spec, grid, plan = setup11
+    calls = _spy_matrix_builds(monkeypatch)
     run = solve_picard(Psi0Profile(spec), plan)
     assert len(run.increments) > 1
-    mesh = run.config.mesh
-    identity = (0.75 * grid.axis_spacing(0)) ** 2
-    gaps = {s_i - mesh[j] for i, s_i in enumerate(mesh)
-            for j in range(i + 1) if s_i - mesh[j] > identity}
+    gaps = _distinct_gaps(run.config.mesh,
+                          (0.75 * grid.axis_spacing(0)) ** 2)
     assert gaps
     assert len(calls) == grid.ndim * len(gaps)
+
+
+@pytest.mark.parametrize("n", [256, 64])
+@pytest.mark.parametrize("profile", [
+    lambda spec: Psi0Profile(spec, 0.5),
+    lambda spec: Psi0Profile(spec, 2.0),
+    lambda spec: ModulatedProfile(spec, SinSquaredLog(0.05))],
+    ids=["psi0-0.5", "psi0-2", "sin2log"])
+def test_prefix_solve_is_the_full_solve_on_its_slices(n, profile,
+                                                      monkeypatch):
+    # the Duhamel map is causal, so sweep for sweep a solve up to a node
+    # computes on its slices exactly what the full solve does; with the
+    # stopping rule off both run the same sweeps.  On the n = 64 grid some
+    # gaps lie below the identity threshold
+    monkeypatch.setattr(picard, "TOL", 0.0)
+    monkeypatch.setattr(picard, "MAX_ITER", 3)
+    spec = SectorSpec(1, 1, 0.5, 0.5, +1)
+    plan = KernelPlan(spec, GridSpec.for_spec(spec, L=10.0, n=n))
+    prof = profile(spec)
+    full = solve_picard(prof, plan)
+    mesh = full.config.mesh
+    assert len(mesh) == 12 and len(full.increments) == 3
+    if n == 64:
+        gaps = mesh[:, None] - mesh[None, :]
+        identity = (0.75 * plan.grid.axis_spacing(0)) ** 2
+        assert np.any((gaps > 0) & (gaps <= identity))
+    for until, j in ((0.0, 0), (mesh[3], 3),
+                     (0.5 * (mesh[5] + mesh[6]), 6), (mesh[-1], 11),
+                     (2.0 * mesh[-1], 11)):
+        pre = solve_picard(prof, plan, until=until)
+        c = pre.config
+        assert (c.K, c.M, c.T) == (full.config.K, full.config.M,
+                                   full.config.T)
+        assert np.array_equal(c.mesh, mesh[:j + 1])
+        assert len(pre.slices) == len(pre.psi_slices) == j + 1
+        for a, b in zip(pre.slices, full.slices):
+            assert np.array_equal(a.values, b.values)
+
+
+def test_handoff_solve_builds_only_its_prefix_gaps(setup11, monkeypatch):
+    # a T_max run solves up to its hand-off node, so it builds the kernel
+    # matrices of that prefix's gaps only, fewer than the full mesh's
+    spec, grid, plan = setup11
+    calls = _spy_matrix_builds(monkeypatch)
+    h = grid.axis_spacing(0)
+    identity = (0.75 * h) ** 2
+    for lam in (0.5, 1.0, 2.0):
+        prof = Psi0Profile(spec, lam)
+        calls.clear()
+        rec = estimate_tmax(prof, plan, EvolveControls(horizon=0.0))
+        _, T = admissible_constants(spec, prof.x_norm())
+        mesh = graded_mesh(spec, T, 12)
+        j = int(np.searchsorted(mesh, max(HANDOFF_FRAC * T, (2 * h) ** 2)))
+        assert 0 < j < 11
+        assert rec.handoff_time == mesh[j]
+        assert rec.notes["picard_slices"] == j + 1
+        prefix_gaps = _distinct_gaps(mesh[:j + 1], identity)
+        assert len(calls) == grid.ndim * len(prefix_gaps)
+        assert len(prefix_gaps) < len(_distinct_gaps(mesh, identity))
 
 
 @pytest.mark.filterwarnings("error:apply_kernel. boundary truncation"
