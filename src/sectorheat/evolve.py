@@ -277,7 +277,9 @@ def estimate_tmax(profile, plan: KernelPlan,
     Singular data hand off at the first node of the certificate's graded
     mesh at or after max(HANDOFF_FRAC T, (2h)^2), and the Picard solve
     covers only the mesh up to that node.  Their record's notes carry
-    ``picard_slices`` (solved) and ``picard_sweeps``.
+    ``picard_slices`` (solved) and ``picard_sweeps``, and
+    ``handoff_below_grid_scale`` when the mesh ends before (2h)^2, so the
+    hand-off is its last node, T.
     """
     check_profile_spec(profile, plan)
     spec, grid = plan.spec, plan.grid
@@ -289,8 +291,9 @@ def estimate_tmax(profile, plan: KernelPlan,
         # hand off at the first mesh node that the grid resolves: the
         # solve stops there, and its last slice is the hand-off state
         h = max(grid.axis_spacing(i) for i in range(grid.ndim))
+        grid_scale = (2.0 * h) ** 2
         run = solve_picard(profile, plan, K=K,
-                           until=max(HANDOFF_FRAC * T, (2.0 * h) ** 2))
+                           until=max(HANDOFF_FRAC * T, grid_scale))
         f0 = run.slices[-1]
         t0 = float(run.config.mesh[-1])
     else:
@@ -301,4 +304,7 @@ def estimate_tmax(profile, plan: KernelPlan,
         rec.handoff_time = t0
         rec.notes.update(picard_slices=len(run.slices),
                          picard_sweeps=len(run.increments))
+        if t0 < grid_scale:
+            # the certified horizon T ends before the grid resolves sqrt(t)
+            rec.notes["handoff_below_grid_scale"] = True
     return rec

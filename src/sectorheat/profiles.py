@@ -8,7 +8,8 @@ The reference singular profile is
 positive on the sector and homogeneous of degree -(gamma+m).  Built-in
 families: psi0 itself, log-radially modulated psi0, the m-fold Gaussian
 derivative (smoothed derivative-of-delta data), constants, and custom
-callables with a declared tail homogeneity.
+callables with a declared tail homogeneity.  The first three have the
+form x_1 ... x_m f(|x|), and their radial(rho) method returns that f.
 """
 
 from __future__ import annotations
@@ -79,6 +80,12 @@ class Psi0Profile:
 
     def __call__(self, pts):
         return self.amplitude * _psi0_signed(self.spec, pts)
+
+    def radial(self, rho):
+        """f with self(x) = x_1...x_m f(|x|)."""
+        spec = self.spec
+        return (self.amplitude * leading_constant(spec)
+                * np.asarray(rho) ** (-spec.gamma - 2 * spec.m))
 
     def x_norm(self) -> float:
         # psi0 has X-norm exactly 1
@@ -163,6 +170,11 @@ class ModulatedProfile:
         out[ok] = out[ok] * self.g(np.log(r[ok]))
         return out
 
+    def radial(self, rho):
+        """f with self(x) = x_1...x_m f(|x|)."""
+        return (Psi0Profile(self.spec, self.amplitude).radial(rho)
+                * self.g(np.log(rho)))
+
     def x_norm(self) -> float:
         sup_g = getattr(self.g, "sup", None)
         if sup_g is None:
@@ -196,16 +208,19 @@ class GaussianDerivativeProfile:
     def __call__(self, pts):
         return self.amplitude * eval_gaussian_derivative(self.spec, self.t0, pts)
 
+    def radial(self, rho):
+        """f with self(x) = x_1...x_m f(|x|)."""
+        spec, t0 = self.spec, self.t0
+        return (self.amplitude * (4.0 * np.pi * t0) ** (-spec.N / 2.0)
+                * (2.0 * t0) ** -spec.m
+                * np.exp(-np.asarray(rho) ** 2 / (4.0 * t0)))
+
     def x_norm(self) -> float:
-        # ratio against psi0 vanishes at 0 and infinity; scan the radial max
-        spec = self.spec
+        # the ratio against psi0 is that of the radial forms, which
+        # vanishes at 0 and infinity; scan its max
         r = np.geomspace(1e-3, 30.0 * np.sqrt(self.t0), 4000)
-        # along the diagonal of the sector the ratio depends only on |x|
-        x = np.zeros((r.size, spec.N))
-        for i in range(spec.N):
-            x[:, i] = r / np.sqrt(spec.N)
-        ratio = np.abs(self(x)) / eval_psi0(spec, x)
-        return float(np.max(ratio))
+        return float(np.max(np.abs(self.radial(r))
+                            / Psi0Profile(self.spec).radial(r)))
 
     def scaled(self, lam: float) -> "GaussianDerivativeProfile":
         return GaussianDerivativeProfile(self.spec, self.t0,

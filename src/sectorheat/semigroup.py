@@ -11,11 +11,10 @@ antisym (the sector's walls), sym or periodic.
   sym axes, Toeplitz with the images summed per offset on periodic axes.
   Each call builds its matrices and keeps none; a Picard solve builds
   those of its Duhamel gaps once and holds them for its sweeps only.
-  Profile-backed fields take geometric (dyadic-shell) radial
-  refinement toward the origin, so singular data integrate accurately,
-  and analytic continuation of the quadrature beyond the box; a profile
-  is not periodic, so profile-backed fields on a periodic axis are
-  refused.
+  Profile-backed fields of psi0-class data x_1...x_m f(|x|) (psi0, its
+  log-modulations, the Gaussian derivative) take their whole-space flow
+  x_1...x_m F(t, |x|) from radial_flow, one integral per radius, and so
+  refuse a periodic axis.  Other profiles take the grid rule.
 * apply_spectral: the per-axis sine/Fourier basis (DST-I on antisym axes,
   DST-II on sym axes, both with a Dirichlet outer boundary; the DFT on
   periodic axes), exact in time for the discrete modes; for bounded
@@ -27,10 +26,10 @@ antisym (the sector's walls), sym or periodic.
       e^{t D} psi0 = t^{-(gamma+m)/2} E(x / sqrt t),  E = e^{D} psi0,
   with E in closed form, a Kummer function (DLMF 13.3), so Psi is exact
   at every t and point.  Psi and C_inf = sup |E| are functions of the spec
-  (N, m, gamma) alone; C_inf is computed once per spec.  The quadrature of
-  psi0 remains an independent check of E, and the route for data that are
-  not psi0.  build_psi_cache / save_cache export E on a grid with C_inf as
-  an SHC1 file; no computation reads that file back.
+  (N, m, gamma) alone; C_inf is computed once per spec.  radial_flow of
+  psi0 remains an independent check of E.  build_psi_cache / save_cache
+  export E on a grid with C_inf as an SHC1 file; no computation reads
+  that file back.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import dst, idst, fft, ifft
 from scipy.linalg import hankel, toeplitz
-from scipy.optimize import minimize, minimize_scalar
-from scipy.special import erfc, hyp1f1, poch
+from scipy.optimize import minimize_scalar
+from scipy.special import erfc, gammaln, hyp1f1, ive, poch
 from scipy.special import gamma as gamma_fn
 
 from .geometry import (AXIS_ANTISYM, AXIS_PERIODIC, AXIS_SYM, Field,
@@ -53,119 +52,33 @@ from .geometry import (AXIS_ANTISYM, AXIS_PERIODIC, AXIS_SYM, Field,
 from .profiles import _split_points
 
 
-# quadrature settings: relative mass tolerance for the dropped origin core,
-# Gauss-Legendre orders on regular cells and on dyadic shells near the
-# origin, the analytic rule's reach L + PAD_SIGMA sqrt(t), and the
-# truncation-mass warning threshold for grid-only fields
-REFINE_TARGET = 1e-10
-GL_SMOOTH = 3
-GL_SINGULAR = 6
-PAD_SIGMA = 8.0
+# radial_flow's rule, radii in units of sqrt(4t): a Gauss-Legendre window
+# of half-width WINDOW and order WINDOW_ORDER, and below 1 log-radius
+# panels of width PANEL_WIDTH and order PANEL_ORDER down to log-radius
+# -CORE_DEPTH, in blocks of that depth further down; the grid rule's
+# truncation-mass warning threshold
+WINDOW = 8.0
+WINDOW_ORDER = 48
+CORE_DEPTH = 20.0
+PANEL_WIDTH = 2.0
+PANEL_ORDER = 16
 TAIL_TOL = 1e-8
 
 
 @dataclass
 class KernelPlan:
     """Quadrature/transform plan bound to one sector spec and grid, with
-    its caches of analytic rules and spectral propagators.  Kernel
-    matrices are built per call and not kept."""
+    its slot of spectral propagators.  Kernel matrices are built per call
+    and not kept."""
 
     spec: SectorSpec
     grid: GridSpec
-    _rules: dict = field(default_factory=dict, repr=False)
     _last_dt: float | None = field(default=None, repr=False)
     _propagator: tuple | None = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
-# quadrature rules
-
-def _gl_on_cells(edges: np.ndarray, order: int):
-    """Composite Gauss-Legendre nodes/weights on consecutive cells."""
-    x0, w0 = leggauss(order)
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    nodes = (mid + half * x0[None, :]).ravel()
-    weights = (half * w0[None, :]).ravel()
-    return nodes, weights
-
-
-def _positive_partition(plan: KernelPlan, t: float) -> np.ndarray:
-    """Cell edges on (0, L_out] for the analytic rule: dyadic shells toward
-    the origin, uniform cells across the box, geometric extension beyond."""
-    grid = plan.grid
-    h = min(grid.axis_spacing(i) for i in range(grid.ndim))
-    w = min(h, np.sqrt(t), 0.5)
-    # dyadic levels chosen so the dropped core mass ~ r_min^(N-gamma) is
-    # below the refinement target
-    margin = plan.spec.N - plan.spec.gamma
-    levels = int(np.ceil(np.log2(w) - np.log(REFINE_TARGET) / margin
-                         / np.log(2.0)))
-    levels = min(max(levels, 10), 400)
-    shells = w * 2.0 ** (-np.arange(levels, -1, -1, dtype=float))
-    n_cells = int(np.ceil((grid.L - w) / w))
-    body = np.linspace(w, grid.L, n_cells + 1)[1:]
-    L_out = grid.L + PAD_SIGMA * np.sqrt(t)
-    w_ext = max(w, np.sqrt(t))
-    n_ext = int(np.ceil((L_out - grid.L) / w_ext))
-    ext = grid.L + w_ext * np.arange(1, n_ext + 1)
-    return np.concatenate([shells, body, ext])
-
-
-def _axis_rule(plan: KernelPlan, axis: int, t: float):
-    """Per-axis nodes/weights of the analytic rule, the refined composite
-    rule that integrates a profile-backed field over the whole line.  A
-    profile is not periodic, so against the periodised kernel this rule
-    would count every image twice: profile data on a periodic axis are
-    refused.
-    """
-    kind = plan.grid.axes[axis]
-    key = (axis, float(t))
-    rule = plan._rules.get(key)
-    if rule is not None:
-        return rule
-    if kind == AXIS_PERIODIC:
-        raise ValueError(
-            f"analytic rule: axis {axis} is {kind!r}, but profile-backed data "
-            f"live on the whole space: apply them on {AXIS_ANTISYM!r} or "
-            f"{AXIS_SYM!r} axes, or sample them as a grid field")
-    edges = _positive_partition(plan, t)
-    h = min(plan.grid.axis_spacing(i) for i in range(plan.grid.ndim))
-    w = min(h, np.sqrt(t), 0.5)
-    n_shells = int(np.searchsorted(edges, w * (1.0 + 1e-12)))
-    sing_nodes, sing_w = _gl_on_cells(edges[:n_shells + 1], GL_SINGULAR)
-    smooth_nodes, smooth_w = _gl_on_cells(edges[n_shells:], GL_SMOOTH)
-    # innermost dropped core [0, edges[0]] is below REFINE_TARGET by
-    # construction
-    pos = np.concatenate([sing_nodes, smooth_nodes])
-    wts = np.concatenate([sing_w, smooth_w])
-    if kind == AXIS_SYM:
-        pos = np.concatenate([-pos[::-1], pos])
-        wts = np.concatenate([wts[::-1], wts])
-    rule = (pos, wts)
-    plan._rules[key] = rule
-    return rule
-
-
-def _k1d(kind: str, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
-    """One-axis kernel factor matrix at arbitrary nodes, shape
-    (len(x), len(y)); antisym or sym axes only, as the analytic rule.
-    Evaluated in place, so a build holds at most two such matrices."""
-    def gauss(d):
-        # exp(-d^2 / 4t), overwriting d
-        np.multiply(d, d, out=d)
-        np.negative(d, out=d)
-        np.divide(d, 4.0 * t, out=d)
-        return np.exp(d, out=d)
-
-    out = gauss(x[:, None] - y[None, :])
-    if kind == AXIS_ANTISYM:
-        out -= gauss(x[:, None] + y[None, :])
-    out *= (4.0 * np.pi * t) ** -0.5
-    return out
-
+# grid quadrature
 
 def _grid_matrix(grid: GridSpec, axis: int, t: float) -> np.ndarray:
     """Kernel matrix of the grid rule on one axis, weight h included.
@@ -193,24 +106,6 @@ def _grid_matrix(grid: GridSpec, axis: int, t: float) -> np.ndarray:
     return out
 
 
-def _analytic_rows(plan: KernelPlan, t: float, nodes) -> list[np.ndarray]:
-    """Per-axis kernel matrices of the analytic rule, weights included,
-    from the points nodes[i] of axis i to that axis's rule nodes."""
-    rows = []
-    for i, x in enumerate(nodes):
-        y, w = _axis_rule(plan, i, t)
-        row = _k1d(plan.grid.axes[i], x, y, t)
-        row *= w
-        rows.append(row)
-    return rows
-
-
-def _quad_mesh(plan: KernelPlan, t: float) -> np.ndarray:
-    axes = [_axis_rule(plan, i, t)[0] for i in range(plan.grid.ndim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1)
-
-
 def _contract(mats: list[np.ndarray], F: np.ndarray) -> np.ndarray:
     """Apply mats[i] along axis i of F: A @ F in 1-D, A0 @ F @ A1.T in 2-D;
     in 3-D each tensordot consumes the leading axis and appends the new."""
@@ -225,17 +120,17 @@ def _contract(mats: list[np.ndarray], F: np.ndarray) -> np.ndarray:
 
 
 def apply_kernel(plan: KernelPlan, t: float, f: Field) -> Field:
-    """e^{t D_Omega} f by product-kernel quadrature.
+    """e^{t D_Omega} f by quadrature.
 
-    Profile-backed fields are re-sampled on the refined rule (resolving the
-    origin singularity and the tail beyond the box); plain grid fields use
-    the grid itself as the rule.
+    Profile-backed fields whose profile has a radial form take the exact
+    whole-space flow x_1...x_m F(t, |x|) at the grid nodes (radial_flow);
+    plain grid fields and other profiles use the grid itself as the rule.
     """
     if t <= 0.0:
         raise ValueError("apply_kernel requires t > 0")
     if f.grid != plan.grid:
         raise ValueError("field and plan differ in grid")
-    if f.profile is None:
+    if getattr(f.profile, "radial", None) is None:
         h = max(f.grid.axis_spacing(i) for i in range(f.grid.ndim))
         if np.sqrt(4.0 * t) < 1.5 * h:
             warnings.warn(
@@ -244,10 +139,13 @@ def apply_kernel(plan: KernelPlan, t: float, f: Field) -> Field:
         _warn_tail_mass(plan, t, f)
         mats = [_grid_matrix(f.grid, i, t) for i in range(f.grid.ndim)]
         return Field(f.spec, f.grid, _contract(mats, f.values))
-    F = f.profile(_quad_mesh(plan, t))
-    mats = _analytic_rows(plan, t, [f.grid.axis_nodes(i)
-                                    for i in range(f.grid.ndim)])
-    return Field(f.spec, f.grid, _contract(mats, F))
+    m = f.profile.spec.m
+    _check_psi_grid(f.grid, m)
+    pts = f.grid.points()
+    radii, where = np.unique(np.sqrt(np.sum(pts * pts, axis=-1)),
+                             return_inverse=True)
+    F = radial_flow(f.profile, t, radii)[where].reshape(pts.shape[:-1])
+    return Field(f.spec, f.grid, np.prod(pts[..., :m], axis=-1) * F)
 
 
 def _warn_tail_mass(plan: KernelPlan, t: float, f: Field) -> None:
@@ -270,16 +168,90 @@ def _warn_tail_mass(plan: KernelPlan, t: float, f: Field) -> None:
             "exceeds tolerance; enlarge the box", RuntimeWarning)
 
 
-def heat_at_points(plan: KernelPlan, t: float, profile, pts,
-                   F: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise e^{t D_Omega} applied to an analytic profile at arbitrary
-    points (used for sup-norm refinement off the grid).  Pass F (the profile
-    pre-sampled on the quadrature mesh) to amortize repeated calls."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if F is None:
-        F = profile(_quad_mesh(plan, t))
-    return np.array([_contract(_analytic_rows(plan, t, x[:, None]), F).item()
-                     for x in pts])
+# ---------------------------------------------------------------------------
+# the exact flow of psi0-class data x_1...x_m f(|x|), one integral per radius
+
+def _gauss_legendre(a, b, order: int):
+    """Gauss-Legendre nodes and weights on each [a, b], along a new axis."""
+    x, w = leggauss(order)
+    a = np.asarray(a, dtype=float)[..., None]
+    half = 0.5 * (np.asarray(b, dtype=float)[..., None] - a)
+    return a + half * (1.0 + x), half * w
+
+
+def _radial_kernel(nu: float, q, s) -> np.ndarray:
+    """exp(-(q - s)^2) z^{-nu} ive(nu, z), z = 2qs: the heat kernel of
+    radial functions in dimension 2nu + 2, radii in units of sqrt(4t),
+    over 2^{nu+1}.  z^{-nu} I_nu(z) is even and entire: below z = 1e-6 it
+    takes its two-term series, so q = 0 and s = 0 are exact."""
+    z = 2.0 * np.asarray(q) * np.asarray(s)
+    with np.errstate(divide="ignore", invalid="ignore"):    # z = 0
+        bessel = ive(nu, z) * z ** -nu
+    series = (np.exp(-z - nu * np.log(2.0) - gammaln(nu + 1.0))
+              * (1.0 + z * z / (4.0 * nu + 4.0)))
+    return np.exp(-(q - s) ** 2) * np.where(z < 1e-6, series, bessel)
+
+
+def _deep_mass(profile, sigma: float, s, mass) -> float:
+    """int_0^{e^{-W}} s^{d-1} f(sigma s) ds, W = CORE_DEPTH, from the core's
+    log-radius nodes s on (e^{-W}, 1] and weights mass = w s^d.
+
+    f overflows further down, so block k, the core moved down by (k+1) W,
+    is taken through the log shift by -kW (lam^{gamma+m} D_lam) at the
+    factor e^{-(N-gamma) kW}, until that is e^{-40} (at most 1000 blocks).
+    Below, f continues as rho^{-(gamma+2m)} in closed form: exact for psi0
+    and for data with no log shift (the Gaussian derivative, bounded at 0),
+    which take one block; an oscillating g is off by its swing times the
+    last factor, which matters only for N - gamma < 0.002."""
+    spec = profile.spec
+    a, d, W = spec.N - spec.gamma, spec.N + 2 * spec.m, CORE_DEPTH
+    shift = getattr(profile, "log_shifted", None)
+    blocks = 1 if shift is None else int(min(np.ceil(40.0 / (a * W)), 1000))
+    total = 0.0
+    for k in range(blocks):
+        f = (shift(-k * W) if k else profile).radial
+        total += np.exp(-a * k * W - d * W) * np.sum(
+            mass * f(sigma * np.exp(-W) * s))
+    return total + (np.exp(-a * (blocks - 1) * W - 2 * d * W)
+                    * f(sigma * np.exp(-2 * W)) / a)
+
+
+def radial_flow(profile, t: float, r) -> np.ndarray:
+    """F(t, r) at radii r >= 0, where e^{tD}[x_1...x_m f(|x|)] =
+    x_1...x_m F(t, |x|) and f = profile.radial.
+
+    x_1...x_m is harmonic, so F is the flow of f in dimension d = N + 2m
+    (Bochner's relation; Stein & Weiss, Fourier Analysis on Euclidean
+    Spaces, 1971, ch. IV 3):
+        F(t, r) = (2t)^{-1} r^{-nu} int_0^inf e^{-(r - rho)^2/4t}
+                  ive(nu, r rho/2t) rho^{nu+1} f(rho) d rho,  nu = d/2 - 1.
+    In units s = rho/sqrt(4t), radius q takes a Gauss-Legendre window
+    [q - WINDOW, q + WINDOW] cut at s = 1; where it is cut, it adds the
+    core: log-radius panels on (e^{-CORE_DEPTH}, 1], and below that the
+    kernel at s = 0 (off by O(s^2)) times the mass there (_deep_mass).
+    """
+    spec = profile.spec
+    d = spec.N + 2 * spec.m
+    nu = 0.5 * d - 1.0
+    sigma = np.sqrt(4.0 * t)
+    q = np.atleast_1d(np.asarray(r, dtype=float)) / sigma
+    s, w = _gauss_legendre(np.maximum(q - WINDOW, 1.0), q + WINDOW,
+                           WINDOW_ORDER)
+    out = np.sum(w * _radial_kernel(nu, q[:, None], s) * s ** (d - 1)
+                 * profile.radial(sigma * s), axis=-1)
+    near = q < WINDOW + 1.0
+    if np.any(near):
+        edges = np.linspace(-CORE_DEPTH, 0.0,
+                            int(np.ceil(CORE_DEPTH / PANEL_WIDTH)) + 1)
+        y, w = (v.ravel() for v in _gauss_legendre(edges[:-1], edges[1:],
+                                                    PANEL_ORDER))
+        s = np.exp(y)
+        mass = w * s ** d
+        out[near] += (_radial_kernel(nu, q[near, None], s)
+                      @ (mass * profile.radial(sigma * s))
+                      + _radial_kernel(nu, q[near], 0.0)
+                      * _deep_mass(profile, sigma, s, mass))
+    return 2.0 ** (0.5 * d) * out
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +379,16 @@ def E(spec: SectorSpec, pts) -> np.ndarray:
 
 
 def _check_psi_grid(grid: GridSpec, m: int) -> None:
-    """Psi is the whole-space flow sampled on the sector; a periodised
-    kernel would break its dilation identity."""
+    """Psi, and the flow of any psi0-class datum, is the whole-space flow
+    sampled on the sector; a periodised kernel would break its dilation
+    identity."""
     for i, kind in enumerate(grid.axes):
         if kind != AXIS_ANTISYM if i < m else kind == AXIS_PERIODIC:
             raise ValueError(
-                f"Psi grid: axis {i} is {kind!r}, but Psi lives on the sector "
-                f"of the whole space: the first {m} axes must be "
-                f"{AXIS_ANTISYM!r} and none {AXIS_PERIODIC!r}")
+                f"Psi grid: axis {i} is {kind!r}, but Psi and the flow of "
+                f"psi0-class data live on the sector of the whole space: the "
+                f"first {m} axes must be {AXIS_ANTISYM!r} and none "
+                f"{AXIS_PERIODIC!r}")
 
 
 def check_profile_spec(profile, plan: KernelPlan) -> None:
@@ -427,38 +401,42 @@ def check_profile_spec(profile, plan: KernelPlan) -> None:
                          f"{plan.spec}")
 
 
+def _radial_max(fun, r: np.ndarray) -> float:
+    """max of fun over the sorted radii r and between them: the largest
+    sample brackets the maximiser, which bounded Brent then refines.
+    fun maps an array of radii to values."""
+    vals = fun(r)
+    i = int(np.argmax(vals))
+    res = minimize_scalar(lambda x: -fun(np.array([x]))[0],
+                          bounds=(r[max(i - 1, 0)], r[min(i + 1, r.size - 1)]),
+                          method="bounded", options={"xatol": 1e-12})
+    return float(max(vals[i], -res.fun))
+
+
 def linear_sup(plan: KernelPlan, profile, t: float) -> float:
     """sup-norm of e^{t D_Omega} applied to an analytic profile made for
     the plan's spec.
 
-    Starts from the grid argmax (plus the origin when no axis is
-    anti-symmetric, since offset grids exclude it) and refines off-grid with
-    a simplex search over pointwise quadrature evaluations.
+    Data x_1...x_m f(|x|) flow to x_1...x_m F(t, |x|), and on the sphere
+    of radius r |x_1...x_m| peaks on the diagonal at (r/sqrt m)^m: the sup
+    is the 1-D max of (r/sqrt m)^m |F(t, r)| over the grid's reach and
+    over 10 sqrt(b t), b = N/2 + m, where the flow of psi0 peaks.  Other
+    profiles take the sup of the grid rule's apply.
     """
     check_profile_spec(profile, plan)
     spec, grid = plan.spec, plan.grid
-    sampled = apply_kernel(plan, t, field_from_profile(spec, grid, profile))
-    idx = np.unravel_index(np.argmax(np.abs(sampled.values)),
-                           sampled.values.shape)
-    x0 = np.array([grid.axis_nodes(i)[idx[i]] for i in range(grid.ndim)])
-    candidates = [x0]
-    if spec.m == 0:
-        candidates.append(np.zeros(grid.ndim))
-
-    F = profile(_quad_mesh(plan, t))
-
-    def neg(x):
-        xc = np.clip(x, -0.95 * grid.L, 0.95 * grid.L)
-        xc[:spec.m] = np.abs(xc[:spec.m])
-        return -abs(heat_at_points(plan, t, profile, xc[None, :], F=F)[0])
-
-    best = 0.0
-    for c in candidates:
-        res = minimize(neg, c, method="Nelder-Mead",
-                       options={"xatol": 1e-7, "fatol": 1e-12,
-                                "maxiter": 400})
-        best = max(best, -res.fun, -neg(c))
-    return float(best)
+    if getattr(profile, "radial", None) is None:
+        return apply_kernel(plan, t, field_from_profile(spec, grid,
+                                                        profile)).sup_norm()
+    _check_psi_grid(grid, spec.m)
+    m = spec.m
+    reach = np.linalg.norm([np.max(np.abs(grid.axis_nodes(i)))
+                            for i in range(grid.ndim)])
+    r = np.union1d(np.linspace(0.0, 10.0 * np.sqrt((0.5 * spec.N + m) * t),
+                               513),
+                   np.linspace(0.0, reach, 513))
+    return _radial_max(lambda r: (r / np.sqrt(max(m, 1))) ** m
+                       * np.abs(radial_flow(profile, t, r)), r)
 
 
 @lru_cache(maxsize=8)
@@ -466,20 +444,14 @@ def _sup_E(spec: SectorSpec) -> float:
     """C_inf = sup |E|.  1F1(a; b; -z) is positive and decreasing in z for
     0 < a < b, so with m = 0 the sup is E(0) = A; otherwise it lies on the
     diagonal x_i = r/sqrt(m) of the first m axes, a 1-D maximisation over r
-    of (r^2/m)^{m/2} 1F1(a; b; -r^2/4), which is 0 at r = 0 and decays."""
+    of (r^2/m)^{m/2} 1F1(a; b; -r^2/4), which is 0 at r = 0, decays, and
+    peaks at r = O(sqrt(b))."""
     a, b, k = _kummer_params(spec)
     if spec.m == 0:
         return k
-
-    def neg(r):
-        return -(r * r / spec.m) ** (spec.m / 2.0) * hyp1f1(a, b, -r * r / 4)
-
-    # the maximiser is O(sqrt(b)): bracket it on a sample, then refine
-    r = np.linspace(0.0, 10.0 * np.sqrt(b), 513)
-    i = int(np.argmin(neg(r)))
-    res = minimize_scalar(neg, bounds=(r[i - 1], r[i + 1]), method="bounded",
-                          options={"xatol": 1e-12})
-    return -k * float(min(res.fun, neg(r[i])))
+    return k * _radial_max(lambda r: (r * r / spec.m) ** (spec.m / 2.0)
+                           * hyp1f1(a, b, -r * r / 4),
+                           np.linspace(0.0, 10.0 * np.sqrt(b), 513))
 
 
 def psi_values(spec: SectorSpec, t: float, pts: np.ndarray) -> np.ndarray:

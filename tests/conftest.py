@@ -42,3 +42,11 @@ def setup10():
     grid = GridSpec.for_spec(spec, L=10.0, n=512)
     plan = KernelPlan(spec, grid)
     return spec, grid, plan
+
+
+@pytest.fixture(scope="session")
+def setup21():
+    """2-D configuration: N=2, m=1, gamma=1, alpha=0.5, L=8, n=64."""
+    spec = SectorSpec(2, 1, 1.0, 0.5, +1)
+    grid = GridSpec.for_spec(spec, L=8.0, n=64)
+    return spec, grid, KernelPlan(spec, grid)

@@ -29,13 +29,6 @@ def _verdict(num, name, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def setup21():
-    spec = SectorSpec(2, 1, 1.0, 0.5, +1)
-    grid = GridSpec.for_spec(spec, L=8.0, n=64)
-    return spec, grid, KernelPlan(spec, grid)
-
-
-@pytest.fixture(scope="module")
 def setup20():
     spec = SectorSpec(2, 0, 1.0, 0.5, +1)
     grid = GridSpec.for_spec(spec, L=8.0, n=64)

@@ -330,8 +330,8 @@ def test_unknown_axis_kind_is_a_config_error(tmp_path, capsys):
 
 def test_semigroup_checks_on_periodic_axis_is_a_config_error(tmp_path,
                                                              capsys):
-    # the sup-norm law applies psi0 by the analytic rule, which would
-    # count the periodic images twice
+    # the sup-norm law flows psi0 by its whole-space radial flow, which a
+    # periodised kernel does not reproduce
     d = _manifest_dict(experiment="semigroup_checks",
                        spec={"N": 1, "m": 0, "gamma": 0.5, "alpha": 1.0},
                        grid={"L": 10.0, "n": 128, "axes": [AXIS_PERIODIC]},

@@ -325,6 +325,18 @@ def test_prefix_handoff_matches_full_solve_handoff(setup11, profile):
     assert rec.t_max == pytest.approx(ref.t_max, rel=1e-10, abs=0.0)
 
 
+def test_handoff_below_grid_scale_is_noted(setup11, setup21):
+    # on the 2-D grid the certified horizon T ends before (2h)^2, so the
+    # hand-off is T itself and the notes say so; the 1-D grid hands off at
+    # a node it resolves and carries no such note
+    short = EvolveControls(horizon=0.1)
+    for (spec, grid, plan), below in ((setup21, True), (setup11, False)):
+        h = max(grid.axis_spacing(i) for i in range(grid.ndim))
+        rec = estimate_tmax(Psi0Profile(spec), plan, short)
+        assert (rec.handoff_time < (2.0 * h) ** 2) == below
+        assert rec.notes.get("handoff_below_grid_scale", False) == below
+
+
 def test_tmax_refuses_profile_of_another_spec(setup11, monkeypatch):
     # a = -1 data on the a = +1 plan fail at the entry, before any Picard
     # sweep or Strang step

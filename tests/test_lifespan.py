@@ -116,6 +116,9 @@ def test_criterion_critical_threshold_flip():
     assert low["verdict"] == "undetermined"
     assert high["verdict"] == "blowup_predicted"
     assert low["linear_sup"] < thr < high["linear_sup"]
+    # and the sup itself is the closed form: ||e^D (c psi0)|| = c C_inf
+    for c, report in ((c_small, low), (c_large, high)):
+        assert report["linear_sup"] == pytest.approx(c * C_inf, rel=1e-12)
 
 
 def test_critical_threshold_values():

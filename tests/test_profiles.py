@@ -9,6 +9,21 @@ from sectorheat.profiles import (ConstantModulation, GaussianDerivativeProfile,
                                  leading_constant)
 
 
+@pytest.mark.parametrize("N, m, gamma", [(1, 0, 0.5), (1, 1, 0.5),
+                                          (2, 1, 1.0), (3, 2, 2.5)])
+def test_radial_form(N, m, gamma):
+    # profile(x) = x_1...x_m f(|x|) with f = profile.radial
+    spec = SectorSpec(N, m, gamma, 0.5)
+    x = np.random.default_rng(N + m).uniform(0.1, 3.0, (50, N))
+    coords = np.prod(x[:, :m], axis=1)
+    r = np.linalg.norm(x, axis=1)
+    for prof in (Psi0Profile(spec, 1.5),
+                 ModulatedProfile(spec, SinSquaredLog(0.1, 0.3), -2.0),
+                 GaussianDerivativeProfile(spec, 0.7, 3.0)):
+        assert np.allclose(prof(x), coords * prof.radial(r), rtol=1e-13,
+                           atol=0)
+
+
 def test_leading_constant():
     assert leading_constant(SectorSpec(2, 0, 1.0, 0.5)) == 1.0
     assert leading_constant(SectorSpec(2, 1, 1.0, 0.5)) == 1.0   # gamma

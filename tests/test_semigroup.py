@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import sectorheat.semigroup as semigroup
 from sectorheat import (AXIS_ANTISYM, AXIS_PERIODIC, AXIS_SYM, Field,
                         GridSpec, KernelPlan, SectorSpec,
                         alpha_time_integral, apply_kernel, apply_spectral,
                         build_psi_cache, field_from_profile, linear_sup,
                         load_cache, psi_fast, psi_sup, psi_values, save_cache)
 from sectorheat.profiles import (ConstantProfile, CustomProfile,
-                                 GaussianDerivativeProfile,
-                                 Psi0Profile, eval_gaussian_derivative,
-                                 eval_psi0)
-from sectorheat.semigroup import (E, _axis_rule, _contract, _grid_matrix,
-                                  _k1d, heat_at_points)
+                                 GaussianDerivativeProfile, ModulatedProfile,
+                                 Psi0Profile, SinSquaredLog,
+                                 eval_gaussian_derivative, eval_psi0)
+from sectorheat.semigroup import (E, _contract, _gauss_legendre, _grid_matrix,
+                                  _radial_kernel, radial_flow)
 
 
 def test_gaussian_semigroup_m0():
@@ -40,27 +41,48 @@ def test_gaussian_derivative_eigenflow_m1():
 
 
 def test_kernel_vanishes_at_wall():
-    # output near the anti-symmetric wall scales linearly in x_1
+    # the flow x_1 F(t, x_1) near the anti-symmetric wall scales linearly
+    # in x_1: F is continuous at r = 0, across the radius where the kernel
+    # switches from ive to its series (2 r s / 4t = 1e-6)
     spec = SectorSpec(1, 1, 0.5, 1.0)
-    grid = GridSpec.for_spec(spec, L=10.0, n=256)
+    t = 0.5
+    x = np.array([0.0, 1e-9, 1e-7, 4e-7, 1e-6, 1e-5])
+    ratio = radial_flow(Psi0Profile(spec), t, x)
+    assert np.all(np.abs(x * ratio) < 1e-4)     # -> 0 at the wall
+    assert np.allclose(ratio, ratio[0], rtol=1e-10, atol=0)
+
+
+def test_modulated_apply_near_gamma_N_is_finite(monkeypatch):
+    # gamma within 0.05 of N: the integrand rho^{N-1-gamma} of the flow's
+    # core is barely integrable and psi0 overflows long before its mass
+    # is in.  The values are finite and do not move when every rule's
+    # node count doubles
+    spec = SectorSpec(1, 1, 0.95, 0.5)
+    grid = GridSpec.for_spec(spec, L=6.0, n=64)
     plan = KernelPlan(spec, grid)
-    x = np.array([[1e-5], [2e-5], [4e-5]])
-    vals = heat_at_points(plan, 0.5, Psi0Profile(spec), x)
-    assert np.max(np.abs(vals)) < 1e-4          # -> 0 at the wall
-    ratio = vals / x[:, 0]
-    assert np.allclose(ratio, ratio[0], rtol=1e-5)
+    f = field_from_profile(spec, grid, ModulatedProfile(spec, SinSquaredLog()))
+    out = apply_kernel(plan, 1.0, f).values
+    assert np.all(np.isfinite(out))
+    monkeypatch.setattr(semigroup, "WINDOW_ORDER", 2 * semigroup.WINDOW_ORDER)
+    monkeypatch.setattr(semigroup, "PANEL_ORDER", 2 * semigroup.PANEL_ORDER)
+    ref = apply_kernel(plan, 1.0, f).values
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_heat_at_points_matches_apply_kernel_2d():
-    # the pointwise evaluator and the grid apply contract the same rule
+def test_radial_flow_matches_apply_kernel_2d():
+    # the pointwise evaluator at a few nodes and the grid apply, which
+    # evaluates it once per distinct radius, agree at every node
     spec = SectorSpec(2, 1, 1.0, 0.5)
     grid = GridSpec.for_spec(spec, L=8.0, n=16)
     plan = KernelPlan(spec, grid)
     prof = Psi0Profile(spec)
     on_grid = apply_kernel(plan, 0.5, field_from_profile(spec, grid, prof))
     idx = (np.array([0, 3, 9, 15]), np.array([0, 8, 2, 15]))
-    at_points = heat_at_points(plan, 0.5, prof, grid.points()[idx])
+    pts = grid.points()[idx]
+    at_points = pts[:, 0] * radial_flow(prof, 0.5, np.hypot(*pts.T))
     assert np.allclose(at_points, on_grid.values[idx], rtol=1e-12, atol=0)
+    assert np.allclose(on_grid.values, psi_values(spec, 0.5, grid.points()),
+                       rtol=1e-12, atol=0)
 
 
 def _exact_factor(kind, x, t):
@@ -96,24 +118,28 @@ def test_both_engines_match_the_exact_flow(axes, L, t):
 
 
 def test_analytic_apply_refuses_periodic_axis():
-    # the analytic rule integrates the profile over the whole line, which
-    # against the periodised kernel counts every image twice; the grid
-    # apply of the same constant stays exact
+    # the radial flow of psi0-class data is the whole-space flow, which a
+    # periodised kernel does not reproduce; a profile with no radial form
+    # takes the grid rule, which on a periodic axis keeps a constant exact
     spec = SectorSpec(1, 0, 0.5, 1.0)
     grid = GridSpec(np.pi, 32, (AXIS_PERIODIC,))
     plan = KernelPlan(spec, grid)
-    one = ConstantProfile(spec, 1.0)
+    psi0 = Psi0Profile(spec)
     with pytest.raises(ValueError, match="axis 0 is 'periodic'"):
-        apply_kernel(plan, 0.05, field_from_profile(spec, grid, one))
+        apply_kernel(plan, 0.05, field_from_profile(spec, grid, psi0))
     with pytest.raises(ValueError, match="axis 0 is 'periodic'"):
-        linear_sup(plan, one, 1.0)
+        linear_sup(plan, psi0, 1.0)
+    spec21 = SectorSpec(2, 1, 1.0, 0.5)
+    grid21 = GridSpec(4.0, 8, ("antisym", "periodic"))
     with pytest.raises(ValueError, match="axis 1 is 'periodic'"):
-        heat_at_points(KernelPlan(SectorSpec(2, 1, 1.0, 0.5),
-                                  GridSpec(4.0, 8, ("antisym", "periodic"))),
-                       0.5, Psi0Profile(SectorSpec(2, 1, 1.0, 0.5)),
-                       [[1.0, 0.5]])
-    out = apply_kernel(plan, 2.0, Field(spec, grid, np.ones(32)))
-    assert np.max(np.abs(out.values - 1.0)) < 1e-9
+        apply_kernel(KernelPlan(spec21, grid21), 0.5,
+                     field_from_profile(spec21, grid21, Psi0Profile(spec21)))
+    one = ConstantProfile(spec, 1.0)
+    for f in (Field(spec, grid, np.ones(32)),
+              field_from_profile(spec, grid, one)):
+        out = apply_kernel(plan, 2.0, f)
+        assert np.max(np.abs(out.values - 1.0)) < 1e-9
+    assert linear_sup(plan, one, 2.0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_linear_sup_refuses_profile_of_another_spec():
@@ -160,22 +186,20 @@ def test_contract_matches_tensordot(ndim, dtype):
 
 
 def test_kernel_symmetry():
-    spec = SectorSpec(1, 1, 0.5, 1.0)
-    grid = GridSpec.for_spec(spec, L=10.0, n=64)
-    x = grid.axis_nodes(0)
-    K = _k1d("antisym", x, x, 0.3)
-    assert np.max(np.abs(K - K.T)) < 1e-12
-    G = _k1d("sym", x, x, 0.3)
-    assert np.max(np.abs(G - G.T)) < 1e-12
-    # the in-place build does the arithmetic of the plain expression
-    t, y = 0.37, x[::3] + 0.1
-    c = (4.0 * np.pi * t) ** -0.5
-    dx, sx = x[:, None] - y[None, :], x[:, None] + y[None, :]
-    assert np.array_equal(_k1d("sym", x, y, t),
-                          c * np.exp(-dx * dx / (4.0 * t)))
-    assert np.array_equal(_k1d("antisym", x, y, t),
-                          c * (np.exp(-dx * dx / (4.0 * t))
-                               - np.exp(-sx * sx / (4.0 * t))))
+    # the radial kernel e^{-(q-s)^2} z^{-nu} ive(nu, z), z = 2qs, is
+    # symmetric in its two radii, in every dimension d = 2nu + 2 and on
+    # both sides of the series switch at z = 1e-6
+    q = np.r_[0.0, 1e-8, 3e-4, np.linspace(0.01, 12.0, 60)]
+    for nu in (-0.5, 0.0, 0.5, 1.0, 2.5):
+        K = _radial_kernel(nu, q[:, None], q[None, :])
+        assert np.max(np.abs(K - K.T)) <= 1e-15 * np.max(K)
+    # and, at d = 1, it is the sym axis's kernel folded onto r >= 0:
+    # (e^{-(q-s)^2} + e^{-(q+s)^2}) / 2 = e^{-(q-s)^2} cosh(2qs) e^{-2qs}
+    K1 = _radial_kernel(-0.5, q[:, None], q[None, :])
+    folded = 0.5 * (np.exp(-(q[:, None] - q) ** 2)
+                    + np.exp(-(q[:, None] + q) ** 2))
+    assert np.allclose(K1 * np.sqrt(np.pi / 2.0), folded, rtol=1e-13,
+                       atol=1e-300)
 
 
 @settings(max_examples=15, deadline=None)
@@ -203,15 +227,18 @@ def test_grid_matrix_matches_the_pairwise_kernel(kind, n, L, t):
 
 
 def test_quadrature_weights_positive_kernel_nonnegative():
-    spec = SectorSpec(2, 1, 1.0, 0.5)
-    grid = GridSpec.for_spec(spec, L=8.0, n=32)
-    plan = KernelPlan(spec, grid)
-    for axis in range(2):
-        y, w = _axis_rule(plan, axis, 0.7)
+    # the radial flow's rules (per-radius windows and log-radius panels)
+    # have positive weights, and its kernel is nonnegative, so a
+    # nonnegative datum flows to a nonnegative F
+    a, b = np.array([-300.0, 2.5]), np.array([-298.0, 10.5])
+    for order in (16, 48):
+        x, w = _gauss_legendre(a, b, order)
         assert np.all(w > 0)
-        K = _k1d(grid.axes[axis], np.abs(grid.axis_nodes(axis)), np.abs(y),
-                 0.7)
-        assert K.min() >= 0.0
+        assert np.allclose(w.sum(axis=-1), [2.0, 8.0], rtol=1e-14)
+        assert np.all(np.diff(x, axis=-1) > 0)
+    q = np.r_[0.0, np.geomspace(1e-9, 20.0, 40)]
+    for nu in (-0.5, 0.0, 0.5, 2.5):
+        assert _radial_kernel(nu, q[:, None], q[None, :]).min() >= 0.0
 
 
 def test_x_norm_stability(setup11):
