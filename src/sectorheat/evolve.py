@@ -11,6 +11,18 @@ semigroup, so each step's trailing half fuses with the next leading half,
 and monotone in |u|, so a step's sup is the scalar flow of the heated sup.
 T_max is reported from the scalar remainder at the last resolved state,
 gated by a type-I rate fit ||u(t)|| ~ (alpha (T - t))^{-1/alpha}.
+
+Both sub-flows are exact, so the step is set by accuracy alone.  Steps sit
+on the ladder dt_k = h^2 2^{k/2} (integer k, starting at the grid scale
+k = 0) below the growth cap DT_GROWTH_FRAC / (alpha ||u||^alpha).  Every
+PROBE_EVERY steps on the ladder, one extra 2 dt leg from the state beside
+the next two dt steps estimates one step's local error in the sup (step
+doubling).  The pair is discarded and the run drops a rung when the
+estimate exceeds STEP_TOL; it is kept, a rung higher, when the higher
+rung's estimate, 2^{3/2} times it, would not.  The sup is measured, not
+the max norm of the difference: |u|^alpha u has a |x|^{1+alpha} kink at
+the sector wall, where the nodewise estimate runs about a thousand times
+the sup's.
 """
 
 from __future__ import annotations
@@ -41,9 +53,12 @@ class BlowupSignal:
     remaining: float
 
 
-# dt = min(DT_SAFETY h^2, DT_GROWTH_FRAC / (alpha ||u||^alpha)); singular
-# data hand off from the Picard slices near HANDOFF_FRAC * T
-DT_SAFETY = 1.0
+# dt = min(h^2 2^{k/2}, DT_GROWTH_FRAC / (alpha ||u||^alpha)), the rung k
+# moved by a probe of the sup's relative local error against STEP_TOL every
+# PROBE_EVERY steps on the ladder; singular data hand off from the Picard
+# slices near HANDOFF_FRAC * T
+STEP_TOL = 3e-7
+PROBE_EVERY = 16
 DT_GROWTH_FRAC = 0.1
 HANDOFF_FRAC = 0.01
 FIT_RESIDUAL_GATE = 0.02
@@ -142,16 +157,37 @@ def strang_step(plan: KernelPlan, w: np.ndarray, pending: float, dt: float):
     return _spectral_flow(plan, dt, lead)
 
 
-def _pick_dt(spec: SectorSpec, dt_cap: float, sup: float,
-             c: EvolveControls) -> float:
-    """The step: ``fixed_dt`` if set, else the grid cap ``dt_cap`` (the
-    run's DT_SAFETY h^2) or the growth cap, whichever is smaller."""
-    if c.fixed_dt is not None:
-        return c.fixed_dt
-    dt = dt_cap
+def _step_limit(spec: SectorSpec, sup: float, room: float) -> float:
+    """The largest step an adaptive run may take from sup with ``room``
+    left to the horizon: the growth cap DT_GROWTH_FRAC/(alpha sup^alpha)
+    or the room, whichever is smaller."""
     if sup > 0.0:
-        dt = min(dt, DT_GROWTH_FRAC / (spec.alpha * sup ** spec.alpha))
-    return dt
+        return min(room, DT_GROWTH_FRAC / (spec.alpha * sup ** spec.alpha))
+    return room
+
+
+def _flowed_sup(spec: SectorSpec, w: np.ndarray, tau: float) -> float:
+    """Sup of the state w with reaction time tau pending on it, inf when
+    its maximal node blows up within tau."""
+    m = np.abs(w).max()
+    if tau >= _remaining(spec, m):
+        return math.inf
+    return float(_modulus_flow(spec, m, tau))
+
+
+def _probe_error(plan: KernelPlan, w: np.ndarray, tau: float, dt: float,
+                 pair: np.ndarray) -> float:
+    """Step-doubling estimate of one dt step's local error in the sup,
+    relative to it: one 2 dt leg from (w, tau) beside ``pair``, the state
+    two dt legs reach from there.  The scheme is second order, so the
+    2 dt leg errs by 8 and the pair by 2 units of one step's error."""
+    big = strang_step(plan, w, tau, 2.0 * dt)
+    if isinstance(big, BlowupSignal):
+        return math.inf
+    spec = plan.spec
+    sup = _flowed_sup(spec, pair, 0.5 * dt)
+    diff = abs(_flowed_sup(spec, big, dt) - sup)
+    return diff / (6.0 * sup) if diff else 0.0
 
 
 def _typeI_fit(spec: SectorSpec, times, sups):
@@ -208,7 +244,6 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
     plan._last_dt = plan._propagator = None
     justified = (spec.N - 2) * spec.alpha < 4.0
     h = min(grid.axis_spacing(i) for i in range(grid.ndim))
-    dt_cap = DT_SAFETY * h * h
     w, tau = f0.values, 0.0     # post-heat state, reaction time pending
     sup = f0.sup_norm()
     times, sups, dts = [t0], [sup], [0.0]
@@ -216,6 +251,7 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
     t = t0
     status = STATUS_INCONCLUSIVE
     t_max = uncertainty = residual = None
+    rung, since_probe = 0, 0
     # inf is part of the reaction formula, and every state is checked finite
     with np.errstate(over="ignore", divide="ignore"):
         for _ in range(MAX_STEPS):
@@ -225,30 +261,54 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
             if spec.sign_a > 0 and sup >= c.cap:
                 t_max, uncertainty, residual = _typeI_fit(spec, times, sups)
                 break
-            dt = min(_pick_dt(spec, dt_cap, sup, c), c.horizon - t + 1e-15)
-            stepped = strang_step(plan, w, tau, dt)
-            if isinstance(stepped, BlowupSignal):
-                # remaining counts from the reaction time t - tau of w
-                t_max = t - tau + stepped.remaining
+            room = c.horizon - t + 1e-15
+            probe = False
+            if c.fixed_dt is not None:
+                dt = min(c.fixed_dt, room)
+            else:
+                ladder = h * h * 2.0 ** (0.5 * rung)
+                limit = _step_limit(spec, sup, room)
+                dt = min(ladder, limit)
+                probe = since_probe >= PROBE_EVERY and 2.0 * dt <= limit
+                if dt == ladder:
+                    since_probe += 1
+            legs = [strang_step(plan, w, tau, dt)]
+            if probe and not isinstance(legs[0], BlowupSignal):
+                legs.append(strang_step(plan, legs[0], 0.5 * dt, dt))
+                if not isinstance(legs[1], BlowupSignal):
+                    est = _probe_error(plan, w, tau, dt, legs[1])
+                    if est > STEP_TOL:
+                        rung -= 1           # discard the pair, probe again
+                        continue
+                    since_probe = 0
+                    if 2.0 ** 1.5 * est <= STEP_TOL:
+                        rung += 1
+            for stepped in legs:
+                if isinstance(stepped, BlowupSignal):
+                    # remaining counts from the reaction time t - tau of w
+                    t_max = t - tau + stepped.remaining
+                    break
+                w, tau, t = stepped, 0.5 * dt, t + dt
+                m = np.abs(w).max()
+                if not math.isfinite(m):
+                    raise ValueError("field values must be finite")
+                if tau >= (rem := _remaining(spec, m)):   # trailing half
+                    t_max = t - tau + rem
+                    break
+                sup = float(_modulus_flow(spec, m, tau))
+                if not math.isfinite(sup):
+                    raise ValueError("field values must be finite")
+                times.append(t)
+                sups.append(sup)
+                dts.append(dt)
+                if bound_fn is not None and violation is None:
+                    excess = bound_fn(t, _modulus_flow(spec, np.abs(w), tau))
+                    if excess is not None and np.any(excess > 0.0):
+                        node = np.unravel_index(int(np.argmax(excess)),
+                                                w.shape)
+                        violation = (t, tuple(int(i) for i in node))
+            if t_max is not None:
                 break
-            w, tau, t = stepped, 0.5 * dt, t + dt
-            m = np.abs(w).max()
-            if not math.isfinite(m):
-                raise ValueError("field values must be finite")
-            if tau >= (rem := _remaining(spec, m)):   # trailing half
-                t_max = t - tau + rem
-                break
-            sup = float(_modulus_flow(spec, m, tau))
-            if not math.isfinite(sup):
-                raise ValueError("field values must be finite")
-            times.append(t)
-            sups.append(sup)
-            dts.append(dt)
-            if bound_fn is not None and violation is None:
-                excess = bound_fn(t, _modulus_flow(spec, np.abs(w), tau))
-                if excess is not None and np.any(excess > 0.0):
-                    node = np.unravel_index(int(np.argmax(excess)), w.shape)
-                    violation = (t, tuple(int(i) for i in node))
     if t_max is not None and uncertainty is None:
         # a sub-flow diverged inside the last step: no state to return
         _, uncertainty, residual = _typeI_fit(spec, times, sups)

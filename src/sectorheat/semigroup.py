@@ -323,17 +323,19 @@ def _spectral_flow(plan: KernelPlan, t: float,
     A step size equal to the previous call's goes through the per-axis
     propagators P(t) = inverse diag(e^{-t k^2}) forward, built once and kept
     in the plan's single slot; any other step size goes through the three
-    cached factors."""
+    cached factors.  Every call, a slot hit too, records its step size, so
+    an odd step between two repeats of the slot's size (a step-doubling
+    probe's 2 dt leg) leaves the slot alone."""
+    last, plan._last_dt = plan._last_dt, t
     if plan._propagator is not None and plan._propagator[0] == t:
         return _contract(plan._propagator[1], values)
     basis = _spectral_basis(plan.grid)
-    if t == plan._last_dt:
+    if t == last:
         mats = [np.real((inv * np.exp(-t * k2.ravel())) @ fwd)
                 for fwd, inv, k2 in zip(basis.forward, basis.inverse,
                                         basis.ksq)]
         plan._propagator = (t, mats)
         return _contract(mats, values)
-    plan._last_dt = t
     v = _contract(basis.forward, values)
     for k2 in basis.ksq:
         v = v * np.exp(-t * k2)

@@ -169,22 +169,27 @@ def test_blowup_in_the_trailing_half_reports_exact_tmax(dt):
     assert rec.t_max == pytest.approx(2.0, rel=1e-12)
 
 
-def _unfused(plan, v, t0, c, bound_fn=None):
+def _unfused(plan, v, t0, c, dts, bound_fn=None):
     """Reference stepper: the plain composition N(dt/2) S(dt) N(dt/2) per
-    step, with every state formed and its sup read off it.  Returns the
-    status, the sups, T_max, the first envelope violation and the last
-    state (None after a blow-up)."""
+    step, with every state formed and its sup read off it.  An adaptive run
+    replays the steps ``dts`` that the fused loop recorded; a step past them
+    (one that blows up, which no record holds) takes the growth cap.
+    Returns the status, the sups, T_max, the first envelope violation and
+    the last state (None after a blow-up)."""
     spec = plan.spec
-    h = min(plan.grid.axis_spacing(i) for i in range(plan.grid.ndim))
-    dt_cap = evolve.DT_SAFETY * h * h
+    steps = iter(dts)
     t, sups, times = t0, [np.max(np.abs(v))], [t0]
     violation = t_max = residual = None
     while t < c.horizon:
         if spec.sign_a > 0 and sups[-1] >= c.cap:
             t_max, _, residual = _typeI_fit(spec, times, sups)
             break
-        dt = min(evolve._pick_dt(spec, dt_cap, sups[-1], c),
-                 c.horizon - t + 1e-15)
+        room = c.horizon - t + 1e-15
+        if c.fixed_dt is not None:
+            dt = min(c.fixed_dt, room)
+        else:
+            dt = next(steps, None) \
+                or evolve._step_limit(spec, sups[-1], room)
         out = nonlinear_substep(spec, v, 0.5 * dt)
         spent = 0.0
         if not isinstance(out, BlowupSignal):
@@ -236,15 +241,15 @@ def test_fused_stepping_matches_unfused_strang(sign_a, alpha, kinds, ndim,
         level = np.full(grid.shape(), 1.05 * amp if sign_a > 0 else 0.6 * amp)
         bound_fn = lambda t, modulus: modulus - level   # noqa: E731
     c = EvolveControls(horizon=horizon, fixed_dt=fixed_dt)
-    status, sups, t_max, violation, v = _unfused(
-        KernelPlan(spec, grid), v0, 0.0, c, bound_fn)
     rec, last = run_trajectory(plan, f0, 0.0, c, bound_fn=bound_fn)
+    status, sups, t_max, violation, v = _unfused(
+        KernelPlan(spec, grid), v0, 0.0, c, rec.dts[1:], bound_fn)
     assert rec.status == status
     assert rec.sups.shape == sups.shape
     # the exact flow u' = u^(1+alpha) multiplies a relative perturbation
-    # of u(0) by (u(t)/u(0))^alpha.  Adaptive steps are fractions of the
-    # remaining time, so both records shift along with their blow-up
-    # time; fixed steps sample at fixed times, where that factor applies
+    # of u(0) by (u(t)/u(0))^alpha.  Fixed steps sample at fixed times,
+    # where that factor applies; the reference replays an adaptive run's
+    # steps, and the two records agree to rounding without it
     growth = np.ones_like(sups)
     if fixed_dt is not None:
         ratio = np.maximum(1.0, np.r_[1.0, sups[1:] / sups[:-1]])
@@ -254,8 +259,7 @@ def test_fused_stepping_matches_unfused_strang(sign_a, alpha, kinds, ndim,
         assert rec.t_max is None
     else:
         assert rec.t_max == pytest.approx(t_max, rel=1e-12)
-    # the same envelope crossing: the same node at the same step, whose
-    # time sums adaptive steps taken from sups equal to rounding
+    # the same envelope crossing: the same node at the same step
     if violation is None:
         assert rec.bound_violation is None
     else:
@@ -293,6 +297,54 @@ def test_singular_data_blows_up_with_picard_handoff(setup11):
     assert rec.fit_residual < 0.02
     assert 3.5 < rec.t_max < 5.5
     assert rec.extrapolation_justified
+
+
+def test_step_ladder_keeps_time_converged_tmax(setup11):
+    # 4.4651982 is the Richardson value of fixed steps h^2/4 and h^2/8;
+    # fixed steps h^2 take 2,977 steps and land 6.7e-6 relative from it
+    spec, grid, plan = setup11
+    rec = estimate_tmax(Psi0Profile(spec), plan)
+    assert rec.status == STATUS_BLEWUP
+    assert rec.t_max == pytest.approx(4.4651982, rel=2e-5, abs=0.0)
+    assert len(rec.times) - 1 <= 595
+    assert rec.dts.max() > grid.axis_spacing(0) ** 2
+
+
+def test_constant_data_probe_reads_no_error(monkeypatch):
+    # the heat step leaves constants alone and the reaction flow is a
+    # semigroup, so a 2 dt leg and two dt legs agree to rounding: every
+    # probe climbs the ladder, and the scalar blow-up time stays exact
+    spec = SectorSpec(1, 0, 0.5, 1.0)
+    grid = _periodic(spec, n=64)
+    estimates, probe_error = [], evolve._probe_error
+
+    def probe(*args):
+        estimates.append(probe_error(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(evolve, "_probe_error", probe)
+    rec = estimate_tmax(ConstantProfile(spec, 1.0), KernelPlan(spec, grid))
+    assert estimates and max(estimates) <= 1e-15
+    assert len(set(rec.dts[1:])) > 1
+    assert rec.status == STATUS_BLEWUP
+    assert abs(rec.t_max - 1.0) < 1e-3
+
+
+def test_probe_leaves_the_rung_propagator():
+    # the probe's 2 dt leg goes through the factored path: the slot keeps
+    # P(dt), and the next dt step reuses it rather than building it anew
+    spec = SectorSpec(1, 1, 0.5, 0.5)
+    grid = GridSpec.for_spec(spec, L=10.0, n=64)
+    plan = KernelPlan(spec, grid)
+    w = field_from_profile(spec, grid, Psi0Profile(spec, 0.1)).values
+    dt = grid.axis_spacing(0) ** 2
+    pair = strang_step(plan, strang_step(plan, w, 0.0, dt), 0.5 * dt, dt)
+    slot = plan._propagator
+    assert slot[0] == dt
+    for _ in range(2):
+        evolve._probe_error(plan, w, 0.0, dt, pair)
+        w, pair = pair, strang_step(plan, pair, 0.5 * dt, dt)
+        assert plan._propagator is slot
 
 
 def _full_solve_handoff_tmax(profile, plan):

@@ -96,7 +96,8 @@ def test_tracer_records_psi_spans(monkeypatch):
                     if name == "semigroup.psi_values"
                     and tr.spans[parent][0] == "evolve.run_trajectory")
     assert psi["calls"] == 1 + refreshes
-    assert 0 < refreshes <= steps // 20
+    # the exact checks follow the decay of Psi, not the step count
+    assert 0 < refreshes <= 10
     assert psi["work"] == psi["calls"] * grid.n
     assert summary["lifespan.global_smallness_check"]["calls"] == 1
 
