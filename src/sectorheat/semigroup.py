@@ -18,9 +18,12 @@ antisym (the sector's walls), sym or periodic.
 * apply_spectral: the per-axis sine/Fourier basis (DST-I on antisym axes,
   DST-II on sym axes, both with a Dirichlet outer boundary; the DFT on
   periodic axes), exact in time for the discrete modes; for bounded
-  post-smoothing data.  Per-axis propagator matrices from that basis,
-  built once per grid and once per repeated step size, so a time step
-  runs no transform.
+  post-smoothing data.  The basis's per-axis transform matrices are built
+  once per grid; a step size that repeats the previous one takes per-axis
+  propagators P(t), which depend on node offsets only (Toeplitz minus
+  Hankel on sine axes, circulant on periodic ones) and are filled in
+  O(n^2) from one cosine transform of the mode factors e^{-t k^2}.  A
+  time step runs no transform.
 * psi_values / psi_fast / psi_sup: the reference flow through the
   dilation identity
       e^{t D} psi0 = t^{-(gamma+m)/2} E(x / sqrt t),  E = e^{D} psi0,
@@ -40,8 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.fft import dst, idst, fft, ifft
-from scipy.linalg import hankel, toeplitz
+from scipy.fft import dct, dst, idst, fft, ifft
 from scipy.optimize import minimize_scalar
 from scipy.special import erfc, gammaln, hyp1f1, ive, poch
 from scipy.special import gamma as gamma_fn
@@ -95,15 +97,30 @@ def _grid_matrix(grid: GridSpec, axis: int, t: float) -> np.ndarray:
     d = h * np.arange(2 * n + 1 if kind == AXIS_ANTISYM else n, dtype=float)
     if kind == AXIS_PERIODIC:
         images = int(np.ceil(4.0 * np.sqrt(t) / (2.0 * grid.L))) + 1
-        return toeplitz(c * sum(np.exp(-(d + 2.0 * grid.L * k) ** 2
-                                       / (4.0 * t))
-                                for k in range(-images, images + 1)))
+        return _offset_matrix(c * sum(np.exp(-(d + 2.0 * grid.L * k) ** 2
+                                             / (4.0 * t))
+                                      for k in range(-images, images + 1)), n)
     g = c * np.exp(-d * d / (4.0 * t))
-    if kind == AXIS_SYM:
-        return toeplitz(g)
-    out = toeplitz(g[:n])
-    out -= hankel(g[2:n + 2], g[n + 1:])
-    return out
+    return _offset_matrix(g, n, 2 if kind == AXIS_ANTISYM else 0)
+
+
+def _offset_matrix(c: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
+    """The n x n matrix c(|i - j|) - c(i + j + shift) from the offset
+    sequence c(0), c(1), ...: Toeplitz minus Hankel, or Toeplitz alone
+    (shift 0).  c must be contiguous and reach index n - 1, or
+    2n + shift - 2 with a shift.  The matrix is exactly symmetric.
+
+    Both parts are strided views, so the fill is one n x n write: row i of
+    the Toeplitz part reads c(n-1), ..., c(1), c(0), c(1), ..., c(n-1) from
+    place n - 1 - i on, and row i of the Hankel part reads c from i + shift
+    on.  scipy's toeplitz and hankel copies cost more: the fresh pages at
+    n = 256, the Python calls at n = 64."""
+    step = c.itemsize
+    mirror = np.concatenate((c[n - 1:0:-1], c[:n]))
+    out = np.ndarray((n, n), c.dtype, mirror, (n - 1) * step, (-step, step))
+    if not shift:
+        return out.copy()
+    return out - np.ndarray((n, n), c.dtype, c, shift * step, (step, step))
 
 
 def _contract(mats: list[np.ndarray], F: np.ndarray) -> np.ndarray:
@@ -257,7 +274,8 @@ def radial_flow(profile, t: float, r) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # spectral path (Dirichlet at the outer box, sine bases make anti-symmetry
 # exact; periodic axes use the discrete Fourier basis).  The transforms run
-# only to build each axis's basis matrices; stepping contracts matrices.
+# only to build each axis's basis matrices and a propagator's offset
+# sequence; stepping contracts matrices.
 
 def _axis_freqs(grid: GridSpec, i: int) -> np.ndarray:
     kind = grid.axes[i]
@@ -315,25 +333,50 @@ def _spectral_basis(grid: GridSpec) -> _SpectralBasis:
     return _SpectralBasis(tuple(forward), tuple(inverse), tuple(ksq))
 
 
+def _axis_propagator(kind: str, e: np.ndarray) -> np.ndarray:
+    """inverse diag(e) forward on one axis, for the mode factors e (in the
+    order of _axis_freqs), from the offset sequence c of one transform.
+
+    antisym (DST-I): c(|i - j|) - c(i + j + 2) with
+        c(d) = (1/(n+1)) sum_q e_q cos(pi q d / (n+1)),
+    the DCT-I of [0, e, 0] over 2(n+1), even about n + 1;
+    sym (DST-II, whose inverse weighs the last mode by 1/2):
+    c(|i - j|) - c(i + j + 1) with
+        c(d) = (1/n) sum_q w_q e_q cos(pi q d / n),  w_n = 1/2, else 1,
+    the DCT-I of [0, e] over 2n, even about n;
+    periodic (DFT): circulant in c = ifft(e), which is even modulo n
+    since e is, so c(|i - j|) fills it."""
+    n = e.size
+    if kind == AXIS_PERIODIC:
+        return _offset_matrix(ifft(e).real, n)
+    if kind == AXIS_ANTISYM:
+        c = dct(np.concatenate(([0.0], e, [0.0])), type=1) / (2.0 * (n + 1))
+    else:
+        c = dct(np.concatenate(([0.0], e)), type=1) / (2.0 * n)
+    # c(d) for d past the centre is its mirror image
+    return _offset_matrix(np.concatenate((c, c[-2:0:-1])), n,
+                          2 if kind == AXIS_ANTISYM else 1)
+
+
 def _spectral_flow(plan: KernelPlan, t: float,
                    values: np.ndarray) -> np.ndarray:
     """Array kernel of apply_spectral: e^{t D} on raw values over the plan's
     grid.
 
     A step size equal to the previous call's goes through the per-axis
-    propagators P(t) = inverse diag(e^{-t k^2}) forward, built once and kept
-    in the plan's single slot; any other step size goes through the three
-    cached factors.  Every call, a slot hit too, records its step size, so
-    an odd step between two repeats of the slot's size (a step-doubling
-    probe's 2 dt leg) leaves the slot alone."""
+    propagators P(t) = inverse diag(e^{-t k^2}) forward, each filled in
+    O(n^2) from one cosine transform of its e^{-t k^2} (_axis_propagator),
+    and kept in the plan's single slot; any other step size goes through
+    the three cached factors.  Every call, a slot hit too, records its step
+    size, so an odd step between two repeats of the slot's size (a
+    step-doubling probe's 2 dt leg) leaves the slot alone."""
     last, plan._last_dt = plan._last_dt, t
     if plan._propagator is not None and plan._propagator[0] == t:
         return _contract(plan._propagator[1], values)
     basis = _spectral_basis(plan.grid)
     if t == last:
-        mats = [np.real((inv * np.exp(-t * k2.ravel())) @ fwd)
-                for fwd, inv, k2 in zip(basis.forward, basis.inverse,
-                                        basis.ksq)]
+        mats = [_axis_propagator(kind, np.exp(-t * k2.ravel()))
+                for kind, k2 in zip(plan.grid.axes, basis.ksq)]
         plan._propagator = (t, mats)
         return _contract(mats, values)
     v = _contract(basis.forward, values)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sectorheat.evolve as evolve
+import sectorheat.semigroup as semigroup
 from sectorheat import (AXIS_ANTISYM, AXIS_PERIODIC, AXIS_SYM, Field,
                         GridSpec, KernelPlan, SectorSpec, field_from_profile)
 from sectorheat.evolve import (STATUS_BLEWUP, STATUS_GLOBAL, BlowupSignal,
@@ -217,43 +218,22 @@ def _unfused(plan, v, t0, c, dts, bound_fn=None):
     return status, np.array(sups), t_max, violation, v
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.sampled_from([1, -1]), st.sampled_from([0.5, 1.0, 2.5]),
-       st.permutations([AXIS_ANTISYM, AXIS_SYM, AXIS_PERIODIC]),
-       st.integers(1, 3), st.sampled_from([None, 0.013, 0.07]),
-       st.floats(0.05, 1.5), st.floats(0.8, 1.6), st.booleans(),
-       st.integers(0, 2 ** 32 - 1))
-def test_fused_stepping_matches_unfused_strang(sign_a, alpha, kinds, ndim,
-                                               fixed_dt, horizon, amp,
-                                               envelope, seed):
-    # the fused loop (one reaction flow per step, the sup from the scalar
-    # flow, the state formed only where it is read) against the plain
-    # composition.  The horizon is no multiple of the step, so the last
-    # step is clipped; the envelope is crossed by growth (a = +1) or sits
-    # across the initial data (a = -1)
-    spec = SectorSpec(ndim, 0, 0.5, alpha, sign_a)
-    grid = GridSpec(L=2.0, n=8, axes=kinds[:ndim])
-    plan = KernelPlan(spec, grid)
-    v0 = amp * np.random.default_rng(seed).uniform(0.2, 1.0, grid.shape())
-    f0 = Field(spec, grid, v0)
-    bound_fn = None
-    if envelope:
-        level = np.full(grid.shape(), 1.05 * amp if sign_a > 0 else 0.6 * amp)
-        bound_fn = lambda t, modulus: modulus - level   # noqa: E731
-    c = EvolveControls(horizon=horizon, fixed_dt=fixed_dt)
-    rec, last = run_trajectory(plan, f0, 0.0, c, bound_fn=bound_fn)
+def _assert_matches_unfused(rec, last, f0, t0, c, bound_fn=None,
+                            amplified=False):
+    """Assert that the fused loop's record and last field from f0 agree with
+    the unfused reference's (on a fresh plan) to 1e-12; amplified scales
+    the bound on the sups by (u(t)/u(0))^alpha."""
     status, sups, t_max, violation, v = _unfused(
-        KernelPlan(spec, grid), v0, 0.0, c, rec.dts[1:], bound_fn)
+        KernelPlan(f0.spec, f0.grid), f0.values, t0, c, rec.dts[1:],
+        bound_fn)
     assert rec.status == status
     assert rec.sups.shape == sups.shape
     # the exact flow u' = u^(1+alpha) multiplies a relative perturbation
-    # of u(0) by (u(t)/u(0))^alpha.  Fixed steps sample at fixed times,
-    # where that factor applies; the reference replays an adaptive run's
-    # steps, and the two records agree to rounding without it
+    # of u(0) by (u(t)/u(0))^alpha
     growth = np.ones_like(sups)
-    if fixed_dt is not None:
+    if amplified:
         ratio = np.maximum(1.0, np.r_[1.0, sups[1:] / sups[:-1]])
-        growth = np.cumprod(ratio ** alpha)
+        growth = np.cumprod(ratio ** f0.spec.alpha)
     assert np.all(np.abs(rec.sups - sups) <= 1e-12 * growth * sups)
     if t_max is None:
         assert rec.t_max is None
@@ -273,6 +253,70 @@ def test_fused_stepping_matches_unfused_strang(sign_a, alpha, kinds, ndim,
         # of the sup to each node, however small
         assert np.max(np.abs(last.values - v)) \
             <= 1e-12 * growth[-1] * np.max(np.abs(v))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([1, -1]), st.sampled_from([0.5, 1.0, 2.5]),
+       st.permutations([AXIS_ANTISYM, AXIS_SYM, AXIS_PERIODIC]),
+       st.integers(1, 3), st.sampled_from([None, 0.013, 0.07]),
+       st.floats(0.05, 1.5), st.floats(0.8, 1.6), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_fused_stepping_matches_unfused_strang(sign_a, alpha, kinds, ndim,
+                                               fixed_dt, horizon, amp,
+                                               envelope, seed):
+    # the fused loop (one reaction flow per step, the sup from the scalar
+    # flow, the state formed only where it is read) against the plain
+    # composition.  The horizon is no multiple of the step, so the last
+    # step is clipped; the envelope is crossed by growth (a = +1) or sits
+    # across the initial data (a = -1).  Fixed steps sample at fixed
+    # times, where the flow amplifies rounding; the reference replays an
+    # adaptive run's steps, and these short records agree to rounding
+    # without that factor
+    spec = SectorSpec(ndim, 0, 0.5, alpha, sign_a)
+    grid = GridSpec(L=2.0, n=8, axes=kinds[:ndim])
+    v0 = amp * np.random.default_rng(seed).uniform(0.2, 1.0, grid.shape())
+    bound_fn = None
+    if envelope:
+        level = np.full(grid.shape(), 1.05 * amp if sign_a > 0 else 0.6 * amp)
+        bound_fn = lambda t, modulus: modulus - level   # noqa: E731
+    f0 = Field(spec, grid, v0)
+    c = EvolveControls(horizon=horizon, fixed_dt=fixed_dt)
+    rec, last = run_trajectory(KernelPlan(spec, grid), f0, 0.0, c,
+                               bound_fn=bound_fn)
+    _assert_matches_unfused(rec, last, f0, 0.0, c, bound_fn,
+                            amplified=fixed_dt is not None)
+
+
+def test_probed_run_to_blowup_matches_unfused_strang(monkeypatch):
+    # psi0 data on setup11's spec at n = 64 run to the blow-up cap: the
+    # ladder probes and climbs, so the fused record holds probe legs and
+    # propagators built at several rungs, while the reference replays its
+    # accepted steps.  Over the ~400 steps to the cap the flow amplifies
+    # rounding by (u(t)/u(0))^alpha, about 3.5e3 at the cap, where the two
+    # records differ by about 2e-10 relative
+    spec = SectorSpec(1, 1, 0.5, 0.5, +1)
+    grid = GridSpec.for_spec(spec, L=10.0, n=64)
+    calls = {"probes": 0, "builds": 0}
+    probe_error, axis_propagator = evolve._probe_error, \
+        semigroup._axis_propagator
+
+    def probe(*args):
+        calls["probes"] += 1
+        return probe_error(*args)
+
+    def build(*args):
+        calls["builds"] += 1
+        return axis_propagator(*args)
+
+    monkeypatch.setattr(evolve, "_probe_error", probe)
+    monkeypatch.setattr(semigroup, "_axis_propagator", build)
+    f0 = field_from_profile(spec, grid, Psi0Profile(spec))
+    rec, last = run_trajectory(KernelPlan(spec, grid), f0, 0.0,
+                               EvolveControls())
+    assert rec.status == STATUS_BLEWUP
+    assert calls["probes"] >= 3 and calls["builds"] >= 2
+    _assert_matches_unfused(rec, last, f0, 0.0, EvolveControls(),
+                            amplified=True)
 
 
 def test_constant_data_matches_scalar_ode():

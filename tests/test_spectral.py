@@ -1,8 +1,10 @@
 """Properties of the spectral heat engine over random small grids of every
 axis kind: cached per-axis propagator matrices against the sine/Fourier
-transform pair they were built from."""
+transform pair they stand for; and on every axis kind up to n = 256, the
+slot's offset-filled propagator against the dense basis product."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.fft import dst, fft, idst, ifft
 
@@ -127,3 +129,23 @@ def test_grid_with_axes_given_as_a_list():
     v = _data(grid, 3)
     ref = _transform_pair(grid, 0.1, v)
     assert _rel(_spectral_flow(_plan(grid), 0.1, v), ref) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [1e-4, 0.01, 0.3])
+@pytest.mark.parametrize("n", [5, 64, 256])
+@pytest.mark.parametrize("kind", KINDS)
+def test_slot_propagator_matches_basis_product(kind, n, t):
+    # the slot's P(t) is filled from one cosine transform of the mode
+    # factors; the dense product of the basis matrices is the reference
+    grid = GridSpec(L=10.0, n=n, axes=(kind,))
+    plan = _plan(grid)
+    v = _data(grid, 11)
+    for _ in range(3):
+        _spectral_flow(plan, t, v)
+    assert plan._propagator[0] == t
+    (P,) = plan._propagator[1]
+    basis = _spectral_basis(grid)
+    ref = np.real((basis.inverse[0] * np.exp(-t * basis.ksq[0].ravel()))
+                  @ basis.forward[0])
+    assert np.max(np.abs(P - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(P, P.T)
