@@ -23,7 +23,7 @@ import numpy as np
 from .geometry import Field, GridSpec, SectorSpec, field_from_profile
 from .profiles import Psi0Profile
 from .semigroup import (KernelPlan, _check_psi_grid, _contract,
-                        _grid_matrix, alpha_time_integral, apply_kernel,
+                        _propagators, alpha_time_integral, apply_kernel,
                         check_profile_spec, psi_sup, psi_values)
 
 # the Duhamel part of condition (A) uses MARGIN of the gap M - K; the
@@ -136,7 +136,13 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
     The plan is the run: its spec sets the equation (alpha, the sign a,
     Psi) and its grid the slices.  Non-contraction (an increment ratio
     >= 1) aborts: the constants guarantee contraction, so that can only
-    mean quadrature failure.
+    mean the discrete Duhamel sum has failed.
+
+    Node i's Duhamel term is a sum_{j<=i} w_j P(s_i - s_j) |u_j|^alpha u_j,
+    P the grid's spectral propagator (Dirichlet at the outer box).  The
+    weight w_j of j < i is the same at every node i and P is a semigroup,
+    so the history over j < i moves from node to node by one propagator
+    per consecutive gap, built once per solve.
 
     With ``until`` set, only the prefix of the J-node mesh up to the first
     node >= until (or the whole mesh, if none is) is solved.  The map is
@@ -158,7 +164,6 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
     _check_psi_grid(grid, spec.m)
     pts = grid.points()
     psi_slices = [psi_values(spec, s, pts) for s in mesh]
-    gaps = mesh[:, None] - mesh[None, :]
     if isinstance(profile, Psi0Profile):
         # data A*psi0: e^{sD}(A psi0) = A Psi(s), so the linear part
         # is the closed form with no quadrature
@@ -167,14 +172,7 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
         data = field_from_profile(spec, grid, profile)
         lin = [apply_kernel(plan, s, data).values for s in mesh]
     weights = [duhamel_weights(spec, mesh, i) for i in range(len(mesh))]
-    # below the grid-resolvable scale the heat flow of a Duhamel term is
-    # within quadrature error of the identity
-    identity = (0.75 * max(grid.axis_spacing(i)
-                           for i in range(grid.ndim))) ** 2
-    # every sweep flows by the same gaps: build their per-axis kernel
-    # matrices once, and drop them with the solve
-    flows = {g: [_grid_matrix(grid, i, g) for i in range(grid.ndim)]
-             for g in np.unique(gaps[gaps > identity])}
+    steps = [_propagators(grid, g) for g in np.diff(mesh)]
 
     def xnorm(deltas):
         return max(float(np.max(np.abs(d) / p))
@@ -187,14 +185,13 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
     for sweep in range(MAX_ITER):
         nl = [_nonlinear_values(spec, v) for v in u]
         new = []
+        history = np.zeros_like(nl[0])
         for i in range(len(mesh)):
-            acc = lin[i].copy()
             w = weights[i]
-            for j in range(i + 1):
-                g = nl[j] if gaps[i, j] <= identity \
-                    else _contract(flows[gaps[i, j]], nl[j])
-                acc = acc + spec.sign_a * w[j] * g
-            new.append(acc)
+            if i:
+                history = _contract(steps[i - 1],
+                                    history + w[i - 1] * nl[i - 1])
+            new.append(lin[i] + spec.sign_a * (w[i] * nl[i] + history))
         inc = xnorm([a - b for a, b in zip(new, u)])
         if not np.isfinite(inc):
             raise ValueError(f"Picard sweep {sweep + 1}: increment {inc} is "
@@ -205,7 +202,7 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
             if r >= 1.0:
                 raise RuntimeError(
                     f"Picard iteration not contracting (ratio {r:.3f}); "
-                    "quadrature resolution is insufficient for this mesh")
+                    "the graded mesh is too coarse for its Duhamel sum")
         increments.append(inc)
         u = new
         if inc < TOL:

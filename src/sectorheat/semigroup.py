@@ -9,8 +9,7 @@ antisym (the sector's walls), sym or periodic.
   only, and each axis matrix is filled from about 2n exponentials:
   Toeplitz in i - j minus Hankel in i + j on antisym axes, Toeplitz on
   sym axes, Toeplitz with the images summed per offset on periodic axes.
-  Each call builds its matrices and keeps none; a Picard solve builds
-  those of its Duhamel gaps once and holds them for its sweeps only.
+  Each call builds its matrices and keeps none.
   Profile-backed fields of psi0-class data x_1...x_m f(|x|) (psi0, its
   log-modulations, the Gaussian derivative) take their whole-space flow
   x_1...x_m F(t, |x|) from radial_flow, one integral per radius, and so
@@ -23,7 +22,8 @@ antisym (the sector's walls), sym or periodic.
   propagators P(t), which depend on node offsets only (Toeplitz minus
   Hankel on sine axes, circulant on periodic ones) and are filled in
   O(n^2) from one cosine transform of the mode factors e^{-t k^2}.  A
-  time step runs no transform.
+  time step runs no transform.  The same propagators carry a Picard
+  solve's Duhamel history from each mesh node to the next.
 * psi_values / psi_fast / psi_sup: the reference flow through the
   dilation identity
       e^{t D} psi0 = t^{-(gamma+m)/2} E(x / sqrt t),  E = e^{D} psi0,
@@ -188,9 +188,16 @@ def _warn_tail_mass(plan: KernelPlan, t: float, f: Field) -> None:
 # ---------------------------------------------------------------------------
 # the exact flow of psi0-class data x_1...x_m f(|x|), one integral per radius
 
+@lru_cache(maxsize=8)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = leggauss(order)      # built at first use, shared read-only
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss_legendre(a, b, order: int):
     """Gauss-Legendre nodes and weights on each [a, b], along a new axis."""
-    x, w = leggauss(order)
+    x, w = _legendre_rule(order)
     a = np.asarray(a, dtype=float)[..., None]
     half = 0.5 * (np.asarray(b, dtype=float)[..., None] - a)
     return a + half * (1.0 + x), half * w
@@ -358,6 +365,12 @@ def _axis_propagator(kind: str, e: np.ndarray) -> np.ndarray:
                           2 if kind == AXIS_ANTISYM else 1)
 
 
+def _propagators(grid: GridSpec, t: float) -> list[np.ndarray]:
+    """The grid's per-axis P(t) = inverse diag(e^{-t k^2}) forward."""
+    return [_axis_propagator(kind, np.exp(-t * k2.ravel()))
+            for kind, k2 in zip(grid.axes, _spectral_basis(grid).ksq)]
+
+
 def _spectral_flow(plan: KernelPlan, t: float,
                    values: np.ndarray) -> np.ndarray:
     """Array kernel of apply_spectral: e^{t D} on raw values over the plan's
@@ -373,12 +386,11 @@ def _spectral_flow(plan: KernelPlan, t: float,
     last, plan._last_dt = plan._last_dt, t
     if plan._propagator is not None and plan._propagator[0] == t:
         return _contract(plan._propagator[1], values)
-    basis = _spectral_basis(plan.grid)
     if t == last:
-        mats = [_axis_propagator(kind, np.exp(-t * k2.ravel()))
-                for kind, k2 in zip(plan.grid.axes, basis.ksq)]
+        mats = _propagators(plan.grid, t)
         plan._propagator = (t, mats)
         return _contract(mats, values)
+    basis = _spectral_basis(plan.grid)
     v = _contract(basis.forward, values)
     for k2 in basis.ksq:
         v = v * np.exp(-t * k2)

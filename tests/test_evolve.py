@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sectorheat.evolve as evolve
 import sectorheat.semigroup as semigroup
@@ -218,11 +218,10 @@ def _unfused(plan, v, t0, c, dts, bound_fn=None):
     return status, np.array(sups), t_max, violation, v
 
 
-def _assert_matches_unfused(rec, last, f0, t0, c, bound_fn=None,
-                            amplified=False):
+def _assert_matches_unfused(rec, last, f0, t0, c, bound_fn=None):
     """Assert that the fused loop's record and last field from f0 agree with
-    the unfused reference's (on a fresh plan) to 1e-12; amplified scales
-    the bound on the sups by (u(t)/u(0))^alpha."""
+    the unfused reference's (on a fresh plan) to 1e-12, scaled by the
+    growth (u(t)/u(0))^alpha of the flow since f0."""
     status, sups, t_max, violation, v = _unfused(
         KernelPlan(f0.spec, f0.grid), f0.values, t0, c, rec.dts[1:],
         bound_fn)
@@ -230,10 +229,8 @@ def _assert_matches_unfused(rec, last, f0, t0, c, bound_fn=None,
     assert rec.sups.shape == sups.shape
     # the exact flow u' = u^(1+alpha) multiplies a relative perturbation
     # of u(0) by (u(t)/u(0))^alpha
-    growth = np.ones_like(sups)
-    if amplified:
-        ratio = np.maximum(1.0, np.r_[1.0, sups[1:] / sups[:-1]])
-        growth = np.cumprod(ratio ** f0.spec.alpha)
+    ratio = np.maximum(1.0, np.r_[1.0, sups[1:] / sups[:-1]])
+    growth = np.cumprod(ratio ** f0.spec.alpha)
     assert np.all(np.abs(rec.sups - sups) <= 1e-12 * growth * sups)
     if t_max is None:
         assert rec.t_max is None
@@ -255,12 +252,25 @@ def _assert_matches_unfused(rec, last, f0, t0, c, bound_fn=None,
             <= 1e-12 * growth[-1] * np.max(np.abs(v))
 
 
+# at alpha = 2.5 these runs reach the cap with T - t ~ 4e-21, far below
+# ulp(t) ~ 5.5e-17, so the two loops' last steps round apart and their
+# records end at different lengths and statuses
+_BELOW_ULP = ("ROADMAP item 2: at large alpha T - t falls below the float "
+              "spacing of t before the cap")
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from([1, -1]), st.sampled_from([0.5, 1.0, 2.5]),
        st.permutations([AXIS_ANTISYM, AXIS_SYM, AXIS_PERIODIC]),
        st.integers(1, 3), st.sampled_from([None, 0.013, 0.07]),
        st.floats(0.05, 1.5), st.floats(0.8, 1.6), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
+@example(1, 1.0, [AXIS_PERIODIC, AXIS_SYM, AXIS_ANTISYM], 1, None, 1.5, 1.5,
+         False, 0)
+@example(1, 2.5, [AXIS_SYM, AXIS_ANTISYM, AXIS_PERIODIC], 1, None, 1.0, 1.5,
+         False, 0).xfail(raises=AssertionError, reason=_BELOW_ULP)
+@example(1, 2.5, [AXIS_SYM, AXIS_ANTISYM, AXIS_PERIODIC], 1, None, 1.0, 1.5,
+         False, 1).xfail(raises=AssertionError, reason=_BELOW_ULP)
 def test_fused_stepping_matches_unfused_strang(sign_a, alpha, kinds, ndim,
                                                fixed_dt, horizon, amp,
                                                envelope, seed):
@@ -268,10 +278,10 @@ def test_fused_stepping_matches_unfused_strang(sign_a, alpha, kinds, ndim,
     # flow, the state formed only where it is read) against the plain
     # composition.  The horizon is no multiple of the step, so the last
     # step is clipped; the envelope is crossed by growth (a = +1) or sits
-    # across the initial data (a = -1).  Fixed steps sample at fixed
-    # times, where the flow amplifies rounding; the reference replays an
-    # adaptive run's steps, and these short records agree to rounding
-    # without that factor
+    # across the initial data (a = -1).  Both loops amplify their rounding
+    # as the flow grows, whether they sample at fixed times or the
+    # reference replays an adaptive run's steps: the first example (alpha
+    # = 1, to the cap) differs by 3.3e-9 relative at a growth of 7.9e7
     spec = SectorSpec(ndim, 0, 0.5, alpha, sign_a)
     grid = GridSpec(L=2.0, n=8, axes=kinds[:ndim])
     v0 = amp * np.random.default_rng(seed).uniform(0.2, 1.0, grid.shape())
@@ -283,8 +293,7 @@ def test_fused_stepping_matches_unfused_strang(sign_a, alpha, kinds, ndim,
     c = EvolveControls(horizon=horizon, fixed_dt=fixed_dt)
     rec, last = run_trajectory(KernelPlan(spec, grid), f0, 0.0, c,
                                bound_fn=bound_fn)
-    _assert_matches_unfused(rec, last, f0, 0.0, c, bound_fn,
-                            amplified=fixed_dt is not None)
+    _assert_matches_unfused(rec, last, f0, 0.0, c, bound_fn)
 
 
 def test_probed_run_to_blowup_matches_unfused_strang(monkeypatch):
@@ -315,8 +324,7 @@ def test_probed_run_to_blowup_matches_unfused_strang(monkeypatch):
                                EvolveControls())
     assert rec.status == STATUS_BLEWUP
     assert calls["probes"] >= 3 and calls["builds"] >= 2
-    _assert_matches_unfused(rec, last, f0, 0.0, EvolveControls(),
-                            amplified=True)
+    _assert_matches_unfused(rec, last, f0, 0.0, EvolveControls())
 
 
 def test_constant_data_matches_scalar_ode():

@@ -230,38 +230,78 @@ def test_solve_picard_raises_on_non_finite_sweep(setup11, monkeypatch):
         solve_picard(Psi0Profile(spec), plan, J=4)
 
 
-def _spy_matrix_builds(monkeypatch) -> list:
-    """The (axis, t) of every kernel-matrix build from here on."""
-    build = semigroup._grid_matrix
-    calls = []
-
-    def spy(grid, axis, t):
-        calls.append((axis, t))
-        return build(grid, axis, t)
-
-    monkeypatch.setattr(semigroup, "_grid_matrix", spy)
-    monkeypatch.setattr(picard, "_grid_matrix", spy)
-    return calls
-
-
-def _distinct_gaps(mesh, identity) -> set:
-    """The Duhamel gaps s_i - s_j of a mesh above the identity threshold."""
-    return {s_i - mesh[j] for i, s_i in enumerate(mesh)
-            for j in range(i + 1) if s_i - mesh[j] > identity}
-
-
-def test_picard_builds_each_gap_matrix_once(setup11, monkeypatch):
-    # every sweep flows by the same Duhamel gaps, so a solve builds one
-    # kernel matrix per axis and distinct gap above the identity threshold,
-    # however many sweeps it takes
+def test_psi0_solve_builds_no_kernel_matrix(setup11, monkeypatch):
+    # the linear part of psi0 data is the closed form and the Duhamel
+    # history goes through spectral propagators, one per axis and
+    # consecutive gap of the mesh, built once however many sweeps run
     spec, grid, plan = setup11
-    calls = _spy_matrix_builds(monkeypatch)
+    calls = {"matrices": 0, "propagators": 0}
+    build, propagator = semigroup._grid_matrix, semigroup._axis_propagator
+
+    def spy_matrix(*args):
+        calls["matrices"] += 1
+        return build(*args)
+
+    def spy_propagator(*args):
+        calls["propagators"] += 1
+        return propagator(*args)
+
+    monkeypatch.setattr(semigroup, "_grid_matrix", spy_matrix)
+    monkeypatch.setattr(semigroup, "_axis_propagator", spy_propagator)
     run = solve_picard(Psi0Profile(spec), plan)
     assert len(run.increments) > 1
-    gaps = _distinct_gaps(run.config.mesh,
-                          (0.75 * grid.axis_spacing(0)) ** 2)
-    assert gaps
-    assert len(calls) == grid.ndim * len(gaps)
+    assert calls["matrices"] == 0
+    assert calls["propagators"] == grid.ndim * (len(run.config.mesh) - 1)
+
+
+def _explicit_sweep(plan, prof, mesh):
+    """One Picard sweep from the linear part, each Duhamel term flowed over
+    its own gap s_i - s_j by _spectral_flow: the sum the recurrence
+    telescopes."""
+    spec, grid = plan.spec, plan.grid
+    if isinstance(prof, Psi0Profile):
+        lin = [prof.amplitude * psi_fast(spec, s, grid).values for s in mesh]
+    else:
+        data = field_from_profile(spec, grid, prof)
+        lin = [apply_kernel(plan, s, data).values for s in mesh]
+    nl = [np.abs(v) ** spec.alpha * v for v in lin]
+    flow = KernelPlan(spec, grid)
+    out = []
+    for i, s_i in enumerate(mesh):
+        w = duhamel_weights(spec, mesh, i)
+        acc = w[i] * nl[i]
+        for j in range(i):
+            acc = acc + w[j] * semigroup._spectral_flow(flow, s_i - mesh[j],
+                                                        nl[j])
+        out.append(lin[i] + spec.sign_a * acc)
+    return out
+
+
+@pytest.mark.parametrize("spec, L, n, make, until", [
+    (SectorSpec(1, 1, 0.5, 0.5), 10.0, 256,
+     lambda spec: Psi0Profile(spec, 1.3), None),
+    (SectorSpec(1, 1, 0.5, 0.5), 10.0, 256,
+     lambda spec: ModulatedProfile(spec, SinSquaredLog(0.05)), None),
+    (SectorSpec(2, 1, 1.0, 0.5), 8.0, 64, Psi0Profile, None),
+    (SectorSpec(3, 1, 1.5, 0.3), 6.0, 16, Psi0Profile, None),
+    (SectorSpec(1, 1, 0.5, 0.5, -1), 10.0, 256, Psi0Profile, 0.3)],
+    ids=["1d-psi0", "1d-sin2log", "2d-psi0", "3d-psi0", "1d-until"])
+def test_one_sweep_is_the_explicit_duhamel_sum(spec, L, n, make, until,
+                                               monkeypatch):
+    # the recurrence H_i = P(s_i - s_{i-1}) (H_{i-1} + w_{i-1} n_{i-1})
+    # against the sum over every gap, to rounding of the slice's size;
+    # until is a fraction of the certificate's horizon
+    monkeypatch.setattr(picard, "TOL", 0.0)
+    monkeypatch.setattr(picard, "MAX_ITER", 1)
+    plan = KernelPlan(spec, GridSpec.for_spec(spec, L=L, n=n))
+    prof = make(spec)
+    _, T = admissible_constants(spec, prof.x_norm())
+    run = solve_picard(prof, plan, until=None if until is None else until * T)
+    mesh = run.config.mesh
+    assert len(run.increments) == 1
+    assert len(mesh) == (12 if until is None else 6)
+    for sl, ref in zip(run.slices, _explicit_sweep(plan, prof, mesh)):
+        assert np.max(np.abs(sl.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [256, 64])
@@ -274,8 +314,7 @@ def test_prefix_solve_is_the_full_solve_on_its_slices(n, profile,
                                                       monkeypatch):
     # the Duhamel map is causal, so sweep for sweep a solve up to a node
     # computes on its slices exactly what the full solve does; with the
-    # stopping rule off both run the same sweeps.  On the n = 64 grid some
-    # gaps lie below the identity threshold
+    # stopping rule off both run the same sweeps
     monkeypatch.setattr(picard, "TOL", 0.0)
     monkeypatch.setattr(picard, "MAX_ITER", 3)
     spec = SectorSpec(1, 1, 0.5, 0.5, +1)
@@ -284,10 +323,6 @@ def test_prefix_solve_is_the_full_solve_on_its_slices(n, profile,
     full = solve_picard(prof, plan)
     mesh = full.config.mesh
     assert len(mesh) == 12 and len(full.increments) == 3
-    if n == 64:
-        gaps = mesh[:, None] - mesh[None, :]
-        identity = (0.75 * plan.grid.axis_spacing(0)) ** 2
-        assert np.any((gaps > 0) & (gaps <= identity))
     for until, j in ((0.0, 0), (mesh[3], 3),
                      (0.5 * (mesh[5] + mesh[6]), 6), (mesh[-1], 11),
                      (2.0 * mesh[-1], 11)):
@@ -301,16 +336,13 @@ def test_prefix_solve_is_the_full_solve_on_its_slices(n, profile,
             assert np.array_equal(a.values, b.values)
 
 
-def test_handoff_solve_builds_only_its_prefix_gaps(setup11, monkeypatch):
-    # a T_max run solves up to its hand-off node, so it builds the kernel
-    # matrices of that prefix's gaps only, fewer than the full mesh's
+def test_handoff_solve_solves_only_its_prefix(setup11):
+    # a T_max run solves up to its hand-off node, the first of the mesh at
+    # or after max(HANDOFF_FRAC T, (2h)^2), and no further
     spec, grid, plan = setup11
-    calls = _spy_matrix_builds(monkeypatch)
     h = grid.axis_spacing(0)
-    identity = (0.75 * h) ** 2
     for lam in (0.5, 1.0, 2.0):
         prof = Psi0Profile(spec, lam)
-        calls.clear()
         rec = estimate_tmax(prof, plan, EvolveControls(horizon=0.0))
         _, T = admissible_constants(spec, prof.x_norm())
         mesh = graded_mesh(spec, T, 12)
@@ -318,9 +350,6 @@ def test_handoff_solve_builds_only_its_prefix_gaps(setup11, monkeypatch):
         assert 0 < j < 11
         assert rec.handoff_time == mesh[j]
         assert rec.notes["picard_slices"] == j + 1
-        prefix_gaps = _distinct_gaps(mesh[:j + 1], identity)
-        assert len(calls) == grid.ndim * len(prefix_gaps)
-        assert len(prefix_gaps) < len(_distinct_gaps(mesh, identity))
 
 
 @pytest.mark.filterwarnings("error:apply_kernel. boundary truncation"
@@ -330,15 +359,19 @@ def test_handoff_solve_builds_only_its_prefix_gaps(setup11, monkeypatch):
     "x = L and the kernel pulls an edge mass ~7e-4 from beyond the box"))
 def test_duhamel_term_has_no_edge_truncation(setup11):
     # the Duhamel terms of a converged solve, applied through the public,
-    # checked kernel over every gap the solve does not take as the identity
+    # checked kernel over every gap it resolves (sqrt(4 gap) >= 1.5h, the
+    # rule of its under-resolution warning).  The edge mass it reports is
+    # what the box loses of those terms: the solve's propagators meet it
+    # as a Dirichlet wall at x = L, where the whole space would carry the
+    # tail on
     spec, grid, plan = setup11
     run = solve_picard(Psi0Profile(spec), plan)
     mesh = run.config.mesh
-    identity = (0.75 * grid.axis_spacing(0)) ** 2
+    h = max(grid.axis_spacing(i) for i in range(grid.ndim))
     nl = [Field(spec, grid, np.abs(s.values) ** spec.alpha * s.values)
           for s in run.slices]
     gaps = [(s_i - mesh[j], j) for i, s_i in enumerate(mesh)
-            for j in range(i + 1) if s_i - mesh[j] > identity]
+            for j in range(i + 1) if np.sqrt(4.0 * (s_i - mesh[j])) >= 1.5 * h]
     assert gaps
     for gap, j in gaps:
         apply_kernel(plan, gap, nl[j])
