@@ -64,8 +64,12 @@ class RunManifest:
     def from_dict(cls, d: dict) -> "RunManifest":
         if not isinstance(d, dict):
             raise ConfigError("malformed manifest: not a JSON object")
+        for key, kind in (("profile", dict), ("tolerances", dict),
+                          ("lambdas", list)):
+            if key in d:
+                _of_type(key, d[key], kind)
         prof = d.get("profile", {})
-        pkind = prof.get("kind", "psi0") if isinstance(prof, dict) else "psi0"
+        pkind = prof.get("kind", "psi0")
         if not isinstance(pkind, str) or pkind not in PROFILE_KEYS:
             raise ConfigError(f"unknown profile kind {pkind!r}; choose one "
                               f"of {tuple(PROFILE_KEYS)}")
@@ -86,17 +90,19 @@ class RunManifest:
                 raise ConfigError(f"unknown experiment {kind!r}; choose one "
                                   f"of {EXPERIMENTS}")
             s = d["spec"]
-            spec = SectorSpec(int(s["N"]), int(s["m"]), float(s["gamma"]),
-                              float(s["alpha"]), int(s.get("sign_a", 1)))
+            spec = SectorSpec(_integer("spec.N", s["N"]),
+                              _integer("spec.m", s["m"]), float(s["gamma"]),
+                              float(s["alpha"]),
+                              _integer("spec.sign_a", s.get("sign_a", 1)))
             g = d["grid"]
+            n = _integer("grid.n", g["n"])
             if "axes" in g:
-                if len(g["axes"]) != spec.N:
+                if len(_of_type("grid.axes", g["axes"], list)) != spec.N:
                     raise ConfigError(f"grid axes {g['axes']} must have "
                                       f"N={spec.N} entries")
-                grid = GridSpec(float(g["L"]), int(g["n"]),
-                                tuple(g["axes"]))
+                grid = GridSpec(float(g["L"]), n, tuple(g["axes"]))
             else:
-                grid = GridSpec.for_spec(spec, float(g["L"]), int(g["n"]))
+                grid = GridSpec.for_spec(spec, float(g["L"]), n)
             # absent keys keep the field defaults
             man = cls(experiment=kind, spec=spec, grid=grid)
             man.profile = dict(d.get("profile", man.profile))
@@ -159,6 +165,25 @@ class RunManifest:
             "tolerances": self.tolerances,
             "output_dir": self.output_dir,
         }
+
+
+def _integer(key: str, x) -> int:
+    """A manifest's integer field as an int.  int() would truncate 1.7 to
+    1 and read true as 1, so bools and non-integral numbers are refused."""
+    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(
+            x, float) and x.is_integer()):
+        raise ConfigError(f"{key!r} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _of_type(key: str, x, kind: type):
+    """x if it is a JSON object (dict) or array (list).  dict() and list()
+    would take other iterables: "12" as the lambdas [1.0, 2.0]."""
+    if not isinstance(x, kind):
+        raise ConfigError(f"{key!r} must be a JSON "
+                          f"{'object' if kind is dict else 'array'}, "
+                          f"got {x!r}")
+    return x
 
 
 def profile_from_descriptor(spec: SectorSpec, d: dict):

@@ -44,7 +44,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import dct, dst, idst, fft, ifft
-from scipy.optimize import minimize_scalar
 from scipy.special import erfc, gammaln, hyp1f1, ive, poch
 from scipy.special import gamma as gamma_fn
 
@@ -459,15 +458,22 @@ def check_profile_spec(profile, plan: KernelPlan) -> None:
 
 
 def _radial_max(fun, r: np.ndarray) -> float:
-    """max of fun over the sorted radii r and between them: the largest
-    sample brackets the maximiser, which bounded Brent then refines.
-    fun maps an array of radii to values."""
+    """max of fun over the sorted radii r and between them: the neighbours
+    of the largest sample bracket the maximiser, and each round resamples
+    the bracket at 33 points and keeps the neighbours of the largest, at
+    least a 16-fold cut, until it is 1e-12 wide (rounds are counted, so a
+    bracket below float resolution ends).  fun maps radii to values."""
     vals = fun(r)
     i = int(np.argmax(vals))
-    res = minimize_scalar(lambda x: -fun(np.array([x]))[0],
-                          bounds=(r[max(i - 1, 0)], r[min(i + 1, r.size - 1)]),
-                          method="bounded", options={"xatol": 1e-12})
-    return float(max(vals[i], -res.fun))
+    best = vals[i]
+    lo, hi = r[max(i - 1, 0)], r[min(i + 1, r.size - 1)]
+    for _ in range(int(np.ceil(np.log2(max(hi - lo, 1e-12) * 1e12) / 4))):
+        x = np.linspace(lo, hi, 33)
+        v = fun(x)
+        i = int(np.argmax(v))
+        best = max(best, v[i])
+        lo, hi = x[max(i - 1, 0)], x[min(i + 1, 32)]
+    return float(best)
 
 
 def linear_sup(plan: KernelPlan, profile, t: float) -> float:
@@ -502,7 +508,8 @@ def _sup_E(spec: SectorSpec) -> float:
     0 < a < b, so with m = 0 the sup is E(0) = A; otherwise it lies on the
     diagonal x_i = r/sqrt(m) of the first m axes, a 1-D maximisation over r
     of (r^2/m)^{m/2} 1F1(a; b; -r^2/4), which is 0 at r = 0, decays, and
-    peaks at r = O(sqrt(b))."""
+    peaks at r = O(sqrt(b)): 513 samples to 10 sqrt(b) bracket the peak,
+    and _radial_max resamples the bracket down to a width of 1e-12."""
     a, b, k = _kummer_params(spec)
     if spec.m == 0:
         return k

@@ -142,6 +142,41 @@ def test_manifest_refuses_values_that_earn_no_verdict(tmp_path, capsys,
     assert not os.path.exists(tmp_path / "out")
 
 
+_SPEC = {"N": 1, "m": 1, "gamma": 0.5, "alpha": 0.5}
+
+
+@pytest.mark.parametrize("over, key", [
+    # an integer field takes no non-integral number: "N": 1.7 ran as N = 1
+    ({"spec": {**_SPEC, "N": 1.7}}, "'spec.N'"),
+    ({"grid": {"L": 4.0, "n": 16.9}}, "'grid.n'"),
+    # nor a bool: "m": true ran as m = 1
+    ({"spec": {**_SPEC, "m": True}}, "'spec.m'"),
+    ({"spec": {**_SPEC, "sign_a": True}}, "'spec.sign_a'"),
+    # "profile" and "tolerances" are objects: a string profile failed with
+    # dict()'s message, a list of pairs made a tolerances dict
+    ({"profile": "psi0"}, "'profile'"),
+    ({"tolerances": [["cross_method", 1e-3]]}, "'tolerances'"),
+    # "lambdas" and "grid.axes" are arrays: "12" ran as lambdas [1.0, 2.0]
+    ({"lambdas": "12"}, "'lambdas'"),
+    ({"grid": {"L": 4.0, "n": 16, "axes": "a"}}, "'grid.axes'"),
+])
+def test_manifest_refuses_values_of_the_wrong_type(tmp_path, capsys, over,
+                                                   key):
+    d = {**_manifest_dict(grid={"L": 4.0, "n": 16},
+                          output_dir=str(tmp_path / "out")), **over}
+    assert main([_write_manifest(tmp_path, d), "-q"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_manifest_takes_integral_numbers_as_integers():
+    man = RunManifest.from_dict(_manifest_dict(
+        spec={**_SPEC, "N": 1.0, "sign_a": -1}, grid={"L": 4.0, "n": 16.0}))
+    assert man.spec == SectorSpec(1, 1, 0.5, 0.5, -1)
+    assert man.grid.n == 16 and type(man.grid.n) is int
+
+
 def test_profile_descriptors():
     spec = SectorSpec(1, 1, 0.5, 0.5)
     assert isinstance(profile_from_descriptor(spec, {"kind": "psi0"}),
@@ -197,6 +232,34 @@ def test_module_entry_point_exit_codes(tmp_path):
              _write_manifest(tmp_path, d), "-q", "--cache-dir", out],
             env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == code, done.stderr
+
+
+def test_runs_never_load_scipy_optimize(tmp_path):
+    # every run is one process, so an import it pays is paid per claim;
+    # the package uses scipy.special and scipy.fft only.  A fresh
+    # interpreter runs a cache_build, a tmax and a critical criteria run
+    # (its linear_sup maximises a radial flow) and then reports whether
+    # scipy.optimize was ever imported
+    src = os.path.dirname(os.path.dirname(sectorheat.__file__))
+    out = str(tmp_path / "out")
+    paths = []
+    for experiment, spec in (("cache_build", {}), ("tmax", {}),
+                             ("criteria", {"m": 0, "alpha": 4.0})):
+        path = tmp_path / f"{experiment}.json"
+        path.write_text(json.dumps(_manifest_dict(
+            experiment=experiment, grid={"L": 4.0, "n": 16}, output_dir=out,
+            spec={"N": 1, "m": 1, "gamma": 0.5, "alpha": 0.5, **spec})))
+        paths.append(str(path))
+    script = ("import sys\n"
+              "from sectorheat import cli\n"
+              f"codes = [cli.main([p, '-q', '--cache-dir', {out!r}]) "
+              f"for p in {paths!r}]\n"
+              "print(codes, 'scipy.optimize' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 3} False"
 
 
 def test_main_semigroup_checks(tmp_path):

@@ -14,7 +14,8 @@ from sectorheat import (GridSpec, KernelPlan, SectorSpec, apply_kernel,
                         psi_values)
 from sectorheat.profiles import (ModulatedProfile, Psi0Profile,
                                  SinSquaredLog, leading_constant)
-from sectorheat.semigroup import E, _kummer_params, radial_flow
+from sectorheat.semigroup import (E, _kummer_params, _radial_max, _sup_E,
+                                  radial_flow)
 
 FEW = settings(max_examples=15, deadline=None)
 
@@ -92,6 +93,40 @@ def test_C_inf_matches_linear_sup(spec):
     oracle = linear_sup(KernelPlan(spec, grid), Psi0Profile(spec), 1.0)
     assert build_psi_cache(spec, grid).C_inf \
         == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("fun, r, peak", [
+    # an interior maximum between samples: r e^{-r^2} peaks at 1/sqrt 2,
+    # between the samples 0.625 and 0.75
+    (lambda r: r * np.exp(-r * r), np.linspace(0.0, 5.0, 41),
+     np.exp(-0.5) / np.sqrt(2.0)),
+    # the maximum at the first sample, and at the last
+    (lambda r: np.exp(-r * r), np.linspace(0.0, 5.0, 41), 1.0),
+    (np.arctan, np.linspace(0.0, 2.0, 17), np.arctan(2.0)),
+])
+def test_radial_max_on_closed_forms(fun, r, peak):
+    assert _radial_max(fun, r) == pytest.approx(peak, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("N, m, gamma", [
+    (1, 1, 0.5), (2, 1, 1.0), (3, 2, 1.5), (2, 2, 0.7), (3, 3, 2.5)])
+def test_C_inf_against_mpmath(N, m, gamma):
+    # C_inf = k max_r (r^2/m)^{m/2} 1F1(a; b; -r^2/4) along the diagonal,
+    # from mpmath at 40 digits: the maximiser is the root of the
+    # derivative, m 1F1(a; b; -z) = (a/b) 2z 1F1(a+1; b+1; -z), z = r^2/4,
+    # found from its small-z estimate mb/2a, and k from mpmath's Gamma and
+    # Pochhammer
+    with mpmath.workdps(40):
+        g, n = mpmath.mpf(gamma), mpmath.mpf(N)
+        a, b = g / 2 + m, n / 2 + m
+        z = mpmath.findroot(lambda z: m * mpmath.hyp1f1(a, b, -z)
+                            - a / b * 2 * z * mpmath.hyp1f1(a + 1, b + 1, -z),
+                            m * b / (2 * a))
+        A = mpmath.gamma((n - g) / 2) / (mpmath.gamma(n / 2) * 2 ** g)
+        k = A * mpmath.mpf(2) ** -m * mpmath.rf(g / 2, m) / mpmath.rf(n / 2, m)
+        ref = k * (4 * z / m) ** (mpmath.mpf(m) / 2) * mpmath.hyp1f1(a, b, -z)
+    assert _sup_E(SectorSpec(N, m, gamma, 0.5)) \
+        == pytest.approx(float(ref), rel=1e-13, abs=0)
 
 
 @st.composite
