@@ -91,8 +91,9 @@ class RunManifest:
                                   f"of {EXPERIMENTS}")
             s = d["spec"]
             spec = SectorSpec(_integer("spec.N", s["N"]),
-                              _integer("spec.m", s["m"]), float(s["gamma"]),
-                              float(s["alpha"]),
+                              _integer("spec.m", s["m"]),
+                              _real("spec.gamma", s["gamma"]),
+                              _real("spec.alpha", s["alpha"]),
                               _integer("spec.sign_a", s.get("sign_a", 1)))
             g = d["grid"]
             n = _integer("grid.n", g["n"])
@@ -100,15 +101,19 @@ class RunManifest:
                 if len(_of_type("grid.axes", g["axes"], list)) != spec.N:
                     raise ConfigError(f"grid axes {g['axes']} must have "
                                       f"N={spec.N} entries")
-                grid = GridSpec(float(g["L"]), n, tuple(g["axes"]))
+                grid = GridSpec(_real("grid.L", g["L"]), n, tuple(g["axes"]))
             else:
-                grid = GridSpec.for_spec(spec, float(g["L"]), n)
+                grid = GridSpec.for_spec(spec, _real("grid.L", g["L"]), n)
             # absent keys keep the field defaults
             man = cls(experiment=kind, spec=spec, grid=grid)
             man.profile = dict(d.get("profile", man.profile))
-            man.lambdas = [float(x) for x in d.get("lambdas", man.lambdas)]
-            man.horizon = float(d.get("horizon", man.horizon))
-            man.t0 = float(d.get("t0", man.t0))
+            for key, x in man.profile.items():
+                if key not in ("kind", "modulation"):
+                    _real(f"profile.{key}", x)
+            man.lambdas = [_real("lambdas", x)
+                           for x in d.get("lambdas", man.lambdas)]
+            man.horizon = _real("horizon", d.get("horizon", man.horizon))
+            man.t0 = _real("t0", d.get("t0", man.t0))
             man.tolerances = dict(d.get("tolerances", man.tolerances))
             man.output_dir = str(d.get("output_dir", man.output_dir))
         except ConfigError:
@@ -116,9 +121,12 @@ class RunManifest:
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"malformed manifest: {e}") from e
         for name, tol in man.tolerances.items():
-            if not (isinstance(tol, (int, float)) and 0.0 < tol < np.inf):
+            # a bool is an int: true would pass as 1
+            if isinstance(tol, bool) or not (isinstance(tol, (int, float))
+                                             and 0.0 < tol < np.inf):
                 raise ConfigError(f"tolerance {name!r} must be positive "
                                   f"and finite, got {tol!r}")
+            man.tolerances[name] = float(tol)
         # a zero, negative or NaN time, or no amplitude, gives a verdict
         # that no computation earned
         for name in ("horizon", "t0"):
@@ -176,6 +184,14 @@ def _integer(key: str, x) -> int:
     return int(x)
 
 
+def _real(key: str, x) -> float:
+    """A manifest's real field as a float.  float() would read "0.5" from
+    a string and true as 1, so only ints and floats, not bools, pass."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ConfigError(f"{key!r} must be a real number, got {x!r}")
+    return float(x)
+
+
 def _of_type(key: str, x, kind: type):
     """x if it is a JSON object (dict) or array (list).  dict() and list()
     would take other iterables: "12" as the lambdas [1.0, 2.0]."""
@@ -188,22 +204,23 @@ def _of_type(key: str, x, kind: type):
 
 def profile_from_descriptor(spec: SectorSpec, d: dict):
     kind = d.get("kind", "psi0")
-    amp = float(d.get("amplitude", 1.0))
+    amp = _real("profile.amplitude", d.get("amplitude", 1.0))
     if kind == "psi0":
         return Psi0Profile(spec, amp)
     if kind == "modulated_psi0":
         g_kind = d.get("modulation", "sin2log")
         if g_kind == "sin2log":
-            g = SinSquaredLog(float(d.get("eps", 0.05)),
-                              float(d.get("shift", 0.0)))
+            g = SinSquaredLog(_real("profile.eps", d.get("eps", 0.05)),
+                              _real("profile.shift", d.get("shift", 0.0)))
         elif g_kind == "log_blocks":
-            g = LogBlockModulation(float(d.get("c1", 1.0)),
-                                   float(d.get("c2", 2.0)))
+            g = LogBlockModulation(_real("profile.c1", d.get("c1", 1.0)),
+                                   _real("profile.c2", d.get("c2", 2.0)))
         else:
             raise ConfigError(f"unknown modulation {g_kind!r}")
         return ModulatedProfile(spec, g, amp)
     if kind == "gaussian_derivative":
-        return GaussianDerivativeProfile(spec, float(d.get("t0", 0.5)), amp)
+        return GaussianDerivativeProfile(
+            spec, _real("profile.t0", d.get("t0", 0.5)), amp)
     if kind == "constant":
         return ConstantProfile(spec, amp)
     raise ConfigError(f"unknown profile kind {kind!r}")
@@ -338,8 +355,8 @@ def run_criteria(man, plan, out):
 
 
 def run_two_limit(man, plan, out):
-    c1 = float(man.profile.get("c1", 1.0))
-    c2 = float(man.profile.get("c2", 2.0))
+    c1 = _real("profile.c1", man.profile.get("c1", 1.0))
+    c2 = _real("profile.c2", man.profile.get("c2", 2.0))
     report = ls.two_limit_experiment(plan, c1, c2, controls=_controls(man))
     ls.save_report(report, os.path.join(out, "two_limit.json"))
     expect_gap = abs(c1 - c2) > 1e-12

@@ -23,6 +23,15 @@ rung's estimate, 2^{3/2} times it, would not.  The sup is measured, not
 the max norm of the difference: |u|^alpha u has a |x|^{1+alpha} kink at
 the sector wall, where the nodewise estimate runs about a thousand times
 the sup's.
+
+Validation sits at the loop's edges.  run_trajectory checks its initial
+field, and forms each state's moduli |u| and their max once, right after
+the leg that produced the state, where it checks them finite; it passes
+them to the next leg (strang_step and nonlinear_substep take them as
+``moduli``), which then trusts them and its dt and runs under the loop's
+errstate.  The same moduli serve the envelope check and the probe's 2 dt
+leg, and the scalar remainder and sup flows run on Python floats.  Called
+without moduli, both step functions validate their input themselves.
 """
 
 from __future__ import annotations
@@ -110,48 +119,92 @@ class TrajectoryRecord:
             json.dump(rec, fh, sort_keys=True, indent=1)
 
 
-def _remaining(spec: SectorSpec, vmax) -> float:
+def _remaining(spec: SectorSpec, vmax: float) -> float:
     """Scalar blow-up time 1/(alpha vmax^alpha) of the reaction flow, inf
-    unless a = +1.  float64 under errstate: overflow gives 0, vmax 0 inf."""
+    unless a = +1.  On Python floats: a vmax^alpha that overflows gives 0,
+    one that is 0 (vmax 0, or an underflow) gives inf."""
     if spec.sign_a < 0:
         return math.inf
-    return float(1.0 / (spec.alpha * vmax ** spec.alpha))
+    try:
+        d = spec.alpha * vmax ** spec.alpha
+    except OverflowError:
+        return 0.0
+    return 1.0 / d if d else math.inf
 
 
 def _modulus_flow(spec: SectorSpec, absv, dt: float):
-    """Moduli (array or scalar) after the reaction flow over dt.  |u|^-alpha
-    is inf at a zero node (and overflows at a tiny one); the flow maps inf
-    back to 0, so neither needs a mask, only the caller's errstate."""
+    """Moduli (an array) after the reaction flow over dt.  |u|^-alpha is inf
+    at a zero node (and overflows at a tiny one); the flow maps inf back to
+    0, so neither needs a mask, only the caller's errstate."""
     a, alpha = spec.sign_a, spec.alpha
     return (absv ** -alpha - a * alpha * dt) ** (-1.0 / alpha)
 
 
-def nonlinear_substep(spec: SectorSpec, v: np.ndarray, dt: float):
+def _sup_flow(spec: SectorSpec, m: float, tau: float) -> float:
+    """_modulus_flow of one modulus m on Python floats: m^-alpha that
+    overflows (m 0 or tiny) flows back to 0, and a base that rounding left
+    at or below 0 (m at its blow-up within tau) or whose power overflows
+    gives inf."""
+    alpha = spec.alpha
+    try:
+        base = m ** -alpha - spec.sign_a * alpha * tau
+    except (OverflowError, ZeroDivisionError):
+        return 0.0
+    if base <= 0.0:
+        return math.inf
+    try:
+        return base ** (-1.0 / alpha)
+    except OverflowError:
+        return math.inf
+
+
+def _moduli(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """|v| and its max, which must be finite: the reaction flow would map
+    NaN to 0 and hide it."""
+    absv = np.abs(v)
+    vmax = float(absv.max())
+    if not math.isfinite(vmax):
+        raise ValueError("field values must be finite")
+    return absv, vmax
+
+
+def nonlinear_substep(spec: SectorSpec, v: np.ndarray, dt: float, *,
+                      moduli: tuple | None = None):
     """Exact pointwise flow of u' = a|u|^alpha u over dt.
 
     Returns the new values, or a BlowupSignal when a = +1 and some node's
     scalar blow-up time 1/(alpha|u|^alpha) falls within dt.  Non-finite
     input raises: the flow would map NaN to 0 and hide it.
+
+    ``moduli`` is (|v|, max |v|) as the stepping loop formed and checked
+    them: given, the call trusts them and dt and runs under the caller's
+    ``np.errstate(over="ignore", divide="ignore")``.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    absv = np.abs(v)
-    vmax = absv.max()
-    if not math.isfinite(vmax):
-        raise ValueError("field values must be finite")
-    with np.errstate(over="ignore", divide="ignore"):
-        remaining = _remaining(spec, vmax)
-        if dt >= remaining:
-            node = np.unravel_index(int(np.argmax(absv)), absv.shape)
-            return BlowupSignal(node=node, remaining=remaining)
-        return np.copysign(_modulus_flow(spec, absv, dt), v)
+    if moduli is None:
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        with np.errstate(over="ignore", divide="ignore"):
+            return _react(spec, v, dt, *_moduli(v))
+    return _react(spec, v, dt, *moduli)
 
 
-def strang_step(plan: KernelPlan, w: np.ndarray, pending: float, dt: float):
+def _react(spec: SectorSpec, v: np.ndarray, dt: float, absv: np.ndarray,
+           vmax: float):
+    """nonlinear_substep on checked moduli, under the caller's errstate."""
+    remaining = _remaining(spec, vmax)
+    if dt >= remaining:
+        node = np.unravel_index(int(np.argmax(absv)), absv.shape)
+        return BlowupSignal(node=node, remaining=remaining)
+    return np.copysign(_modulus_flow(spec, absv, dt), v)
+
+
+def strang_step(plan: KernelPlan, w: np.ndarray, pending: float, dt: float,
+                *, moduli: tuple | None = None):
     """Fused Strang leg on raw values over the plan's grid: the reaction flow
     over ``pending`` plus the leading half dt/2, then the spectral heat
-    step.  The result has the trailing half dt/2 pending on it."""
-    lead = nonlinear_substep(plan.spec, w, pending + 0.5 * dt)
+    step.  The result has the trailing half dt/2 pending on it.
+    ``moduli`` goes to nonlinear_substep."""
+    lead = nonlinear_substep(plan.spec, w, pending + 0.5 * dt, moduli=moduli)
     if isinstance(lead, BlowupSignal):
         return lead
     return _spectral_flow(plan, dt, lead)
@@ -166,28 +219,38 @@ def _step_limit(spec: SectorSpec, sup: float, room: float) -> float:
     return room
 
 
-def _flowed_sup(spec: SectorSpec, w: np.ndarray, tau: float) -> float:
-    """Sup of the state w with reaction time tau pending on it, inf when
-    its maximal node blows up within tau."""
-    m = np.abs(w).max()
+def _flowed_sup(spec: SectorSpec, m: float, tau: float) -> float:
+    """Sup of a state of sup m with reaction time tau pending on it, inf
+    when its maximal node blows up within tau."""
     if tau >= _remaining(spec, m):
         return math.inf
-    return float(_modulus_flow(spec, m, tau))
+    return _sup_flow(spec, m, tau)
 
 
 def _probe_error(plan: KernelPlan, w: np.ndarray, tau: float, dt: float,
-                 pair: np.ndarray) -> float:
+                 pair: np.ndarray, moduli: tuple | None = None) -> float:
     """Step-doubling estimate of one dt step's local error in the sup,
     relative to it: one 2 dt leg from (w, tau) beside ``pair``, the state
     two dt legs reach from there.  The scheme is second order, so the
-    2 dt leg errs by 8 and the pair by 2 units of one step's error."""
-    big = strang_step(plan, w, tau, 2.0 * dt)
+    2 dt leg errs by 8 and the pair by 2 units of one step's error.
+    ``moduli`` (w's) goes to the 2 dt leg."""
+    big = strang_step(plan, w, tau, 2.0 * dt, moduli=moduli)
     if isinstance(big, BlowupSignal):
         return math.inf
     spec = plan.spec
-    sup = _flowed_sup(spec, pair, 0.5 * dt)
-    diff = abs(_flowed_sup(spec, big, dt) - sup)
+    sup = _flowed_sup(spec, float(np.abs(pair).max()), 0.5 * dt)
+    diff = abs(_flowed_sup(spec, float(np.abs(big).max()), dt) - sup)
     return diff / (6.0 * sup) if diff else 0.0
+
+
+def _leg(plan: KernelPlan, w: np.ndarray, moduli: tuple, pending: float,
+         dt: float):
+    """strang_step from w with its moduli: a BlowupSignal, or the new state
+    and its moduli, checked finite."""
+    new = strang_step(plan, w, pending, dt, moduli=moduli)
+    if isinstance(new, BlowupSignal):
+        return new
+    return new, _moduli(new)
 
 
 def _typeI_fit(spec: SectorSpec, times, sups):
@@ -245,7 +308,8 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
     justified = (spec.N - 2) * spec.alpha < 4.0
     h = min(grid.axis_spacing(i) for i in range(grid.ndim))
     w, tau = f0.values, 0.0     # post-heat state, reaction time pending
-    sup = f0.sup_norm()
+    moduli = _moduli(w)         # |w| and its max, checked finite
+    sup = moduli[1]
     times, sups, dts = [t0], [sup], [0.0]
     violation = None
     t = t0
@@ -253,6 +317,7 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
     t_max = uncertainty = residual = None
     rung, since_probe = 0, 0
     # inf is part of the reaction formula, and every state is checked finite
+    # as its leg forms its moduli, so the legs run under this errstate
     with np.errstate(over="ignore", divide="ignore"):
         for _ in range(MAX_STEPS):
             if t >= c.horizon:
@@ -272,11 +337,11 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
                 probe = since_probe >= PROBE_EVERY and 2.0 * dt <= limit
                 if dt == ladder:
                     since_probe += 1
-            legs = [strang_step(plan, w, tau, dt)]
+            legs = [_leg(plan, w, moduli, tau, dt)]
             if probe and not isinstance(legs[0], BlowupSignal):
-                legs.append(strang_step(plan, legs[0], 0.5 * dt, dt))
+                legs.append(_leg(plan, *legs[0], 0.5 * dt, dt))
                 if not isinstance(legs[1], BlowupSignal):
-                    est = _probe_error(plan, w, tau, dt, legs[1])
+                    est = _probe_error(plan, w, tau, dt, legs[1][0], moduli)
                     if est > STEP_TOL:
                         rung -= 1           # discard the pair, probe again
                         continue
@@ -288,21 +353,19 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
                     # remaining counts from the reaction time t - tau of w
                     t_max = t - tau + stepped.remaining
                     break
-                w, tau, t = stepped, 0.5 * dt, t + dt
-                m = np.abs(w).max()
-                if not math.isfinite(m):
-                    raise ValueError("field values must be finite")
-                if tau >= (rem := _remaining(spec, m)):   # trailing half
+                (w, moduli), tau, t = stepped, 0.5 * dt, t + dt
+                # blow-up within the trailing half
+                if tau >= (rem := _remaining(spec, moduli[1])):
                     t_max = t - tau + rem
                     break
-                sup = float(_modulus_flow(spec, m, tau))
+                sup = _sup_flow(spec, moduli[1], tau)
                 if not math.isfinite(sup):
                     raise ValueError("field values must be finite")
                 times.append(t)
                 sups.append(sup)
                 dts.append(dt)
                 if bound_fn is not None and violation is None:
-                    excess = bound_fn(t, _modulus_flow(spec, np.abs(w), tau))
+                    excess = bound_fn(t, _modulus_flow(spec, moduli[0], tau))
                     if excess is not None and np.any(excess > 0.0):
                         node = np.unravel_index(int(np.argmax(excess)),
                                                 w.shape)

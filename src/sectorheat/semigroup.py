@@ -21,9 +21,11 @@ antisym (the sector's walls), sym or periodic.
   once per grid; a step size that repeats the previous one takes per-axis
   propagators P(t), which depend on node offsets only (Toeplitz minus
   Hankel on sine axes, circulant on periodic ones) and are filled in
-  O(n^2) from one cosine transform of the mode factors e^{-t k^2}.  A
-  time step runs no transform.  The same propagators carry a Picard
-  solve's Duhamel history from each mesh node to the next.
+  O(n^2) from one cosine transform of the mode factors e^{-t k^2}: a
+  matvec with a cosine table cached beside the basis on sine axes, an
+  inverse FFT on periodic ones.  A time step runs no transform.  The
+  same propagators carry a Picard solve's Duhamel history from each mesh
+  node to the next.
 * psi_values / psi_fast / psi_sup: the reference flow through the
   dilation identity
       e^{t D} psi0 = t^{-(gamma+m)/2} E(x / sqrt t),  E = e^{D} psi0,
@@ -43,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.fft import dct, dst, idst, fft, ifft
+from scipy.fft import dst, idst, fft, ifft
 from scipy.special import erfc, gammaln, hyp1f1, ive, poch
 from scipy.special import gamma as gamma_fn
 
@@ -210,9 +212,12 @@ def _radial_kernel(nu: float, q, s) -> np.ndarray:
     z = 2.0 * np.asarray(q) * np.asarray(s)
     with np.errstate(divide="ignore", invalid="ignore"):    # z = 0
         bessel = ive(nu, z) * z ** -nu
-    series = (np.exp(-z - nu * np.log(2.0) - gammaln(nu + 1.0))
-              * (1.0 + z * z / (4.0 * nu + 4.0)))
-    return np.exp(-(q - s) ** 2) * np.where(z < 1e-6, series, bessel)
+    small = z < 1e-6
+    if np.any(small):
+        zs = z[small]
+        bessel[small] = (np.exp(-zs - nu * np.log(2.0) - gammaln(nu + 1.0))
+                         * (1.0 + zs * zs / (4.0 * nu + 4.0)))
+    return np.exp(-(q - s) ** 2) * bessel
 
 
 def _deep_mass(profile, sigma: float, s, mass) -> float:
@@ -280,8 +285,8 @@ def radial_flow(profile, t: float, r) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # spectral path (Dirichlet at the outer box, sine bases make anti-symmetry
 # exact; periodic axes use the discrete Fourier basis).  The transforms run
-# only to build each axis's basis matrices and a propagator's offset
-# sequence; stepping contracts matrices.
+# only to build each axis's basis matrices and a periodic propagator's
+# offset sequence; stepping contracts matrices.
 
 def _axis_freqs(grid: GridSpec, i: int) -> np.ndarray:
     kind = grid.axes[i]
@@ -314,19 +319,37 @@ def _inverse(kind: str, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _SpectralBasis:
-    """Per-axis transform matrices of one grid (complex on periodic axes)
-    and the squared frequencies, each shaped to broadcast along its axis."""
+    """Per-axis transform matrices of one grid (complex on periodic axes),
+    the squared frequencies, each shaped to broadcast along its axis, and
+    the cosine tables of _axis_propagator (None on periodic axes)."""
 
     forward: tuple
     inverse: tuple
     ksq: tuple
+    cosine: tuple
+
+
+def _cosine_table(kind: str, n: int) -> np.ndarray | None:
+    """The (M+1) x n table cos(pi q d / M) w_q / M, rows d = 0..M and
+    columns q = 1..n, that maps a sine axis's mode factors to its offset
+    sequence: M = n + 1 on antisym axes, M = n with w_n = 1/2 on sym axes
+    (else w_q = 1).  q d is reduced mod 2M first, so each cosine's
+    argument lies in [0, 2 pi) and is exact to rounding."""
+    if kind == AXIS_PERIODIC:
+        return None
+    M = n + 1 if kind == AXIS_ANTISYM else n
+    qd = np.outer(np.arange(M + 1), np.arange(1, n + 1)) % (2 * M)
+    table = np.cos(qd * (np.pi / M)) / M
+    if kind == AXIS_SYM:
+        table[:, -1] *= 0.5
+    return table
 
 
 @lru_cache(maxsize=8)
 def _spectral_basis(grid: GridSpec) -> _SpectralBasis:
     """The transforms applied to the identity, so the matrices are exactly
     the discrete operator of the per-axis transform pair."""
-    forward, inverse, ksq = [], [], []
+    forward, inverse, ksq, cosine = [], [], [], []
     for i, kind in enumerate(grid.axes):
         eye = np.eye(len(grid.axis_nodes(i)))
         shape = [1] * grid.ndim
@@ -334,31 +357,35 @@ def _spectral_basis(grid: GridSpec) -> _SpectralBasis:
         forward.append(_forward(kind, eye))
         inverse.append(_inverse(kind, eye))
         ksq.append((_axis_freqs(grid, i) ** 2).reshape(shape))
-    for a in forward + inverse + ksq:
-        a.flags.writeable = False   # shared by every caller of the cache
-    return _SpectralBasis(tuple(forward), tuple(inverse), tuple(ksq))
+        cosine.append(_cosine_table(kind, eye.shape[0]))
+    for a in forward + inverse + ksq + cosine:
+        if a is not None:
+            a.flags.writeable = False   # shared by every caller of the cache
+    return _SpectralBasis(tuple(forward), tuple(inverse), tuple(ksq),
+                          tuple(cosine))
 
 
-def _axis_propagator(kind: str, e: np.ndarray) -> np.ndarray:
+def _axis_propagator(kind: str, e: np.ndarray,
+                     cosine: np.ndarray | None) -> np.ndarray:
     """inverse diag(e) forward on one axis, for the mode factors e (in the
-    order of _axis_freqs), from the offset sequence c of one transform.
+    order of _axis_freqs), from the offset sequence c of the axis.
 
     antisym (DST-I): c(|i - j|) - c(i + j + 2) with
         c(d) = (1/(n+1)) sum_q e_q cos(pi q d / (n+1)),
-    the DCT-I of [0, e, 0] over 2(n+1), even about n + 1;
+    even about n + 1;
     sym (DST-II, whose inverse weighs the last mode by 1/2):
     c(|i - j|) - c(i + j + 1) with
         c(d) = (1/n) sum_q w_q e_q cos(pi q d / n),  w_n = 1/2, else 1,
-    the DCT-I of [0, e] over 2n, even about n;
+    even about n.  Both are one matvec, c(0..M) = cosine @ e with the
+    axis's table from _cosine_table (a DCT-I of [0, e, 0] or [0, e]
+    computes the same, but pocketfft pays per call, and 2(n+1) is 2 x 257
+    at n = 256);
     periodic (DFT): circulant in c = ifft(e), which is even modulo n
     since e is, so c(|i - j|) fills it."""
     n = e.size
     if kind == AXIS_PERIODIC:
         return _offset_matrix(ifft(e).real, n)
-    if kind == AXIS_ANTISYM:
-        c = dct(np.concatenate(([0.0], e, [0.0])), type=1) / (2.0 * (n + 1))
-    else:
-        c = dct(np.concatenate(([0.0], e)), type=1) / (2.0 * n)
+    c = cosine @ e
     # c(d) for d past the centre is its mirror image
     return _offset_matrix(np.concatenate((c, c[-2:0:-1])), n,
                           2 if kind == AXIS_ANTISYM else 1)
@@ -366,8 +393,9 @@ def _axis_propagator(kind: str, e: np.ndarray) -> np.ndarray:
 
 def _propagators(grid: GridSpec, t: float) -> list[np.ndarray]:
     """The grid's per-axis P(t) = inverse diag(e^{-t k^2}) forward."""
-    return [_axis_propagator(kind, np.exp(-t * k2.ravel()))
-            for kind, k2 in zip(grid.axes, _spectral_basis(grid).ksq)]
+    basis = _spectral_basis(grid)
+    return [_axis_propagator(kind, np.exp(-t * k2.ravel()), cos)
+            for kind, k2, cos in zip(grid.axes, basis.ksq, basis.cosine)]
 
 
 def _spectral_flow(plan: KernelPlan, t: float,

@@ -159,6 +159,18 @@ _SPEC = {"N": 1, "m": 1, "gamma": 0.5, "alpha": 0.5}
     # "lambdas" and "grid.axes" are arrays: "12" ran as lambdas [1.0, 2.0]
     ({"lambdas": "12"}, "'lambdas'"),
     ({"grid": {"L": 4.0, "n": 16, "axes": "a"}}, "'grid.axes'"),
+    # a real field takes no bool and no string: "alpha": true ran as
+    # alpha = 1, "gamma": "0.5" and the rest were read from strings
+    ({"spec": {**_SPEC, "alpha": True}}, "'spec.alpha'"),
+    ({"spec": {**_SPEC, "gamma": "0.5"}}, "'spec.gamma'"),
+    ({"grid": {"L": "4", "n": 16}}, "'grid.L'"),
+    ({"horizon": "20"}, "'horizon'"),
+    ({"t0": True}, "'t0'"),
+    ({"lambdas": ["0.5", True]}, "'lambdas'"),
+    # a bool is an int, so true passed the tolerance check as 1
+    ({"tolerances": {"cross_method": True}}, "'cross_method' must be"),
+    ({"profile": {"kind": "psi0", "amplitude": "2"}}, "'profile.amplitude'"),
+    ({"profile": {"kind": "modulated_psi0", "eps": True}}, "'profile.eps'"),
 ])
 def test_manifest_refuses_values_of_the_wrong_type(tmp_path, capsys, over,
                                                    key):
@@ -175,6 +187,31 @@ def test_manifest_takes_integral_numbers_as_integers():
         spec={**_SPEC, "N": 1.0, "sign_a": -1}, grid={"L": 4.0, "n": 16.0}))
     assert man.spec == SectorSpec(1, 1, 0.5, 0.5, -1)
     assert man.grid.n == 16 and type(man.grid.n) is int
+
+
+def test_manifest_reads_integral_ints_as_reals():
+    man = RunManifest.from_dict(_manifest_dict(
+        spec={**_SPEC, "alpha": 1}, grid={"L": 4, "n": 16}, horizon=20,
+        t0=1, lambdas=[1, 2], tolerances={"cross_method": 1}))
+    assert man.spec.alpha == 1.0 and type(man.spec.alpha) is float
+    assert type(man.grid.L) is float
+    assert type(man.horizon) is float and type(man.t0) is float
+    assert all(type(x) is float for x in man.lambdas)
+    assert type(man.tolerances["cross_method"]) is float
+
+
+@pytest.mark.parametrize("d", [
+    {"kind": "psi0", "amplitude": True},
+    {"kind": "modulated_psi0", "modulation": "sin2log", "eps": "0.1"},
+    {"kind": "modulated_psi0", "modulation": "sin2log", "shift": True},
+    {"kind": "modulated_psi0", "modulation": "log_blocks", "c1": "1"},
+    {"kind": "modulated_psi0", "modulation": "log_blocks", "c2": None},
+    {"kind": "gaussian_derivative", "t0": "0.5"},
+])
+def test_profile_descriptor_refuses_non_real_fields(d):
+    key = next(k for k in d if k not in ("kind", "modulation"))
+    with pytest.raises(ConfigError, match=f"'profile.{key}'"):
+        profile_from_descriptor(SectorSpec(1, 1, 0.5, 0.5), d)
 
 
 def test_profile_descriptors():

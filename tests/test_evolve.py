@@ -13,6 +13,7 @@ from sectorheat.evolve import (STATUS_BLEWUP, STATUS_GLOBAL, BlowupSignal,
                                EvolveControls, TrajectoryRecord, _typeI_fit,
                                estimate_tmax, nonlinear_substep,
                                run_trajectory, strang_step)
+from sectorheat.lifespan import global_smallness_check
 from sectorheat.picard import solve_picard
 from sectorheat.profiles import (ConstantProfile, ModulatedProfile,
                                  Psi0Profile, SinSquaredLog)
@@ -325,6 +326,48 @@ def test_probed_run_to_blowup_matches_unfused_strang(monkeypatch):
     assert rec.status == STATUS_BLEWUP
     assert calls["probes"] >= 3 and calls["builds"] >= 2
     _assert_matches_unfused(rec, last, f0, 0.0, EvolveControls())
+
+
+def _spy_moduli(monkeypatch):
+    """Wrap nonlinear_substep: each call that brings the loop's moduli is
+    checked against |v| and its max, bit for bit, and counted."""
+    seen = {"with": 0, "without": 0}
+    substep = evolve.nonlinear_substep
+
+    def spy(spec, v, dt, *, moduli=None):
+        if moduli is None:
+            seen["without"] += 1
+        else:
+            absv, vmax = moduli
+            assert np.array_equal(absv, np.abs(v))
+            assert type(vmax) is float and vmax == np.abs(v).max()
+            seen["with"] += 1
+        return substep(spec, v, dt, moduli=moduli)
+
+    monkeypatch.setattr(evolve, "nonlinear_substep", spy)
+    return seen
+
+
+def test_loop_moduli_are_those_of_each_leg_input(monkeypatch):
+    # the probed psi0 run to blow-up above, then an envelope run: every
+    # leg, probe legs included, takes the moduli the loop formed from
+    # its input state; only the pending trailing half of the state a run
+    # returns validates on its own
+    seen = _spy_moduli(monkeypatch)
+    spec = SectorSpec(1, 1, 0.5, 0.5, +1)
+    grid = GridSpec.for_spec(spec, L=10.0, n=64)
+    f0 = field_from_profile(spec, grid, Psi0Profile(spec))
+    rec, _ = run_trajectory(KernelPlan(spec, grid), f0, 0.0,
+                            EvolveControls())
+    assert rec.status == STATUS_BLEWUP
+    assert seen["without"] == 1
+    assert seen["with"] > len(rec.times) - 1    # probe legs too
+    before = seen["with"]
+    sup_spec = SectorSpec(1, 1, 0.5, 2.0, +1)
+    report = global_smallness_check(KernelPlan(sup_spec, grid), t0=0.1,
+                                    horizon_factor=10.0)
+    assert report["certified"]
+    assert seen["without"] == 2 and seen["with"] > before
 
 
 def test_constant_data_matches_scalar_ode():

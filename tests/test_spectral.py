@@ -1,12 +1,13 @@
 """Properties of the spectral heat engine over random small grids of every
 axis kind: cached per-axis propagator matrices against the sine/Fourier
 transform pair they stand for; and on every axis kind up to n = 256, the
-slot's offset-filled propagator against the dense basis product."""
+slot's offset-filled propagator against the dense basis product, and the
+cosine table that fills it against the DCT-I it stands for."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.fft import dst, fft, idst, ifft
+from scipy.fft import dct, dst, fft, idst, ifft
 
 from sectorheat import (AXIS_ANTISYM, AXIS_PERIODIC, AXIS_SYM, GridSpec,
                         KernelPlan, SectorSpec)
@@ -149,3 +150,24 @@ def test_slot_propagator_matches_basis_product(kind, n, t):
                   @ basis.forward[0])
     assert np.max(np.abs(P - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(P, P.T)
+
+
+@pytest.mark.parametrize("n", [4, 5, 64, 256])
+@pytest.mark.parametrize("kind", [AXIS_ANTISYM, AXIS_SYM])
+def test_cosine_table_offsets_match_dct1(kind, n):
+    # the cached table's matvec is a DCT-I: of [0, e, 0] over 2(n+1) on
+    # antisym axes, of [0, e] over 2n on sym ones.  At n = 256 each is up
+    # to about 1.1e-15 of the max off a long-double sum of the cosines,
+    # so they agree to 2e-15 of it
+    grid = GridSpec(L=10.0, n=n, axes=(kind,))
+    basis = _spectral_basis(grid)
+    (table,), (k2,) = basis.cosine, basis.ksq
+    for t in np.geomspace(1e-5, 10.0, 31):
+        e = np.exp(-t * k2.ravel())
+        if kind == AXIS_ANTISYM:
+            ref = dct(np.concatenate(([0.0], e, [0.0])), type=1) \
+                / (2.0 * (n + 1))
+        else:
+            ref = dct(np.concatenate(([0.0], e)), type=1) / (2.0 * n)
+        assert np.max(np.abs(table @ e - ref)) \
+            <= 2e-15 * np.max(np.abs(ref))
