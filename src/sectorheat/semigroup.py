@@ -18,14 +18,14 @@ antisym (the sector's walls), sym or periodic.
   DST-II on sym axes, both with a Dirichlet outer boundary; the DFT on
   periodic axes), exact in time for the discrete modes; for bounded
   post-smoothing data.  The basis's per-axis transform matrices are built
-  once per grid; a step size that repeats the previous one takes per-axis
-  propagators P(t), which depend on node offsets only (Toeplitz minus
-  Hankel on sine axes, circulant on periodic ones) and are filled in
-  O(n^2) from one cosine transform of the mode factors e^{-t k^2}: a
-  matvec with a cosine table cached beside the basis on sine axes, an
-  inverse FFT on periodic ones.  A time step runs no transform.  The
-  same propagators carry a Picard solve's Duhamel history from each mesh
-  node to the next.
+  once per grid, in closed form; a step size that repeats the previous
+  one takes per-axis propagators P(t), which depend on node offsets only
+  (Toeplitz minus Hankel on sine axes, circulant on periodic ones) and
+  are filled in O(n^2) from one cosine transform of the mode factors
+  e^{-t k^2}: a matvec with a cosine table cached beside the basis on
+  sine axes, an inverse FFT on periodic ones.  A time step runs no
+  transform.  The same propagators carry a Picard solve's Duhamel history
+  from each mesh node to the next.
 * psi_values / psi_fast / psi_sup: the reference flow through the
   dilation identity
       e^{t D} psi0 = t^{-(gamma+m)/2} E(x / sqrt t),  E = e^{D} psi0,
@@ -35,19 +35,21 @@ antisym (the sector's walls), sym or periodic.
   psi0 remains an independent check of E.  build_psi_cache / save_cache
   export E on a grid with C_inf as an SHC1 file; no computation reads
   that file back.
+* kummer: the one special function of both E and radial_flow's kernel,
+  1F1(a; a + c; -z) for z >= 0, from per-(a, c) tables of local
+  polynomials built at first use.  With it, numpy is the package's only
+  dependency at run time.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.fft import dst, idst, fft, ifft
-from scipy.special import erfc, gammaln, hyp1f1, ive, poch
-from scipy.special import gamma as gamma_fn
 
 from .geometry import (AXIS_ANTISYM, AXIS_PERIODIC, AXIS_SYM, Field,
                        GridSpec, SectorSpec, _read_container,
@@ -175,7 +177,8 @@ def _warn_tail_mass(plan: KernelPlan, t: float, f: Field) -> None:
     for i, kind in enumerate(f.grid.axes):
         if kind == AXIS_PERIODIC:
             continue
-        mass = 0.5 * erfc(0.5 * f.grid.axis_spacing(i) / np.sqrt(4.0 * t))
+        mass = 0.5 * math.erfc(0.5 * f.grid.axis_spacing(i)
+                               / math.sqrt(4.0 * t))
         sl = [slice(None)] * f.grid.ndim
         for j in ((-1,) if kind == AXIS_ANTISYM else (0, -1)):
             sl[i] = j
@@ -184,6 +187,81 @@ def _warn_tail_mass(plan: KernelPlan, t: float, f: Field) -> None:
         warnings.warn(
             f"apply_kernel: boundary truncation mass ~{est:.2e} "
             "exceeds tolerance; enlarge the box", RuntimeWarning)
+
+
+# ---------------------------------------------------------------------------
+# the Kummer function of E and of the radial kernel
+
+# kummer's polynomials have this degree; the parts it drops, and the part
+# of the asymptotic series it does not take, stay below KUMMER_TOL relative
+KUMMER_DEGREE = 14
+KUMMER_TOL = 1e-17
+
+
+@lru_cache(maxsize=16)
+def _kummer_table(a: float, c: float) -> tuple[int, np.ndarray]:
+    """(K, coef): the pieces of kummer(a, c, .), coef[j, i] the coefficient
+    of degree j of piece i, read-only.
+
+    With f(z) = 1F1(a; b; -z), b = a + c, piece i < K is f's Taylor
+    polynomial about z = i, for z in [i - 1/2, i + 1/2), so f(0) = 1
+    exactly.  By DLMF 13.3(ii) and Kummer's transformation (13.2(vii))
+    its coefficients are
+        f^(j)(i)/j! = (-1)^j (a)_j/((b)_j j!) e^{-i} 1F1(c; b + j; i),
+    and the last series has positive terms, summed until they no longer
+    count.  f is the Laplace transform of a positive weight on [0, 1]
+    (DLMF 13.4(i)), so |f^(j)| <= f, and what degree 14 drops within 1/2
+    of i is below 2^-15/15! e^{1/2} f, 4e-17 f.
+    Piece K serves z >= K - 1/2 by the asymptotic series (DLMF 13.7(i))
+        f(z) ~ Gamma(b)/Gamma(c) z^{-a} sum_s (a)_s (1 - c)_s/s! z^{-s},
+    a polynomial in 1/z cut after degree 14; K is the first integer where,
+    at z = K - 1/2, the next term, and the exponentially small part the
+    series omits, Gamma(c)/Gamma(a) z^{a-c} e^{-z} relative, are below
+    KUMMER_TOL."""
+    p, b = KUMMER_DEGREE, a + c
+    j = np.arange(p + 1.0)
+    ratio = np.cumprod(np.r_[1.0, (a + j) * (1.0 - c + j) / (j + 1.0)])
+    K = 1
+    while (abs(ratio[-1]) > KUMMER_TOL * (K - 0.5) ** (p + 1.0)
+           or math.lgamma(c) - math.lgamma(a) + (a - c) * math.log(K - 0.5)
+           - (K - 0.5) > math.log(KUMMER_TOL)):
+        K += 1
+    z = np.arange(K, dtype=float)
+    term = np.ones((p + 1, K))
+    total = term.copy()
+    n = 0
+    while n < K or np.any(term > KUMMER_TOL * total):
+        term *= (c + n) / (b + j[:, None] + n) * (z / (n + 1.0))
+        total += term
+        n += 1
+    taylor = np.cumprod(np.r_[1.0, -(a + j[:-1])
+                              / ((b + j[:-1]) * (j[:-1] + 1.0))])
+    coef = np.column_stack((taylor[:, None] * np.exp(-z) * total,
+                            math.gamma(b) / math.gamma(c) * ratio[:-1]))
+    coef.flags.writeable = False    # shared by every caller of the cache
+    return K, coef
+
+
+def kummer(a: float, c: float, z) -> np.ndarray:
+    """1F1(a; a + c; -z) at each z >= 0, for a, c > 0.
+
+    c enters as itself, not as the difference of a + c and a, so the far
+    field, which goes as 1/Gamma(c), keeps its relative accuracy as c -> 0.
+    Each point takes one piece of _kummer_table, built once per (a, c):
+    a Taylor polynomial in z - i about the nearest integer i < K, or
+    beyond the table's end the asymptotic series in 1/z times z^{-a}, 14
+    Horner steps either way."""
+    K, coef = _kummer_table(a, c)
+    z = np.asarray(z, dtype=float)
+    far = z >= K - 0.5
+    i = (np.minimum(z, K) + 0.5).astype(np.intp)
+    u = np.subtract(z, i, out=np.empty_like(z))     # an array if z is 0-d
+    np.divide(1.0, z, out=u, where=far)
+    out = coef[-1][i]
+    for row in coef[-2::-1]:
+        out *= u
+        out += row[i]
+    return out * np.power(z, -a, out=np.ones_like(z), where=far)
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +283,21 @@ def _gauss_legendre(a, b, order: int):
 
 
 def _radial_kernel(nu: float, q, s) -> np.ndarray:
-    """exp(-(q - s)^2) z^{-nu} ive(nu, z), z = 2qs: the heat kernel of
+    """exp(-(q - s)^2) z^{-nu} e^{-z} I_nu(z), z = 2qs: the heat kernel of
     radial functions in dimension 2nu + 2, radii in units of sqrt(4t),
-    over 2^{nu+1}.  z^{-nu} I_nu(z) is even and entire: below z = 1e-6 it
-    takes its two-term series, so q = 0 and s = 0 are exact."""
-    z = 2.0 * np.asarray(q) * np.asarray(s)
-    with np.errstate(divide="ignore", invalid="ignore"):    # z = 0
-        bessel = ive(nu, z) * z ** -nu
-    small = z < 1e-6
-    if np.any(small):
-        zs = z[small]
-        bessel[small] = (np.exp(-zs - nu * np.log(2.0) - gammaln(nu + 1.0))
-                         * (1.0 + zs * zs / (4.0 * nu + 4.0)))
-    return np.exp(-(q - s) ** 2) * bessel
+    over 2^{nu+1}.  By DLMF 10.39.5 the Bessel part is a Kummer function,
+        z^{-nu} e^{-z} I_nu(z) = 2^{-nu}/Gamma(nu + 1)
+                                 1F1(nu + 1/2; 2nu + 1; -2z),
+    which is kummer(nu + 1/2, nu + 1/2, 2z): entire, and exact at z = 0,
+    so q = 0 and s = 0 need no special case.  In d = 1 (nu = -1/2) the
+    1F1 is the elementary (1 + e^{-2z})/2."""
+    z2 = 4.0 * np.asarray(q) * np.asarray(s)
+    if nu == -0.5:
+        bessel = 0.5 * (1.0 + np.exp(-z2))
+    else:
+        bessel = kummer(nu + 0.5, nu + 0.5, z2)
+    return (2.0 ** -nu / math.gamma(nu + 1.0)) * np.exp(-(q - s) ** 2) \
+        * bessel
 
 
 def _deep_mass(profile, sigma: float, s, mass) -> float:
@@ -284,9 +364,9 @@ def radial_flow(profile, t: float, r) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # spectral path (Dirichlet at the outer box, sine bases make anti-symmetry
-# exact; periodic axes use the discrete Fourier basis).  The transforms run
-# only to build each axis's basis matrices and a periodic propagator's
-# offset sequence; stepping contracts matrices.
+# exact; periodic axes use the discrete Fourier basis).  The basis matrices
+# are built in closed form, and an inverse FFT gives a periodic
+# propagator's offset sequence; stepping contracts matrices.
 
 def _axis_freqs(grid: GridSpec, i: int) -> np.ndarray:
     kind = grid.axes[i]
@@ -299,22 +379,30 @@ def _axis_freqs(grid: GridSpec, i: int) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * grid.L / n)
 
 
-def _forward(kind: str, v: np.ndarray) -> np.ndarray:
-    """Forward transform of each column of v."""
+def _basis_pair(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The forward and inverse transform matrices of one axis, in the
+    unnormalised convention of FFTPACK:
+        antisym, DST-I:  F[k, j] = 2 sin(pi (k+1)(j+1) / (n+1)),
+                         inverse F / 2(n+1);
+        sym, DST-II:     F[k, j] = 2 sin(pi (k+1)(2j+1) / 2n),
+                         inverse F^T diag(w) / 2n (the DST-III),
+                         w_{n-1} = 1/2, else 1;
+        periodic, DFT:   F[k, j] = exp(-2 pi i k j / n), inverse conj(F) / n.
+    Each integer argument is reduced mod its period first, as in
+    _cosine_table, so every angle lies in [0, 2 pi) and is exact to
+    rounding."""
+    k = np.arange(n)
+    if kind == AXIS_PERIODIC:
+        F = np.exp(np.outer(k, k) % n * (-2j * np.pi / n))
+        return F, F.conj() / n
     if kind == AXIS_ANTISYM:
-        return dst(v, type=1, axis=0)
-    if kind == AXIS_SYM:
-        return dst(v, type=2, axis=0)
-    return fft(v, axis=0)
-
-
-def _inverse(kind: str, v: np.ndarray) -> np.ndarray:
-    """Inverse transform of each column of v."""
-    if kind == AXIS_ANTISYM:
-        return idst(v, type=1, axis=0)
-    if kind == AXIS_SYM:
-        return idst(v, type=2, axis=0)
-    return ifft(v, axis=0)
+        F = 2.0 * np.sin(np.outer(k + 1, k + 1) % (2 * n + 2)
+                         * (np.pi / (n + 1)))
+        return F, F / (2 * n + 2)
+    F = 2.0 * np.sin(np.outer(k + 1, 2 * k + 1) % (4 * n) * (np.pi / (2 * n)))
+    inverse = F.T / (2 * n)
+    inverse[:, -1] *= 0.5
+    return F, inverse
 
 
 @dataclass(frozen=True)
@@ -347,17 +435,18 @@ def _cosine_table(kind: str, n: int) -> np.ndarray | None:
 
 @lru_cache(maxsize=8)
 def _spectral_basis(grid: GridSpec) -> _SpectralBasis:
-    """The transforms applied to the identity, so the matrices are exactly
-    the discrete operator of the per-axis transform pair."""
+    """Each axis's transform pair (_basis_pair), squared frequencies and
+    cosine table, shared read-only."""
     forward, inverse, ksq, cosine = [], [], [], []
     for i, kind in enumerate(grid.axes):
-        eye = np.eye(len(grid.axis_nodes(i)))
+        n = len(grid.axis_nodes(i))
         shape = [1] * grid.ndim
-        shape[i] = eye.shape[0]
-        forward.append(_forward(kind, eye))
-        inverse.append(_inverse(kind, eye))
+        shape[i] = n
+        F, inv = _basis_pair(kind, n)
+        forward.append(F)
+        inverse.append(inv)
         ksq.append((_axis_freqs(grid, i) ** 2).reshape(shape))
-        cosine.append(_cosine_table(kind, eye.shape[0]))
+        cosine.append(_cosine_table(kind, n))
     for a in forward + inverse + ksq + cosine:
         if a is not None:
             a.flags.writeable = False   # shared by every caller of the cache
@@ -384,7 +473,7 @@ def _axis_propagator(kind: str, e: np.ndarray,
     since e is, so c(|i - j|) fills it."""
     n = e.size
     if kind == AXIS_PERIODIC:
-        return _offset_matrix(ifft(e).real, n)
+        return _offset_matrix(np.fft.ifft(e).real, n)
     c = cosine @ e
     # c(d) for d past the centre is its mirror image
     return _offset_matrix(np.concatenate((c, c[-2:0:-1])), n,
@@ -439,11 +528,14 @@ def apply_spectral(plan: KernelPlan, t: float, f: Field) -> Field:
 
 @lru_cache(maxsize=8)
 def _kummer_params(spec: SectorSpec) -> tuple[float, float, float]:
-    """(a, b, k) with E(x) = k x_1...x_m 1F1(a; b; -|x|^2/4)."""
+    """(a, c, k) with E(x) = k x_1...x_m 1F1(a; a + c; -|x|^2/4):
+    a = gamma/2 + m and c = (N - gamma)/2, each rounded once."""
     N, m, g = spec.N, spec.m, spec.gamma
-    A = gamma_fn((N - g) / 2.0) / (gamma_fn(N / 2.0) * 2.0 ** g)
-    k = A * 2.0 ** -m * poch(g / 2.0, m) / poch(N / 2.0, m)
-    return g / 2.0 + m, N / 2.0 + m, float(k)
+    c = (N - g) / 2.0
+    A = math.gamma(c) / (math.gamma(N / 2.0) * 2.0 ** g)
+    k = A * 2.0 ** -m * math.prod(g / 2.0 + i for i in range(m)) \
+        / math.prod(N / 2.0 + i for i in range(m))
+    return g / 2.0 + m, c, k
 
 
 def E(spec: SectorSpec, pts) -> np.ndarray:
@@ -454,12 +546,14 @@ def E(spec: SectorSpec, pts) -> np.ndarray:
     (DLMF 13.3) that gives
         E(x) = A 2^{-m} (gamma/2)_m / (N/2)_m x_1...x_m
                1F1(gamma/2 + m; N/2 + m; -|x|^2/4),
-        A = Gamma((N - gamma)/2) / (Gamma(N/2) 2^gamma).
+        A = Gamma((N - gamma)/2) / (Gamma(N/2) 2^gamma),
+    evaluated by kummer, which takes the difference (N - gamma)/2 of the
+    1F1's parameters as it is, not from N/2 + m and gamma/2 + m rounded.
     E is odd in x_1..x_m, so the whole-space flow is also the sector flow.
     """
     pts, r = _split_points(spec, pts)
-    a, b, k = _kummer_params(spec)
-    return k * np.prod(pts[..., :spec.m], axis=-1) * hyp1f1(a, b, -r * r / 4)
+    a, c, k = _kummer_params(spec)
+    return k * np.prod(pts[..., :spec.m], axis=-1) * kummer(a, c, r * r / 4)
 
 
 def _check_psi_grid(grid: GridSpec, m: int) -> None:
@@ -538,11 +632,12 @@ def _sup_E(spec: SectorSpec) -> float:
     of (r^2/m)^{m/2} 1F1(a; b; -r^2/4), which is 0 at r = 0, decays, and
     peaks at r = O(sqrt(b)): 513 samples to 10 sqrt(b) bracket the peak,
     and _radial_max resamples the bracket down to a width of 1e-12."""
-    a, b, k = _kummer_params(spec)
+    a, c, k = _kummer_params(spec)
     if spec.m == 0:
         return k
+    b = spec.N / 2.0 + spec.m
     return k * _radial_max(lambda r: (r * r / spec.m) ** (spec.m / 2.0)
-                           * hyp1f1(a, b, -r * r / 4),
+                           * kummer(a, c, r * r / 4),
                            np.linspace(0.0, 10.0 * np.sqrt(b), 513))
 
 

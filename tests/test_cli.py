@@ -271,32 +271,38 @@ def test_module_entry_point_exit_codes(tmp_path):
         assert done.returncode == code, done.stderr
 
 
-def test_runs_never_load_scipy_optimize(tmp_path):
+def test_runs_never_load_scipy(tmp_path):
     # every run is one process, so an import it pays is paid per claim;
-    # the package uses scipy.special and scipy.fft only.  A fresh
-    # interpreter runs a cache_build, a tmax and a critical criteria run
-    # (its linear_sup maximises a radial flow) and then reports whether
-    # scipy.optimize was ever imported
+    # the package needs numpy alone.  A fresh interpreter runs a
+    # cache_build, a tmax, a sweep, a critical criteria run (its
+    # linear_sup maximises a radial flow) and a supercritical
+    # global_smallness run, and then lists the scipy modules ever imported
     src = os.path.dirname(os.path.dirname(sectorheat.__file__))
     out = str(tmp_path / "out")
     paths = []
-    for experiment, spec in (("cache_build", {}), ("tmax", {}),
-                             ("criteria", {"m": 0, "alpha": 4.0})):
+    for experiment, spec, extra in (
+            ("cache_build", {}, {}), ("tmax", {}, {}),
+            ("sweep", {}, {"lambdas": [1.0, 2.0]}),
+            ("criteria", {"m": 0, "alpha": 4.0}, {}),
+            ("global_smallness", {"alpha": 2.0},
+             {"t0": 0.1, "horizon": 1.0})):
         path = tmp_path / f"{experiment}.json"
         path.write_text(json.dumps(_manifest_dict(
             experiment=experiment, grid={"L": 4.0, "n": 16}, output_dir=out,
-            spec={"N": 1, "m": 1, "gamma": 0.5, "alpha": 0.5, **spec})))
+            spec={"N": 1, "m": 1, "gamma": 0.5, "alpha": 0.5, **spec},
+            **extra)))
         paths.append(str(path))
     script = ("import sys\n"
               "from sectorheat import cli\n"
               f"codes = [cli.main([p, '-q', '--cache-dir', {out!r}]) "
               f"for p in {paths!r}]\n"
-              "print(codes, 'scipy.optimize' in sys.modules)\n")
+              "print(codes, sorted(m for m in sys.modules\n"
+              "                    if m.split('.')[0] == 'scipy'))\n")
     done = subprocess.run([sys.executable, "-c", script],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 3} False"
+    assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 5} []"
 
 
 def test_main_semigroup_checks(tmp_path):

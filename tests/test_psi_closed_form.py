@@ -14,8 +14,8 @@ from sectorheat import (GridSpec, KernelPlan, SectorSpec, apply_kernel,
                         psi_values)
 from sectorheat.profiles import (ModulatedProfile, Psi0Profile,
                                  SinSquaredLog, leading_constant)
-from sectorheat.semigroup import (E, _kummer_params, _radial_max, _sup_E,
-                                  radial_flow)
+from sectorheat.semigroup import (E, _kummer_params, _kummer_table,
+                                  _radial_max, _sup_E, kummer, radial_flow)
 
 FEW = settings(max_examples=15, deadline=None)
 
@@ -133,10 +133,11 @@ def test_C_inf_against_mpmath(N, m, gamma):
 def specs_near_N(draw):
     """specs_3d, with gamma drawn within 0.05 of N half of the time, where
     the integrand rho^{N-1-gamma} of the radial flow's core is least
-    integrable.  gamma stays 1e-3 from N: E's 1F1 takes a = gamma/2 + m
-    rounded, and its far field goes as 1/Gamma(b - a), so it carries a
-    relative error of about ulp(a)/(N - gamma), 1e-11 at N - gamma = 1e-5
-    (against mpmath at 40 digits, where the radial flow is 2e-14 off)."""
+    integrable.  gamma stays 1e-3 from N: the reference, scipy's 1F1,
+    takes b = a + c rounded, and the far field goes as 1/Gamma(b - a), so
+    it carries a relative error of about ulp(b)/(N - gamma), 1e-11 at
+    N - gamma = 1e-5 (against mpmath at 40 digits, where the radial flow is
+    2e-14 off)."""
     N = draw(st.integers(1, 3))
     gamma = draw(st.one_of(st.floats(1e-6, N - 1e-3),
                            st.floats(N - 0.05, N - 1e-3)))
@@ -152,9 +153,9 @@ def test_radial_flow_matches_E(spec, log_t, seed):
     t = 10.0 ** log_t
     rng = np.random.default_rng(seed)
     r = np.sqrt(t) * np.r_[0.0, rng.uniform(0.0, 12.0, 31)]
-    a, b, k = _kummer_params(spec)
+    a, c, k = _kummer_params(spec)
     exact = t ** (-(spec.gamma + 2 * spec.m) / 2.0) * k \
-        * hyp1f1(a, b, -r * r / (4.0 * t))
+        * hyp1f1(a, a + c, -r * r / (4.0 * t))
     got = radial_flow(Psi0Profile(spec), t, r)
     assert np.max(np.abs(got / exact - 1.0)) <= 1e-12
 
@@ -184,23 +185,81 @@ def test_radial_flow_dilation_and_positivity(spec, shift, log_t, seed):
     assert np.all(radial_flow(prof, t, r) >= 0.0)
 
 
-@pytest.mark.parametrize("N, m, gamma", [
+# every (N, m, gamma) of the benchmark's workloads and of these tests,
+# and the ends of the hypothesis strategies: c = (N - gamma)/2 down to
+# 5e-6, a = gamma/2 + m down to 5e-7
+E_SPECS = [
     (1, 0, 0.5), (1, 1, 0.5), (2, 0, 1.0), (2, 1, 1.0), (2, 2, 1.0),
-    (2, 1, 1.9), (3, 1, 1.5)])
+    (2, 1, 1.9), (3, 1, 1.5), (1, 0, 0.75), (1, 1, 0.95), (1, 1, 0.99),
+    (1, 1, 0.99999), (2, 2, 0.7), (2, 2, 1.95), (3, 0, 0.5), (3, 0, 2.95),
+    (3, 1, 0.01), (3, 2, 0.75), (3, 2, 1.5), (3, 3, 0.5), (3, 3, 2.5),
+    (3, 3, 2.95), (3, 3, 3 - 1e-5), (1, 0, 1e-6)]
+
+
+def _kummer_points(a, c):
+    """z from 0 to 1e8: log-spaced, every piece of the table at two
+    offsets, and both sides of where the asymptotic piece takes over."""
+    end = _kummer_table(a, c)[0] - 0.5
+    return np.r_[0.0, np.geomspace(1e-6, 1e8, 57),
+                 np.arange(0.0, end + 3.0, 0.5) + 0.23,
+                 np.nextafter(end, 0.0), end]
+
+
+def _kummer_mpmath(a, c, z):
+    with mpmath.workdps(40):
+        a, c = mpmath.mpf(a), mpmath.mpf(c)
+        return np.array([float(mpmath.hyp1f1(a, a + c, -mpmath.mpf(v)))
+                         for v in z])
+
+
+@pytest.mark.parametrize("N, m, gamma", E_SPECS)
 def test_kummer_function_against_mpmath(N, m, gamma):
-    a, b = gamma / 2 + m, N / 2 + m
-    z = np.array([0.0, 0.1, 1.0, 7.5, 30.0, 300.0, 1e4, 1e6])
-    ref = np.array([float(mpmath.hyp1f1(a, b, -v)) for v in z])
-    assert np.allclose(hyp1f1(a, b, -z), ref, rtol=1e-12, atol=0)
+    # kummer(a, c, z) = 1F1(a; a + c; -z) for E's (a, c), against mpmath at
+    # 40 digits with a + c formed exactly
+    spec = SectorSpec(N, m, gamma, 0.5)
+    a, c, _ = _kummer_params(spec)
+    z = _kummer_points(a, c)
+    assert np.max(np.abs(kummer(a, c, z) / _kummer_mpmath(a, c, z) - 1.0)) \
+        <= 1e-14
     # and the constant in front: E at one point from mpmath's own Gamma,
     # Pochhammer and 1F1
-    spec = SectorSpec(N, m, gamma, 0.5)
     x = np.linspace(0.7, 1.9, N)
-    A = mpmath.gamma((N - gamma) / 2) / (mpmath.gamma(N / 2) * 2 ** gamma)
-    ref_E = (A * mpmath.mpf(2) ** -m * mpmath.rf(gamma / 2, m)
-             / mpmath.rf(N / 2, m) * mpmath.fprod(x[:m])
-             * mpmath.hyp1f1(a, b, -float(np.sum(x * x)) / 4))
-    assert E(spec, x) == pytest.approx(float(ref_E), rel=1e-12)
+    with mpmath.workdps(40):
+        g, n = mpmath.mpf(gamma), mpmath.mpf(N)
+        A = mpmath.gamma((n - g) / 2) / (mpmath.gamma(n / 2) * 2 ** g)
+        ref_E = (A * mpmath.mpf(2) ** -m * mpmath.rf(g / 2, m)
+                 / mpmath.rf(n / 2, m) * mpmath.fprod(x[:m])
+                 * mpmath.hyp1f1(g / 2 + m, n / 2 + m,
+                                 -mpmath.fsum(mpmath.mpf(v) ** 2 for v in x)
+                                 / 4))
+    assert E(spec, x) == pytest.approx(float(ref_E), rel=1e-14)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
+def test_kummer_radial_pairs_against_mpmath(nu):
+    # the radial kernel's 1F1(nu + 1/2; 2nu + 1; -z), in every dimension
+    # d = 2nu + 2 = N + 2m from 2 to 9
+    z = _kummer_points(nu + 0.5, nu + 0.5)
+    assert np.max(np.abs(kummer(nu + 0.5, nu + 0.5, z)
+                         / _kummer_mpmath(nu + 0.5, nu + 0.5, z) - 1.0)) \
+        <= 1e-14
+
+
+def test_E_far_field_keeps_its_accuracy_as_gamma_nears_N():
+    # E's 1F1 goes as 1/Gamma(c) in the far field, c = (N - gamma)/2, so
+    # forming c as b - a from the rounded b = N/2 + m and a = gamma/2 + m
+    # costs ulp(b)/c relative: 1e-11 at c = 5e-6
+    spec = SectorSpec(1, 1, 0.99999, 0.5)
+    r = np.linspace(10.0, 12.0, 9)
+    with mpmath.workdps(40):
+        g = mpmath.mpf(spec.gamma)
+        a, c = g / 2 + 1, (1 - g) / 2
+        k = (mpmath.gamma(c) / (mpmath.gamma(mpmath.mpf(1) / 2) * 2 ** g)
+             / 2 * (g / 2) / (mpmath.mpf(1) / 2))
+        ref = np.array([float(k * mpmath.mpf(v) * mpmath.hyp1f1(
+            a, a + c, -mpmath.mpf(v) ** 2 / 4)) for v in r])
+    got = psi_values(spec, 1.0, r[:, None])
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
 
 
 @pytest.mark.parametrize("N, m, gamma", [

@@ -1,6 +1,7 @@
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,8 +43,8 @@ def test_gaussian_derivative_eigenflow_m1():
 
 def test_kernel_vanishes_at_wall():
     # the flow x_1 F(t, x_1) near the anti-symmetric wall scales linearly
-    # in x_1: F is continuous at r = 0, across the radius where the kernel
-    # switches from ive to its series (2 r s / 4t = 1e-6)
+    # in x_1: F is continuous down to r = 0, where the kernel's argument
+    # 2 r s / 4t reaches 0
     spec = SectorSpec(1, 1, 0.5, 1.0)
     t = 0.5
     x = np.array([0.0, 1e-9, 1e-7, 4e-7, 1e-6, 1e-5])
@@ -186,9 +187,9 @@ def test_contract_matches_tensordot(ndim, dtype):
 
 
 def test_kernel_symmetry():
-    # the radial kernel e^{-(q-s)^2} z^{-nu} ive(nu, z), z = 2qs, is
-    # symmetric in its two radii, in every dimension d = 2nu + 2 and on
-    # both sides of the series switch at z = 1e-6
+    # the radial kernel e^{-(q-s)^2} z^{-nu} e^{-z} I_nu(z), z = 2qs, is
+    # symmetric in its two radii, in every dimension d = 2nu + 2, down to
+    # z = 0
     q = np.r_[0.0, 1e-8, 3e-4, np.linspace(0.01, 12.0, 60)]
     for nu in (-0.5, 0.0, 0.5, 1.0, 2.5):
         K = _radial_kernel(nu, q[:, None], q[None, :])
@@ -200,6 +201,26 @@ def test_kernel_symmetry():
                     + np.exp(-(q[:, None] + q) ** 2))
     assert np.allclose(K1 * np.sqrt(np.pi / 2.0), folded, rtol=1e-13,
                        atol=1e-300)
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0,
+                                3.5])
+def test_radial_kernel_against_mpmath(nu):
+    # e^{-(q-s)^2} z^{-nu} e^{-z} I_nu(z), z = 2qs from 0 to 1e8, against
+    # mpmath's Bessel function at 40 digits (its limit 2^{-nu}/Gamma(nu+1)
+    # at z = 0) in every dimension d = 2nu + 2 = N + 2m from 1 to 9: the
+    # Kummer form, d = 1's elementary form, and the constant in front
+    q = np.r_[0.0, np.geomspace(1e-8, 7e3, 60)]
+    s = np.abs(q + np.linspace(-2.0, 2.0, q.size))
+    with mpmath.workdps(40):
+        ref = []
+        for qi, si in zip(q, s):
+            z = 2 * mpmath.mpf(qi) * mpmath.mpf(si)
+            bessel = (2 ** -mpmath.mpf(nu) / mpmath.gamma(nu + 1) if z == 0
+                      else z ** -nu * mpmath.exp(-z) * mpmath.besseli(nu, z))
+            ref.append(float(mpmath.exp(-(mpmath.mpf(qi) - si) ** 2)
+                             * bessel))
+    assert np.max(np.abs(_radial_kernel(nu, q, s) / ref - 1.0)) <= 1e-14
 
 
 @settings(max_examples=15, deadline=None)
