@@ -32,6 +32,9 @@ them to the next leg (strang_step and nonlinear_substep take them as
 errstate.  The same moduli serve the envelope check and the probe's 2 dt
 leg, and the scalar remainder and sup flows run on Python floats.  Called
 without moduli, both step functions validate their input themselves.
+
+estimate_tmax_many runs independent T_max estimates in forked shares, one
+per usable CPU, and returns what the serial loop returns.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import pickle
+import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -431,3 +438,143 @@ def estimate_tmax(profile, plan: KernelPlan,
             # the certified horizon T ends before the grid resolves sqrt(t)
             rec.notes["handoff_below_grid_scale"] = True
     return rec
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where it cannot fork or read its
+    affinity mask."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def estimate_tmax_many(profiles, plan: KernelPlan,
+                       controls: EvolveControls | None = None
+                       ) -> list[TrajectoryRecord]:
+    """[estimate_tmax(p, plan, controls=controls) for p in profiles], the
+    runs cut into P = min(len(profiles), usable CPUs) contiguous shares:
+    this process runs the first and P - 1 children made by ``os.fork`` the
+    others.  Each run empties the plan's spectral slot first, so a child's
+    records equal the serial loop's bit for bit.
+
+    Fork, because a child then starts from this process as it is: spawn
+    and forkserver re-import numpy and the package, which costs more than
+    a whole sweep.  OpenBLAS's pool, the only other thread, is shut down
+    by OpenBLAS's own fork handler.  No knob, because the CPU count is
+    the only input the choice needs: P < 2, or no ``os.fork`` or
+    ``os.sched_getaffinity`` (Linux has both; macOS lacks the second and
+    Windows both), runs the loop here.
+
+    A child records its warnings and stops at its first exception, and
+    sends its records, warnings and exception down a pipe.  This process
+    re-emits each run's warnings in input order through its own filters,
+    then raises the first exception in input order (a RuntimeError with
+    its repr if it cannot be pickled).  Every child ends by ``os._exit``
+    and is waited for; if this process's own share raises, the children
+    are killed first.  A child that ends without a result raises a
+    RuntimeError naming its exit status or signal.  Peak RSS of this
+    process excludes its children's.
+    """
+    profiles = list(profiles)
+    P = min(len(profiles), _usable_cpus())
+    if P < 2:
+        return [estimate_tmax(p, plan, controls=controls) for p in profiles]
+    shares = _shares(len(profiles), P)
+    children, blobs = [], []    # (pid, read end) and result per child
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _run_share(w, [profiles[i] for i in share], plan, controls)
+            os.close(w)
+            children.append((pid, r))
+        records = [estimate_tmax(profiles[i], plan, controls=controls)
+                   for i in shares[0]]
+        for _, r in children:
+            with open(r, "rb", closefd=False) as fh:
+                blobs.append(fh.read())
+    finally:
+        statuses = []
+        for pid, r in children:
+            os.close(r)
+            if len(blobs) < len(children):    # this process's share raised
+                from signal import SIGKILL
+                os.kill(pid, SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for blob, status in zip(blobs, statuses):
+        if not blob:
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(
+                "a forked share of T_max runs ended without a result ("
+                + (f"signal {-code})" if code < 0 else f"exit status {code})"))
+        recs, caught, failure = pickle.loads(blob)
+        for k, run_warnings in enumerate(caught):
+            _reemit(run_warnings)
+            if k == len(recs):
+                raise failure
+        records += recs
+    return records
+
+
+def _shares(n: int, p: int) -> list[range]:
+    """range(n) cut into p contiguous shares, the longer ones first."""
+    q, r = divmod(n, p)
+    return [range(k * q + min(k, r), (k + 1) * q + min(k + 1, r))
+            for k in range(p)]
+
+
+def _run_share(fd: int, profiles: list, plan: KernelPlan,
+               controls: EvolveControls | None) -> None:
+    """In a forked child: estimate_tmax on each profile up to the first
+    that raises, each run's warnings recorded, then (records, warnings per
+    run, exception or None) pickled to fd, and the process ends."""
+    code = 1
+    try:
+        recs, caught, failure = [], [], None
+        for profile in profiles:
+            with warnings.catch_warnings(record=True) as log:
+                warnings.simplefilter("always")
+                try:
+                    recs.append(estimate_tmax(profile, plan,
+                                              controls=controls))
+                except Exception as exc:
+                    failure = _picklable(exc)
+            caught.append([(w.message, w.category, w.filename, w.lineno)
+                           for w in log])
+            if failure is not None:
+                break
+        # pickled whole first, so a failure sends nothing, not a fragment
+        blob = pickle.dumps((recs, caught, failure))
+        with open(fd, "wb") as fh:
+            fh.write(blob)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _picklable(exc: Exception) -> Exception:
+    """exc if it survives a pickle round trip, else a RuntimeError with
+    its repr."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"a forked T_max run raised {exc!r}, which "
+                            "cannot be pickled")
+    return exc
+
+
+def _reemit(caught: list) -> None:
+    """Warnings a child recorded, through this process's filters and
+    registries as if raised here: the module that owns the recorded file
+    gives the name filters match and the registry "default" dedupes in."""
+    for message, category, filename, lineno in caught:
+        globs = next((vars(m) for m in list(sys.modules.values())
+                      if getattr(m, "__file__", None) == filename), None)
+        module = registry = None
+        if globs is not None:
+            module = globs["__name__"]
+            registry = globs.setdefault("__warningregistry__", {})
+        warnings.warn_explicit(message, category, filename, lineno, module,
+                               registry, globs)

@@ -28,7 +28,7 @@ from .semigroup import (KernelPlan, _kummer_params, apply_kernel,
                         check_profile_spec, linear_sup, psi_fast, psi_sup,
                         psi_values)
 from .evolve import (STATUS_BLEWUP, STATUS_GLOBAL, EvolveControls,
-                     estimate_tmax, run_trajectory)
+                     estimate_tmax_many, run_trajectory)
 
 # dilation probes sample N_RADIAL log-spaced radii in ANNULUS along
 # N_ANGULAR sector directions, and call two probes equal within CONV_TOL
@@ -83,8 +83,9 @@ def sweep_lifespan(profile, lambdas, plan: KernelPlan,
     spec = plan.spec
     lambdas = [float(l) for l in lambdas]
     t_max, unc, scaled, statuses = [], [], [], []
-    for lam in lambdas:
-        rec = estimate_tmax(profile.scaled(lam), plan, controls=controls)
+    recs = estimate_tmax_many([profile.scaled(lam) for lam in lambdas], plan,
+                              controls=controls)
+    for lam, rec in zip(lambdas, recs):
         statuses.append(rec.status)
         if rec.status == STATUS_BLEWUP:
             t_max.append(rec.t_max)
@@ -231,11 +232,16 @@ def lam_for_shift(spec: SectorSpec, s: float) -> float:
     return float(np.exp(-2.0 * s / spec.sigma))
 
 
-def _tmax_of(profile, plan, controls=None):
-    rec = estimate_tmax(profile, plan, controls=controls)
-    if rec.status != STATUS_BLEWUP:
-        raise RuntimeError(f"expected finite life span, got {rec.status}")
-    return rec.t_max, rec.uncertainty
+def _tmax_of(profiles, plan, controls=None) -> list:
+    """(T_max, uncertainty) of each profile, all run by one
+    estimate_tmax_many; the first in input order that did not blow up
+    raises."""
+    out = []
+    for rec in estimate_tmax_many(profiles, plan, controls=controls):
+        if rec.status != STATUS_BLEWUP:
+            raise RuntimeError(f"expected finite life span, got {rec.status}")
+        out.append((rec.t_max, rec.uncertainty))
+    return out
 
 
 def oscillation_experiment(plan: KernelPlan) -> dict:
@@ -246,18 +252,17 @@ def oscillation_experiment(plan: KernelPlan) -> dict:
     from .profiles import SinSquaredLog
     spec = plan.spec
     base = ModulatedProfile(spec, SinSquaredLog(OSC_EPS))
-    t_a, u_a = _tmax_of(base.log_shifted(0.0), plan)
-    t_b, u_b = _tmax_of(base.log_shifted(0.5 * np.pi), plan)
-    gap = abs(t_a - t_b)
-    combined = u_a + u_b
     # control: constant modulation shows no shift dependence at all
     ctrl = ModulatedProfile(spec, ConstantModulation(1.0 + OSC_EPS))
-    c_a, cu_a = _tmax_of(ctrl.log_shifted(0.0), plan)
-    c_b, cu_b = _tmax_of(ctrl.log_shifted(0.5 * np.pi), plan)
     # identity validation: simulate lam * f directly at a moderate amplitude
     lam = CHECK_LAMBDA
-    direct, d_unc = _tmax_of(base.scaled(lam), plan)
-    via_shift, s_unc = _tmax_of(shifted_equivalent(spec, base, lam), plan)
+    ((t_a, u_a), (t_b, u_b), (c_a, cu_a), (c_b, cu_b), (direct, _),
+     (via_shift, _)) = _tmax_of(
+        [base.log_shifted(0.0), base.log_shifted(0.5 * np.pi),
+         ctrl.log_shifted(0.0), ctrl.log_shifted(0.5 * np.pi),
+         base.scaled(lam), shifted_equivalent(spec, base, lam)], plan)
+    gap = abs(t_a - t_b)
+    combined = u_a + u_b
     identity_rel = abs(lam ** spec.sigma * direct - via_shift) / via_shift
     return {
         "scaled_limit_seq_a": t_a, "uncertainty_a": u_a,
@@ -285,12 +290,13 @@ def two_limit_experiment(plan: KernelPlan, c1: float = 1.0, c2: float = 2.0,
     spec = plan.spec
     g = LogBlockModulation(c1, c2)
     prof = ModulatedProfile(spec, g)
-    lim_a = [_tmax_of(prof.log_shifted(g.block_center(2 * k)), plan,
-                      controls) for k in BLOCKS]
-    lim_b = [_tmax_of(prof.log_shifted(g.block_center(2 * k + 1)), plan,
-                      controls) for k in BLOCKS]
-    ref1, r1u = _tmax_of(Psi0Profile(spec, c1), plan, controls)
-    ref2, r2u = _tmax_of(Psi0Profile(spec, c2), plan, controls)
+    n = len(BLOCKS)
+    runs = _tmax_of(
+        [prof.log_shifted(g.block_center(2 * k + odd))
+         for odd in (0, 1) for k in BLOCKS]
+        + [Psi0Profile(spec, c1), Psi0Profile(spec, c2)], plan, controls)
+    lim_a, lim_b = runs[:n], runs[n:2 * n]
+    (ref1, r1u), (ref2, r2u) = runs[2 * n:]
     t_a, u_a = lim_a[-1]
     t_b, u_b = lim_b[-1]
     stab_a = max(abs(t - t_a) for t, _ in lim_a)

@@ -27,12 +27,22 @@ def leading_constant(spec: SectorSpec) -> float:
     return c
 
 
-def _split_points(spec: SectorSpec, pts):
+def _squared_radius(spec: SectorSpec, pts):
+    """pts as a float array of last dimension N, and |x|^2 summed over
+    its components: numpy's reduction over a short last axis costs
+    several times more."""
     pts = np.asarray(pts, dtype=float)
     if pts.shape[-1] != spec.N:
         raise ValueError(f"points must have last dimension {spec.N}")
-    r = np.sqrt(np.sum(pts * pts, axis=-1))
-    return pts, r
+    r2 = pts[..., 0] * pts[..., 0]
+    for i in range(1, spec.N):
+        r2 += pts[..., i] * pts[..., i]
+    return pts, r2
+
+
+def _split_points(spec: SectorSpec, pts):
+    pts, r2 = _squared_radius(spec, pts)
+    return pts, np.sqrt(r2)
 
 
 def eval_psi0(spec: SectorSpec, pts) -> np.ndarray:

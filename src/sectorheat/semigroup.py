@@ -54,7 +54,7 @@ from numpy.polynomial.legendre import leggauss
 from .geometry import (AXIS_ANTISYM, AXIS_PERIODIC, AXIS_SYM, Field,
                        GridSpec, SectorSpec, _read_container,
                        _write_container, field_from_profile)
-from .profiles import _split_points
+from .profiles import _squared_radius
 
 
 # radial_flow's rule, radii in units of sqrt(4t): a Gauss-Legendre window
@@ -551,9 +551,9 @@ def E(spec: SectorSpec, pts) -> np.ndarray:
     1F1's parameters as it is, not from N/2 + m and gamma/2 + m rounded.
     E is odd in x_1..x_m, so the whole-space flow is also the sector flow.
     """
-    pts, r = _split_points(spec, pts)
+    pts, r2 = _squared_radius(spec, pts)
     a, c, k = _kummer_params(spec)
-    return k * np.prod(pts[..., :spec.m], axis=-1) * kummer(a, c, r * r / 4)
+    return k * np.prod(pts[..., :spec.m], axis=-1) * kummer(a, c, r2 / 4)
 
 
 def _check_psi_grid(grid: GridSpec, m: int) -> None:
