@@ -152,8 +152,10 @@ class Field:
     """Real values sampled on a tensor grid, with optional analytic backing.
 
     ``profile``, when present, is a callable evaluating the underlying
-    function at arbitrary points (shape (..., N)); it may expose a
-    ``tail_degree`` attribute giving the homogeneity of its far-field tail.
+    function at arbitrary points (shape (..., N)).  Singular data carry
+    the homogeneity of their tail as ``tail_degree`` and their X-norm as
+    ``x_norm()``, which estimate_tmax's Picard start needs; data
+    x_1...x_m f(|x|) carry f as ``radial``, which apply_kernel flows.
     Fields are treated as immutable: operations return new instances.
     """
 

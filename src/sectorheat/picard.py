@@ -134,7 +134,8 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
     """Iterate the Duhamel map to its fixed point inside the ball |||u||| <= M.
 
     The plan is the run: its spec sets the equation (alpha, the sign a,
-    Psi) and its grid the slices.  Non-contraction (an increment ratio
+    Psi) and its grid the slices.  K defaults to the profile's x_norm();
+    a profile without one needs K.  Non-contraction (an increment ratio
     >= 1) aborts: the constants guarantee contraction, so that can only
     mean the discrete Duhamel sum has failed.
 
@@ -154,6 +155,10 @@ def solve_picard(profile, plan: KernelPlan, K: float | None = None,
     check_profile_spec(profile, plan)
     spec, grid = plan.spec, plan.grid
     if K is None:
+        if not hasattr(profile, "x_norm"):
+            raise ValueError(
+                f"{type(profile).__name__} has no X-norm to take K from: "
+                "pass K, a bound on sup |f| / psi0")
         K = profile.x_norm()
     M, T = admissible_constants(spec, K)
     mesh = graded_mesh(spec, T, J)

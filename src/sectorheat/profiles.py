@@ -8,8 +8,8 @@ The reference singular profile is
 positive on the sector and homogeneous of degree -(gamma+m).  Built-in
 families: psi0 itself, log-radially modulated psi0, the m-fold Gaussian
 derivative (smoothed derivative-of-delta data), constants, and custom
-callables with a declared tail homogeneity.  The first three have the
-form x_1 ... x_m f(|x|), and their radial(rho) method returns that f.
+callables.  The first three have the form x_1 ... x_m f(|x|), and their
+radial(rho) method returns that f.
 """
 
 from __future__ import annotations
@@ -173,8 +173,7 @@ class ModulatedProfile:
         self.tail_degree = -(spec.gamma + spec.m)
 
     def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        r = np.sqrt(np.sum(pts * pts, axis=-1))
+        pts, r = _split_points(self.spec, pts)
         out = self.amplitude * _psi0_signed(self.spec, pts)
         ok = r > 0.0
         out[ok] = out[ok] * self.g(np.log(r[ok]))
@@ -252,16 +251,13 @@ class ConstantProfile:
 
 
 class CustomProfile:
-    def __init__(self, spec: SectorSpec, fn, tail_degree: float | None = None,
-                 amplitude: float = 1.0):
+    def __init__(self, spec: SectorSpec, fn, amplitude: float = 1.0):
         self.spec = spec
         self.fn = fn
         self.amplitude = amplitude
-        self.tail_degree = tail_degree
 
     def __call__(self, pts):
         return self.amplitude * self.fn(np.asarray(pts, dtype=float))
 
     def scaled(self, lam: float) -> "CustomProfile":
-        return CustomProfile(self.spec, self.fn, self.tail_degree,
-                             self.amplitude * lam)
+        return CustomProfile(self.spec, self.fn, self.amplitude * lam)

@@ -1,19 +1,14 @@
-"""The heat semigroup on the sector, three ways, on grids whose axes are
-antisym (the sector's walls), sym or periodic.
+"""The heat semigroup on the sector, on grids whose axes are antisym (the
+sector's walls), sym or periodic: one engine per kind of field, and Psi
+in closed form.
 
-* apply_kernel: quadrature against the reflected product kernel
-      K_t(x,y) = (4 pi t)^{-N/2} prod_sym exp(-(x_j-y_j)^2/4t)
-                 * prod_anti [exp(-(x_i-y_i)^2/4t) - exp(-(x_i+y_i)^2/4t)],
-  periodised by images on periodic axes.  Grid fields take the grid as
-  the rule; its axes are uniform, so the kernel depends on node offsets
-  only, and each axis matrix is filled from about 2n exponentials:
-  Toeplitz in i - j minus Hankel in i + j on antisym axes, Toeplitz on
-  sym axes, Toeplitz with the images summed per offset on periodic axes.
-  Each call builds its matrices and keeps none.
+* apply_kernel: e^{t D_Omega} f, the engine chosen by the field.
   Profile-backed fields of psi0-class data x_1...x_m f(|x|) (psi0, its
   log-modulations, the Gaussian derivative) take their whole-space flow
   x_1...x_m F(t, |x|) from radial_flow, one integral per radius, and so
-  refuse a periodic axis.  Other profiles take the grid rule.
+  refuse a periodic axis.  Every other field, grid values or a profile
+  with no radial form, takes apply_spectral's flow, after a warning if
+  its outer faces carry mass the box would lose.
 * apply_spectral: the per-axis sine/Fourier basis (DST-I on antisym axes,
   DST-II on sym axes, both with a Dirichlet outer boundary; the DFT on
   periodic axes), exact in time for the discrete modes; for bounded
@@ -60,8 +55,8 @@ from .profiles import _squared_radius
 # radial_flow's rule, radii in units of sqrt(4t): a Gauss-Legendre window
 # of half-width WINDOW and order WINDOW_ORDER, and below 1 log-radius
 # panels of width PANEL_WIDTH and order PANEL_ORDER down to log-radius
-# -CORE_DEPTH, in blocks of that depth further down; the grid rule's
-# truncation-mass warning threshold
+# -CORE_DEPTH, in blocks of that depth further down; apply_kernel's
+# truncation-mass warning threshold for fields with no radial form
 WINDOW = 8.0
 WINDOW_ORDER = 48
 CORE_DEPTH = 20.0
@@ -72,9 +67,8 @@ TAIL_TOL = 1e-8
 
 @dataclass
 class KernelPlan:
-    """Quadrature/transform plan bound to one sector spec and grid, with
-    its slot of spectral propagators.  Kernel matrices are built per call
-    and not kept."""
+    """The run's sector spec and grid, with the slot in which
+    _spectral_flow keeps the propagators of a repeated step size."""
 
     spec: SectorSpec
     grid: GridSpec
@@ -83,29 +77,7 @@ class KernelPlan:
 
 
 # ---------------------------------------------------------------------------
-# grid quadrature
-
-def _grid_matrix(grid: GridSpec, axis: int, t: float) -> np.ndarray:
-    """Kernel matrix of the grid rule on one axis, weight h included.
-
-    The nodes are uniform, so with g(k) = exp(-(h k)^2 / 4t) the matrix
-    depends on integer offsets only: g(i - j) - g(i + j + 2) on an antisym
-    axis (nodes h, 2h, ..., nh), Toeplitz minus Hankel; g(i - j) on a sym
-    axis; and on a periodic axis g(i - j) summed over the images of the
-    period 2L.  About 2n exponentials fill the n x n matrix."""
-    kind = grid.axes[axis]
-    n = grid.n
-    h = grid.axis_spacing(axis)
-    c = h * (4.0 * np.pi * t) ** -0.5
-    d = h * np.arange(2 * n + 1 if kind == AXIS_ANTISYM else n, dtype=float)
-    if kind == AXIS_PERIODIC:
-        images = int(np.ceil(4.0 * np.sqrt(t) / (2.0 * grid.L))) + 1
-        return _offset_matrix(c * sum(np.exp(-(d + 2.0 * grid.L * k) ** 2
-                                             / (4.0 * t))
-                                      for k in range(-images, images + 1)), n)
-    g = c * np.exp(-d * d / (4.0 * t))
-    return _offset_matrix(g, n, 2 if kind == AXIS_ANTISYM else 0)
-
+# offset-built matrices and their contraction along a field's axes
 
 def _offset_matrix(c: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
     """The n x n matrix c(|i - j|) - c(i + j + shift) from the offset
@@ -140,35 +112,29 @@ def _contract(mats: list[np.ndarray], F: np.ndarray) -> np.ndarray:
 
 
 def apply_kernel(plan: KernelPlan, t: float, f: Field) -> Field:
-    """e^{t D_Omega} f by quadrature.
+    """e^{t D_Omega} f.
 
     Profile-backed fields whose profile has a radial form take the exact
     whole-space flow x_1...x_m F(t, |x|) at the grid nodes (radial_flow);
-    plain grid fields and other profiles use the grid itself as the rule.
+    grid fields and other profiles take the spectral flow (_spectral_flow:
+    Dirichlet walls on sine axes, the DFT on periodic ones).
     """
     if t <= 0.0:
         raise ValueError("apply_kernel requires t > 0")
     if f.grid != plan.grid:
         raise ValueError("field and plan differ in grid")
     if getattr(f.profile, "radial", None) is None:
-        h = max(f.grid.axis_spacing(i) for i in range(f.grid.ndim))
-        if np.sqrt(4.0 * t) < 1.5 * h:
-            warnings.warn(
-                f"apply_kernel: kernel width sqrt(4t)={np.sqrt(4 * t):.3g} "
-                f"under-resolved by grid spacing {h:.3g}", RuntimeWarning)
-        _warn_tail_mass(plan, t, f)
-        mats = [_grid_matrix(f.grid, i, t) for i in range(f.grid.ndim)]
-        return Field(f.spec, f.grid, _contract(mats, f.values))
-    m = f.profile.spec.m
-    _check_psi_grid(f.grid, m)
-    pts = f.grid.points()
-    radii, where = np.unique(np.sqrt(np.sum(pts * pts, axis=-1)),
-                             return_inverse=True)
+        _warn_tail_mass(t, f)
+        return Field(f.spec, f.grid, _spectral_flow(plan, t, f.values))
+    spec = f.profile.spec
+    _check_psi_grid(f.grid, spec.m)
+    pts, r2 = _squared_radius(spec, f.grid.points())
+    radii, where = np.unique(np.sqrt(r2), return_inverse=True)
     F = radial_flow(f.profile, t, radii)[where].reshape(pts.shape[:-1])
-    return Field(f.spec, f.grid, np.prod(pts[..., :m], axis=-1) * F)
+    return Field(f.spec, f.grid, np.prod(pts[..., :spec.m], axis=-1) * F)
 
 
-def _warn_tail_mass(plan: KernelPlan, t: float, f: Field) -> None:
+def _warn_tail_mass(t: float, f: Field) -> None:
     # crude truncation estimate per axis: largest magnitude on the outer
     # faces times the Gaussian mass the kernel pulls in from beyond the
     # box.  Index 0 of an anti-symmetric axis is the sector wall, not an
@@ -606,7 +572,7 @@ def linear_sup(plan: KernelPlan, profile, t: float) -> float:
     of radius r |x_1...x_m| peaks on the diagonal at (r/sqrt m)^m: the sup
     is the 1-D max of (r/sqrt m)^m |F(t, r)| over the grid's reach and
     over 10 sqrt(b t), b = N/2 + m, where the flow of psi0 peaks.  Other
-    profiles take the sup of the grid rule's apply.
+    profiles take the sup of apply_kernel's spectral flow.
     """
     check_profile_spec(profile, plan)
     spec, grid = plan.spec, plan.grid

@@ -18,8 +18,8 @@ from sectorheat.lifespan import (blowup_criterion_check,
                                  oscillation_experiment, sweep_lifespan)
 from sectorheat.picard import (contraction_bound, data_x_distance,
                                lipschitz_bound, lipschitz_check, solve_picard)
-from sectorheat.profiles import (ConstantProfile, ModulatedProfile,
-                                 Psi0Profile, SinSquaredLog)
+from sectorheat.profiles import (ConstantProfile, GaussianDerivativeProfile,
+                                 ModulatedProfile, Psi0Profile, SinSquaredLog)
 
 
 def _verdict(num, name, ok, detail):
@@ -57,22 +57,28 @@ def test_criterion_01_sup_norm_law(setup11, setup21, setup20):
 
 
 def test_criterion_02_cross_method(setup21):
+    # the bump x_1 e^{-|x|^2} is pi^{N/2} 2^{-m} G_{1/4}, so its exact flow
+    # is the same multiple of G_{1/4 + t}; the composition of radial_flow
+    # takes the bump flowed for 0.1 in closed form on for 0.2
     spec, grid, plan = setup21
     pts = grid.points()
     f = Field(spec, grid, pts[..., 0] * np.exp(-np.sum(pts * pts, axis=-1)))
-    k = apply_kernel(plan, 0.3, f)
+    amp = np.pi ** (spec.N / 2.0) * 2.0 ** -spec.m
+    exact = GaussianDerivativeProfile(spec, 0.25 + 0.3, amp)(pts)
     s = apply_spectral(plan, 0.3, f)
-    cross = float(np.max(np.abs(k.values - s.values)) / k.sup_norm())
+    cross = float(np.max(np.abs(s.values - exact)) / np.max(np.abs(exact)))
     sa = apply_spectral(plan, 0.2, apply_spectral(plan, 0.1, f))
     sb = apply_spectral(plan, 0.3, f)
     comp_s = float(np.max(np.abs(sa.values - sb.values)) / sb.sup_norm())
-    qa = apply_kernel(plan, 0.2, apply_kernel(plan, 0.1, f))
-    qb = apply_kernel(plan, 0.3, f)
+    qa = apply_kernel(plan, 0.2, field_from_profile(
+        spec, grid, GaussianDerivativeProfile(spec, 0.25 + 0.1, amp)))
+    qb = apply_kernel(plan, 0.3, field_from_profile(
+        spec, grid, GaussianDerivativeProfile(spec, 0.25, amp)))
     comp_q = float(np.max(np.abs(qa.values - qb.values)) / qb.sup_norm())
     ok = cross < 1e-3 and comp_s < 1e-6 and comp_q < 1e-3
-    _verdict(2, "quadrature/spectral agreement and composition", ok,
-             f"cross {cross:.1e}, comp spectral {comp_s:.1e}, "
-             f"comp quadrature {comp_q:.1e}")
+    _verdict(2, "spectral flow against the exact flow, and composition", ok,
+             f"cross {cross:.1e} against the exact flow G_(1/4+t), "
+             f"comp spectral {comp_s:.1e}, comp radial_flow {comp_q:.1e}")
 
 
 def test_criterion_03_picard_certification(setup11):

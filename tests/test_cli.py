@@ -425,6 +425,17 @@ def test_picard_rejects_off_sector_grid(tmp_path, capsys):
     assert "axis 0 is 'sym'" in capsys.readouterr().err
 
 
+def test_picard_of_data_without_x_norm_is_a_config_error(tmp_path, capsys):
+    # a constant has no X-norm to take the certificate's K from, and a
+    # manifest cannot pass one
+    d = _manifest_dict(experiment="picard", profile={"kind": "constant"},
+                       output_dir=str(tmp_path / "out"))
+    assert main([_write_manifest(tmp_path, d), "-q"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: ConstantProfile has no X-norm" in err
+    assert "pass K" in err
+
+
 def test_unknown_axis_kind_is_a_config_error(tmp_path, capsys):
     d = _manifest_dict(experiment="tmax",
                        spec={"N": 1, "m": 0, "gamma": 0.5, "alpha": 1.0},

@@ -11,8 +11,9 @@ from sectorheat.picard import (admissible_constants, contraction_bound,
                                data_x_distance, duhamel_weights,
                                graded_mesh, lipschitz_bound, lipschitz_check,
                                solve_picard)
-from sectorheat.profiles import (ModulatedProfile, Psi0Profile, SinSquaredLog,
-                                 eval_psi0)
+from sectorheat.profiles import (ConstantProfile, CustomProfile,
+                                 GaussianDerivativeProfile, ModulatedProfile,
+                                 Psi0Profile, SinSquaredLog, eval_psi0)
 
 
 def test_admissible_constants_satisfy_conditions(setup11):
@@ -231,27 +232,58 @@ def test_solve_picard_raises_on_non_finite_sweep(setup11, monkeypatch):
 
 
 def test_psi0_solve_builds_no_kernel_matrix(setup11, monkeypatch):
-    # the linear part of psi0 data is the closed form and the Duhamel
-    # history goes through spectral propagators, one per axis and
-    # consecutive gap of the mesh, built once however many sweeps run
+    # the linear part of psi0 data is the closed form, with no apply_kernel,
+    # and the Duhamel history goes through spectral propagators, one per
+    # axis and consecutive gap of the mesh, built once however many sweeps
+    # run
     spec, grid, plan = setup11
-    calls = {"matrices": 0, "propagators": 0}
-    build, propagator = semigroup._grid_matrix, semigroup._axis_propagator
+    calls = {"kernel": 0, "propagators": 0}
+    kernel, propagator = picard.apply_kernel, semigroup._axis_propagator
 
-    def spy_matrix(*args):
-        calls["matrices"] += 1
-        return build(*args)
+    def spy_kernel(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
 
     def spy_propagator(*args):
         calls["propagators"] += 1
         return propagator(*args)
 
-    monkeypatch.setattr(semigroup, "_grid_matrix", spy_matrix)
+    monkeypatch.setattr(picard, "apply_kernel", spy_kernel)
     monkeypatch.setattr(semigroup, "_axis_propagator", spy_propagator)
     run = solve_picard(Psi0Profile(spec), plan)
     assert len(run.increments) > 1
-    assert calls["matrices"] == 0
+    assert calls["kernel"] == 0
     assert calls["propagators"] == grid.ndim * (len(run.config.mesh) - 1)
+
+
+@pytest.mark.parametrize("spec, L, n", [
+    (SectorSpec(1, 1, 0.5, 0.5), 10.0, 256),
+    (SectorSpec(2, 1, 1.0, 0.5), 8.0, 64)], ids=["1d", "2d"])
+def test_non_radial_solve_matches_the_radial_solve(spec, L, n):
+    # the same data with and without its radial form: the linear part of
+    # the first comes from radial_flow, of the second from the spectral
+    # flow of its samples, and the two solves agree slice by slice
+    plan = KernelPlan(spec, GridSpec.for_spec(spec, L=L, n=n))
+    radial = GaussianDerivativeProfile(spec, 0.5, 2.0)
+    K = radial.x_norm()
+    ref = solve_picard(radial, plan)
+    run = solve_picard(CustomProfile(spec, radial), plan, K=K)
+    assert run.converged and len(run.slices) == len(ref.slices)
+    for a, b in zip(run.slices, ref.slices):
+        assert np.max(np.abs(a.values - b.values)) \
+            <= 1e-10 * np.max(np.abs(b.values))
+
+
+@pytest.mark.parametrize("make", [
+    ConstantProfile,
+    lambda spec: CustomProfile(spec, lambda p: p[..., 0])],
+    ids=["constant", "custom"])
+def test_solve_picard_needs_K_for_data_without_x_norm(setup11, make):
+    spec, grid, plan = setup11
+    prof = make(spec)
+    with pytest.raises(ValueError,
+                       match=f"{type(prof).__name__} has no X-norm.*pass K"):
+        solve_picard(prof, plan)
 
 
 def _explicit_sweep(plan, prof, mesh):
@@ -359,11 +391,10 @@ def test_handoff_solve_solves_only_its_prefix(setup11):
     "x = L and the kernel pulls an edge mass ~7e-4 from beyond the box"))
 def test_duhamel_term_has_no_edge_truncation(setup11):
     # the Duhamel terms of a converged solve, applied through the public,
-    # checked kernel over every gap it resolves (sqrt(4 gap) >= 1.5h, the
-    # rule of its under-resolution warning).  The edge mass it reports is
-    # what the box loses of those terms: the solve's propagators meet it
-    # as a Dirichlet wall at x = L, where the whole space would carry the
-    # tail on
+    # checked kernel over every gap the grid resolves (sqrt(4 gap) >=
+    # 1.5h).  The edge mass it reports is what the box loses of those
+    # terms: the solve's propagators meet it as a Dirichlet wall at x = L,
+    # where the whole space would carry the tail on
     spec, grid, plan = setup11
     run = solve_picard(Psi0Profile(spec), plan)
     mesh = run.config.mesh

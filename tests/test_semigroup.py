@@ -17,8 +17,8 @@ from sectorheat.profiles import (ConstantProfile, CustomProfile,
                                  GaussianDerivativeProfile, ModulatedProfile,
                                  Psi0Profile, SinSquaredLog,
                                  eval_gaussian_derivative, eval_psi0)
-from sectorheat.semigroup import (E, _contract, _gauss_legendre, _grid_matrix,
-                                  _radial_kernel, radial_flow)
+from sectorheat.semigroup import (E, _contract, _gauss_legendre, _radial_kernel,
+                                  radial_flow)
 
 
 def test_gaussian_semigroup_m0():
@@ -121,7 +121,8 @@ def test_both_engines_match_the_exact_flow(axes, L, t):
 def test_analytic_apply_refuses_periodic_axis():
     # the radial flow of psi0-class data is the whole-space flow, which a
     # periodised kernel does not reproduce; a profile with no radial form
-    # takes the grid rule, which on a periodic axis keeps a constant exact
+    # takes the spectral flow, whose DFT keeps a constant exact on a
+    # periodic axis
     spec = SectorSpec(1, 0, 0.5, 1.0)
     grid = GridSpec(np.pi, 32, (AXIS_PERIODIC,))
     plan = KernelPlan(spec, grid)
@@ -221,30 +222,6 @@ def test_radial_kernel_against_mpmath(nu):
             ref.append(float(mpmath.exp(-(mpmath.mpf(qi) - si) ** 2)
                              * bessel))
     assert np.max(np.abs(_radial_kernel(nu, q, s) / ref - 1.0)) <= 1e-14
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.sampled_from((AXIS_ANTISYM, AXIS_SYM, AXIS_PERIODIC)),
-       st.integers(16, 512), st.floats(1.0, 15.0), st.floats(1e-5, 10.0))
-def test_grid_matrix_matches_the_pairwise_kernel(kind, n, L, t):
-    # the offset-built matrix equals the kernel evaluated at every node
-    # pair (2n^2 exponentials, images of the period 2L summed on a
-    # periodic axis), times the weight h, and is symmetric
-    grid = GridSpec(L=L, n=n, axes=(kind,))
-    x = grid.axis_nodes(0)
-    dx = x[:, None] - x[None, :]
-    ref = np.exp(-dx * dx / (4.0 * t))
-    if kind == AXIS_ANTISYM:
-        sx = x[:, None] + x[None, :]
-        ref -= np.exp(-sx * sx / (4.0 * t))
-    if kind == AXIS_PERIODIC:
-        images = int(np.ceil(4.0 * np.sqrt(t) / (2.0 * L))) + 1
-        ref = sum(np.exp(-(dx + 2.0 * L * k) ** 2 / (4.0 * t))
-                  for k in range(-images, images + 1))
-    ref *= grid.axis_spacing(0) / np.sqrt(4.0 * np.pi * t)
-    K = _grid_matrix(grid, 0, t)
-    assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.array_equal(K, K.T)
 
 
 def test_quadrature_weights_positive_kernel_nonnegative():
@@ -347,12 +324,15 @@ def test_cross_method_agreement_2d():
     spec = SectorSpec(2, 1, 1.0, 0.5)
     grid = GridSpec.for_spec(spec, L=8.0, n=64)
     plan = KernelPlan(spec, grid)
+    # the bump x_1 e^{-|x|^2} is pi^{N/2} 2^{-m} G_{1/4}, and its exact
+    # flow the same multiple of G_{1/4 + t}
     pts = grid.points()
     f = Field(spec, grid,
               pts[..., 0] * np.exp(-np.sum(pts * pts, axis=-1)))
-    k = apply_kernel(plan, 0.3, f)
+    amp = np.pi ** (spec.N / 2.0) * 2.0 ** -spec.m
+    exact = amp * eval_gaussian_derivative(spec, 0.25 + 0.3, pts)
     s = apply_spectral(plan, 0.3, f)
-    assert np.max(np.abs(k.values - s.values)) / k.sup_norm() < 1e-4
+    assert np.max(np.abs(s.values - exact)) / np.max(np.abs(exact)) < 1e-4
 
 
 def test_psi_cache_oracle_1d_radial(setup10):
@@ -442,15 +422,6 @@ def test_psi_sup_matches_grid_sup(setup11):
         grid_sup = psi_fast(spec, t, grid).sup_norm()
         assert grid_sup == pytest.approx(psi_sup(spec, t), rel=5e-3)
         assert grid_sup <= psi_sup(spec, t) * (1 + 1e-6)
-
-
-def test_under_resolution_warning():
-    spec = SectorSpec(1, 1, 0.5, 1.0)
-    grid = GridSpec.for_spec(spec, L=10.0, n=32)
-    plan = KernelPlan(spec, grid)
-    f = Field(spec, grid, np.exp(-grid.radii() ** 2))
-    with pytest.warns(RuntimeWarning, match="under-resolved"):
-        apply_kernel(plan, 1e-4, f)
 
 
 def test_cache_persistence(tmp_path, setup11):
