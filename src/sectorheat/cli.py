@@ -19,7 +19,7 @@ from .geometry import Field, GridSpec, SectorSpec
 from .profiles import (ConstantProfile, GaussianDerivativeProfile,
                        LogBlockModulation, ModulatedProfile, Psi0Profile,
                        SinSquaredLog)
-from .semigroup import (KernelPlan, apply_kernel, apply_spectral,
+from .semigroup import (KernelPlan, apply_spectral,
                         build_psi_cache, linear_sup, psi_sup, save_cache)
 from .picard import contraction_bound, lipschitz_bound, solve_picard
 from .evolve import STATUS_BLEWUP, STATUS_GLOBAL, EvolveControls, \
@@ -254,7 +254,10 @@ def run_semigroup_checks(man, plan, out):
     spec, grid = man.spec, man.grid
     tol = man.tolerances.get("cross_method", 1e-3)
     report = {}
-    heated = apply_kernel(plan, 0.5, Field(spec, grid, np.ones(grid.shape())))
+    # the spectral flow, which apply_kernel takes for a field of ones too,
+    # without its truncation warning: the ones reach the box edge by choice
+    heated = apply_spectral(plan, 0.5,
+                            Field(spec, grid, np.ones(grid.shape())))
     report["sub_markov_max"] = heated.values.max()
     report["positivity_ok"] = bool(heated.values.min() >= -1e-12)
     sup_law = [t ** (spec.decay / 2.0) * linear_sup(plan, Psi0Profile(spec), t)

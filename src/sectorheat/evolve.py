@@ -4,9 +4,10 @@ Strang splitting of u_t = Lap u + a|u|^alpha u into two exactly solvable
 sub-flows: the spectral heat step S (exact in time for the discrete modes)
 and the pointwise nonlinear flow N
 
-    u' = a|u|^alpha u   =>   |u|^{-alpha} -> |u|^{-alpha} - a alpha dt,
+    u' = a|u|^alpha u   =>   u -> u / (1 - a alpha dt |u|^alpha)^{1/alpha},
 
-sign preserved, which blows up in finite time exactly when a = +1.  N is a
+the same map as |u|^{-alpha} -> |u|^{-alpha} - a alpha dt with the sign
+kept, which blows up in finite time exactly when a = +1.  N is a
 semigroup, so each step's trailing half fuses with the next leading half,
 and monotone in |u|, so a step's sup is the scalar flow of the heated sup.
 T_max is reported from the scalar remainder at the last resolved state,
@@ -25,13 +26,14 @@ the sector wall, where the nodewise estimate runs about a thousand times
 the sup's.
 
 Validation sits at the loop's edges.  run_trajectory checks its initial
-field, and forms each state's moduli |u| and their max once, right after
-the leg that produced the state, where it checks them finite; it passes
-them to the next leg (strang_step and nonlinear_substep take them as
-``moduli``), which then trusts them and its dt and runs under the loop's
-errstate.  The same moduli serve the envelope check and the probe's 2 dt
-leg, and the scalar remainder and sup flows run on Python floats.  Called
-without moduli, both step functions validate their input themselves.
+field, and forms each state's moduli |u|, their max and p = |u|^alpha once,
+right after the leg that produced the state, where it checks them finite;
+it passes them to the next leg (strang_step and nonlinear_substep take
+them as ``moduli``), which then trusts them and its dt and runs under the
+loop's errstate.  The same moduli serve the envelope check and the probe's
+2 dt leg, and the scalar remainder and sup flows run on Python floats.
+Called without moduli, both step functions validate their input
+themselves.
 
 estimate_tmax_many runs independent T_max estimates in forked shares, one
 per usable CPU, and returns what the serial loop returns.
@@ -139,40 +141,88 @@ def _remaining(spec: SectorSpec, vmax: float) -> float:
     return 1.0 / d if d else math.inf
 
 
-def _modulus_flow(spec: SectorSpec, absv, dt: float):
-    """Moduli (an array) after the reaction flow over dt.  |u|^-alpha is inf
-    at a zero node (and overflows at a tiny one); the flow maps inf back to
-    0, so neither needs a mask, only the caller's errstate."""
-    a, alpha = spec.sign_a, spec.alpha
-    return (absv ** -alpha - a * alpha * dt) ** (-1.0 / alpha)
+# the divisor form's guard: at a = -1 the divisor grows with |u| and can
+# overflow (p past 1e308 for alpha > 1, or its power 1/alpha > 1 for
+# alpha < 1) where the flow itself stays below (alpha tau)^(-1/alpha).
+# Nodes whose divisor passes DIVISOR_MAX take the reciprocal form; the
+# margin below 1e308 covers the ulps by which numpy's powers may differ
+# from the Python float power that tests the largest modulus.
+DIVISOR_MAX = 2.0 ** 1000
+# the relative distance below a = +1's scalar blow-up time 1/(alpha
+# max|u|^alpha) within which rounding can leave the divisor's base at the
+# largest node at or below 0: that time and the base take their powers
+# from libm and numpy, which may differ by ulps
+EDGE = 1.0 - 1e-12
+
+
+def _divisor(spec: SectorSpec, p, tau: float):
+    """(1 - a alpha tau p)^(1/alpha), the reaction flow's divisor over tau
+    at p = |u|^alpha, on arrays or Python floats.  ndarray's ``**`` takes
+    fast paths at the exponents 1/2, 1 and 2 (a sqrt, a copy, a square)
+    instead of a float pow."""
+    return (1.0 - spec.sign_a * spec.alpha * tau * p) ** (1.0 / spec.alpha)
+
+
+def _divisor_overflows(spec: SectorSpec, vmax: float, tau: float) -> bool:
+    """Whether a = -1 and the divisor at the largest modulus vmax exceeds
+    DIVISOR_MAX, on Python floats."""
+    if spec.sign_a > 0:
+        return False
+    try:
+        return _divisor(spec, vmax ** spec.alpha, tau) > DIVISOR_MAX
+    except OverflowError:
+        return True
+
+
+def _reciprocal_flow(spec: SectorSpec, absv, tau: float):
+    """Moduli after the absorbing (a = -1) flow over tau in the reciprocal
+    form (|u|^-alpha + alpha tau)^(-1/alpha), for moduli too large for the
+    divisor form: there |u|^-alpha can only underflow."""
+    alpha = spec.alpha
+    return (absv ** -alpha + alpha * tau) ** (-1.0 / alpha)
+
+
+def _modulus_flow(spec: SectorSpec, v: np.ndarray, moduli: tuple,
+                  tau: float) -> np.ndarray:
+    """Values v (the state, or its moduli) after the reaction flow over
+    tau, given the state's moduli (|v|, max |v|, p = |v|^alpha): v divided
+    by the divisor, so a zero node maps to 0 through p = 0 and a divisor
+    of 1, with no inf on the way and no sign to restore.  At a = +1 the
+    caller has checked tau below the largest node's blow-up time, so the
+    base lies in (0, 1]; at a = -1 it is at least 1, and nodes past
+    DIVISOR_MAX take the reciprocal form."""
+    absv, vmax, p = moduli
+    d = _divisor(spec, p, tau)
+    out = v / d
+    if _divisor_overflows(spec, vmax, tau):
+        big = d > DIVISOR_MAX
+        out[big] = np.copysign(_reciprocal_flow(spec, absv[big], tau), v[big])
+    return out
 
 
 def _sup_flow(spec: SectorSpec, m: float, tau: float) -> float:
-    """_modulus_flow of one modulus m on Python floats: m^-alpha that
-    overflows (m 0 or tiny) flows back to 0, and a base that rounding left
-    at or below 0 (m at its blow-up within tau) or whose power overflows
-    gives inf."""
-    alpha = spec.alpha
-    try:
-        base = m ** -alpha - spec.sign_a * alpha * tau
-    except (OverflowError, ZeroDivisionError):
-        return 0.0
-    if base <= 0.0:
+    """_modulus_flow of one modulus m on Python floats, through the same
+    divisor and guard.  At a = +1 the callers check tau below m's blow-up
+    time first; where rounding still leaves the base at or below 0, or the
+    divisor underflows to 0, the sup is inf."""
+    if _divisor_overflows(spec, m, tau):
+        return _reciprocal_flow(spec, m, tau)
+    p = m ** spec.alpha
+    if spec.sign_a * spec.alpha * tau * p >= 1.0:
         return math.inf
-    try:
-        return base ** (-1.0 / alpha)
-    except OverflowError:
-        return math.inf
+    d = _divisor(spec, p, tau)
+    return m / d if d else math.inf
 
 
-def _moduli(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """|v| and its max, which must be finite: the reaction flow would map
-    NaN to 0 and hide it."""
+def _moduli(spec: SectorSpec, v: np.ndarray) -> tuple:
+    """|v|, its max, which must be finite (the reaction flow would map NaN
+    to 0 and hide it), and p = |v|^alpha, which overflows to inf at a huge
+    modulus for alpha > 1 under the caller's errstate."""
     absv = np.abs(v)
     vmax = float(absv.max())
     if not math.isfinite(vmax):
         raise ValueError("field values must be finite")
-    return absv, vmax
+    return absv, vmax, absv ** spec.alpha
 
 
 def nonlinear_substep(spec: SectorSpec, v: np.ndarray, dt: float, *,
@@ -183,26 +233,30 @@ def nonlinear_substep(spec: SectorSpec, v: np.ndarray, dt: float, *,
     scalar blow-up time 1/(alpha|u|^alpha) falls within dt.  Non-finite
     input raises: the flow would map NaN to 0 and hide it.
 
-    ``moduli`` is (|v|, max |v|) as the stepping loop formed and checked
-    them: given, the call trusts them and dt and runs under the caller's
-    ``np.errstate(over="ignore", divide="ignore")``.
+    ``moduli`` is (|v|, max |v|, |v|^alpha) as the stepping loop formed
+    and checked them: given, the call trusts them and dt and runs under
+    the caller's ``np.errstate(over="ignore")``.
     """
     if moduli is None:
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        with np.errstate(over="ignore", divide="ignore"):
-            return _react(spec, v, dt, *_moduli(v))
-    return _react(spec, v, dt, *moduli)
+        with np.errstate(over="ignore"):
+            return _react(spec, v, dt, _moduli(spec, v))
+    return _react(spec, v, dt, moduli)
 
 
-def _react(spec: SectorSpec, v: np.ndarray, dt: float, absv: np.ndarray,
-           vmax: float):
-    """nonlinear_substep on checked moduli, under the caller's errstate."""
+def _react(spec: SectorSpec, v: np.ndarray, dt: float, moduli: tuple):
+    """nonlinear_substep on checked moduli, under the caller's errstate.
+    A step within EDGE of the scalar blow-up time also signals when the
+    divisor's base at the largest p rounds to 0 or below, so every base
+    the flow takes is positive."""
+    absv, vmax, p = moduli
     remaining = _remaining(spec, vmax)
-    if dt >= remaining:
+    if dt >= remaining or (dt >= EDGE * remaining and spec.sign_a
+                           * spec.alpha * dt * float(p.max()) >= 1.0):
         node = np.unravel_index(int(np.argmax(absv)), absv.shape)
         return BlowupSignal(node=node, remaining=remaining)
-    return np.copysign(_modulus_flow(spec, absv, dt), v)
+    return _modulus_flow(spec, v, moduli, dt)
 
 
 def strang_step(plan: KernelPlan, w: np.ndarray, pending: float, dt: float,
@@ -257,7 +311,7 @@ def _leg(plan: KernelPlan, w: np.ndarray, moduli: tuple, pending: float,
     new = strang_step(plan, w, pending, dt, moduli=moduli)
     if isinstance(new, BlowupSignal):
         return new
-    return new, _moduli(new)
+    return new, _moduli(plan.spec, new)
 
 
 def _typeI_fit(spec: SectorSpec, times, sups):
@@ -315,17 +369,19 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
     justified = (spec.N - 2) * spec.alpha < 4.0
     h = min(grid.axis_spacing(i) for i in range(grid.ndim))
     w, tau = f0.values, 0.0     # post-heat state, reaction time pending
-    moduli = _moduli(w)         # |w| and its max, checked finite
-    sup = moduli[1]
-    times, sups, dts = [t0], [sup], [0.0]
     violation = None
     t = t0
     status = STATUS_INCONCLUSIVE
     t_max = uncertainty = residual = None
     rung, since_probe = 0, 0
-    # inf is part of the reaction formula, and every state is checked finite
-    # as its leg forms its moduli, so the legs run under this errstate
-    with np.errstate(over="ignore", divide="ignore"):
+    # p = |w|^alpha overflows to inf at a huge modulus for alpha > 1 (a = +1
+    # then signals blow-up, a = -1 takes the guarded form), and every state
+    # is checked finite as its leg forms its moduli, so the legs run under
+    # this errstate
+    with np.errstate(over="ignore"):
+        moduli = _moduli(spec, w)   # |w|, its max (checked finite), p
+        sup = moduli[1]
+        times, sups, dts = [t0], [sup], [0.0]
         for _ in range(MAX_STEPS):
             if t >= c.horizon:
                 status = STATUS_GLOBAL
@@ -372,7 +428,8 @@ def run_trajectory(plan: KernelPlan, f0: Field, t0: float,
                 sups.append(sup)
                 dts.append(dt)
                 if bound_fn is not None and violation is None:
-                    excess = bound_fn(t, _modulus_flow(spec, moduli[0], tau))
+                    excess = bound_fn(t, _modulus_flow(spec, moduli[0],
+                                                       moduli, tau))
                     if excess is not None and np.any(excess > 0.0):
                         node = np.unravel_index(int(np.argmax(excess)),
                                                 w.shape)

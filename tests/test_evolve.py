@@ -1,9 +1,10 @@
 import csv
 import json
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sectorheat.evolve as evolve
 import sectorheat.semigroup as semigroup
@@ -81,15 +82,21 @@ def test_reaction_subflow_composes(sign_a, alpha, total, share, seed):
 
 
 def _masked_reaction(spec, v, dt):
-    # reference: the reaction flow with zeros masked out, so that only the
-    # nonzero nodes take the closed form
+    # reference: the divisor form v / (1 - a alpha dt |v|^alpha)^(1/alpha)
+    # with zeros masked out, so that only the nonzero nodes take it; nodes
+    # whose divisor passes DIVISOR_MAX (a = -1 only) take the reciprocal
+    # form sign(v) (|v|^-alpha + alpha dt)^(-1/alpha)
     a, alpha = spec.sign_a, spec.alpha
-    absv = np.abs(v)
     out = np.zeros_like(v)
-    nz = absv > 0.0
+    nz = v != 0.0
+    w, m = v[nz], np.abs(v[nz])
     with np.errstate(over="ignore"):
-        out[nz] = np.sign(v[nz]) * (absv[nz] ** -alpha
-                                    - a * alpha * dt) ** (-1.0 / alpha)
+        div = (1.0 - a * alpha * dt * m ** alpha) ** (1.0 / alpha)
+        flow = w / div
+        big = div > evolve.DIVISOR_MAX
+        flow[big] = np.sign(w[big]) * (m[big] ** -alpha
+                                       + alpha * dt) ** (-1.0 / alpha)
+    out[nz] = flow
     return out
 
 
@@ -125,6 +132,69 @@ def test_nonlinear_substep_at_extremes(sign_a, alpha, exponents, seed):
     assert np.all(np.isfinite(out))
     assert np.all(out[v == 0.0] == 0.0)
     assert np.array_equal(out, _masked_reaction(spec, v, dt))
+
+
+EPS = np.finfo(float).eps / 2.0     # unit roundoff
+
+
+def _mp_reaction(spec, u, tau):
+    # sign(u) (|u|^-alpha - a alpha tau)^(-1/alpha) at 50 digits, and the
+    # base y = 1 - a alpha tau |u|^alpha of the divisor form
+    if u == 0.0:
+        return mpmath.mpf(0), mpmath.mpf(1)
+    with mpmath.workdps(50):
+        a, alpha, tau = spec.sign_a, mpmath.mpf(spec.alpha), mpmath.mpf(tau)
+        m = abs(mpmath.mpf(u))
+        flow = (m ** -alpha - a * alpha * tau) ** (-1 / alpha)
+        return mpmath.sign(u) * flow, 1 - a * alpha * tau * m ** alpha
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, -1]), st.floats(0.2, 4.0),
+       st.lists(st.one_of(st.just(0.0), st.floats(-300.0, 300.0)),
+                min_size=1, max_size=12),
+       st.floats(0.0, 1.0, exclude_max=True), st.floats(-12.0, 12.0),
+       st.integers(0, 2 ** 32 - 1))
+# a = -1 where the divisor overflows: p = |u|^2 past 1e308, and at
+# alpha = 1/2 the power y^2 of y = 1 + alpha tau |u|^(1/2) past it; the
+# flow is (alpha tau)^(-1/alpha) sign(u) there, not 0
+@example(-1, 2.0, [200.0, 0.0, 1.0, -250.0], 0.0, 0.0, 1)
+@example(-1, 0.5, [300.0, 0.0, -299.0], 0.0, 10.0, 2)
+def test_reaction_flow_matches_mpmath(sign_a, alpha, exponents, share,
+                                      log_tau, seed):
+    # moduli 10^(-300..300) of both signs and zeros.  For a = +1 the step
+    # is a share of the largest node's blow-up time (10^log_tau where that
+    # time is inf); a signal must come at that time, up to rounding.  Each
+    # node, and the scalar sup flow of the largest modulus, matches the
+    # 50-digit flow to 8 eps (1 + (1 + 1/y + |ln y|) / alpha) with
+    # y = 1 - a alpha tau |u|^alpha: the rounding of y, about
+    # 6 eps (1 + 1/y), and of the exponent 1/alpha, eps |ln y| on the
+    # power, are raised to the power 1/alpha
+    spec = SectorSpec(1, 0, 0.5, alpha, sign_a)
+    rng = np.random.default_rng(seed)
+    v = np.array([0.0 if e == 0.0 else 10.0 ** e for e in exponents])
+    v *= rng.choice([-1.0, 1.0], size=v.size)
+    vmax = float(np.max(np.abs(v)))
+    tau = 10.0 ** log_tau
+    if sign_a > 0 and vmax > 0.0:
+        with np.errstate(over="ignore", divide="ignore"):
+            remaining = float(1.0 / (alpha * np.float64(vmax) ** alpha))
+        if 0.0 < remaining < np.inf:
+            tau = share * remaining
+    assume(tau > 0.0)
+    out = nonlinear_substep(spec, v, tau)
+    if isinstance(out, BlowupSignal):
+        assert sign_a > 0
+        assert _mp_reaction(spec, vmax, tau)[1] <= 4.0 * EPS
+        return
+    assert np.all(np.isfinite(out))
+    assert np.all(out[v == 0.0] == 0.0)
+    for u, got in zip(np.append(v, vmax),
+                      np.append(out, evolve._sup_flow(spec, vmax, tau))):
+        exact, y = _mp_reaction(spec, u, tau)
+        bound = 8.0 * EPS * (1.0 + (1.0 + 1.0 / y + abs(mpmath.log(y)))
+                             / alpha)
+        assert abs(got - exact) <= bound * abs(exact)
 
 
 def test_nonlinear_substep_refuses_nan():
@@ -330,7 +400,7 @@ def test_probed_run_to_blowup_matches_unfused_strang(monkeypatch):
 
 def _spy_moduli(monkeypatch):
     """Wrap nonlinear_substep: each call that brings the loop's moduli is
-    checked against |v| and its max, bit for bit, and counted."""
+    checked against |v|, its max and |v|^alpha, bit for bit, and counted."""
     seen = {"with": 0, "without": 0}
     substep = evolve.nonlinear_substep
 
@@ -338,9 +408,10 @@ def _spy_moduli(monkeypatch):
         if moduli is None:
             seen["without"] += 1
         else:
-            absv, vmax = moduli
+            absv, vmax, p = moduli
             assert np.array_equal(absv, np.abs(v))
             assert type(vmax) is float and vmax == np.abs(v).max()
+            assert np.array_equal(p, np.abs(v) ** spec.alpha)
             seen["with"] += 1
         return substep(spec, v, dt, moduli=moduli)
 
@@ -558,9 +629,11 @@ def test_type_one_growth_passes_rate_gate():
     # Fourier factor, whose sum of 16 nodes at 1e308 overflows inside the
     # heat substep; the nonlinear flow would turn the NaN into 0
     (1e-6, -1, 1e308, 0.01),
-    # a step a hair below the scalar blow-up time 1/(alpha c^alpha): the
-    # exact reaction flow overflows to inf without signalling
-    (0.5, 1, 1.5, np.nextafter(1.0 / (0.5 * 1.5 ** 0.5), 0.0)),
+    # a step a hair below the scalar blow-up time 1/(alpha c^alpha) at a
+    # small alpha: the divisor's base is about 1e-16 and its power
+    # 1/alpha = 20 underflows, so the exact reaction flow overflows to inf
+    # without signalling
+    (0.05, 1, 1.5, np.nextafter(1.0 / (0.05 * 1.5 ** 0.05), 0.0)),
 ])
 def test_non_finite_intermediate_values_raise(alpha, sign_a, value, dt):
     spec = SectorSpec(1, 0, 0.5, alpha, sign_a)
