@@ -8,11 +8,20 @@ The reference singular profile is
 positive on the sector and homogeneous of degree -(gamma+m).  Built-in
 families: psi0 itself, log-radially modulated psi0, the m-fold Gaussian
 derivative (smoothed derivative-of-delta data), constants, and custom
-callables.  The first three have the form x_1 ... x_m f(|x|), and their
-radial(rho) method returns that f.
+callables.
+
+The first three are psi0-class, data x_1 ... x_m f(|x|).  Such a family
+is its radial form f, as ``radial(rho)``, the homogeneity of its tail, as
+``tail_degree`` (None for a tail faster than any power), and its X-norm
+sup |f| / psi0, as ``x_norm()``; _RadialProfile evaluates the data
+pointwise from ``radial`` and scales their amplitude.  At the origin,
+data with a power tail are singular and take the value 0; bounded data
+take their value there, G_t(0) for the Gaussian with m = 0.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -52,44 +61,44 @@ def eval_psi0(spec: SectorSpec, pts) -> np.ndarray:
         raise ValueError("psi0 is singular at the origin")
     if np.any(pts[..., :spec.m] == 0.0):
         raise ValueError("psi0 evaluation point lies on a sector wall")
-    return _psi0_signed(spec, pts)[()]   # a scalar for a single point
-
-
-def _psi0_signed(spec: SectorSpec, pts) -> np.ndarray:
-    """psi0 extended anti-symmetrically: sign flips with the first m
-    coordinates, zero on walls and at the origin.  The one psi0 formula;
-    eval_psi0 adds the origin/wall check."""
-    pts, r = _split_points(spec, pts)
-    out = np.zeros(r.shape)
-    ok = r > 0.0
-    coord_prod = np.prod(pts[..., :spec.m], axis=-1) if spec.m else np.ones(r.shape)
-    out[ok] = (leading_constant(spec) * np.asarray(coord_prod)[ok]
-               * r[ok] ** (-spec.gamma - 2 * spec.m))
-    return out
+    return Psi0Profile(spec)(pts)[()]   # a scalar for a single point
 
 
 def eval_gaussian_derivative(spec: SectorSpec, t: float, pts) -> np.ndarray:
     """(-1)^m d_1...d_m G_t(x) = G_t(x) * prod_i x_i/(2t); equals G_t if m=0."""
-    if t <= 0.0:
-        raise ValueError("Gaussian-derivative profile requires t > 0")
-    pts, r = _split_points(spec, pts)
-    g = (4.0 * np.pi * t) ** (-spec.N / 2.0) * np.exp(-r * r / (4.0 * t))
-    for i in range(spec.m):
-        g = g * pts[..., i] / (2.0 * t)
-    return g
+    return GaussianDerivativeProfile(spec, t)(pts)
 
 
 # ---------------------------------------------------------------------------
 # profile objects (callables with metadata), usable as Field profile handles
 
-class Psi0Profile:
+class _RadialProfile:
+    """Data x_1...x_m radial(|x|): the pointwise values and the scaling of
+    a psi0-class family, which sets spec, amplitude and tail_degree and
+    defines radial and x_norm."""
+
+    def __call__(self, pts):
+        pts, r = _split_points(self.spec, pts)
+        coords = np.prod(pts[..., :self.spec.m], axis=-1)
+        if self.tail_degree is None:
+            return coords * self.radial(r)
+        # a power tail: singular at the origin, where the data are 0
+        out = np.zeros(np.shape(r))
+        ok = r > 0.0
+        out[ok] = coords[ok] * self.radial(r[ok])
+        return out
+
+    def scaled(self, lam: float):
+        new = copy.copy(self)
+        new.amplitude = self.amplitude * lam
+        return new
+
+
+class Psi0Profile(_RadialProfile):
     def __init__(self, spec: SectorSpec, amplitude: float = 1.0):
         self.spec = spec
         self.amplitude = amplitude
         self.tail_degree = -(spec.gamma + spec.m)
-
-    def __call__(self, pts):
-        return self.amplitude * _psi0_signed(self.spec, pts)
 
     def radial(self, rho):
         """f with self(x) = x_1...x_m f(|x|)."""
@@ -100,9 +109,6 @@ class Psi0Profile:
     def x_norm(self) -> float:
         # psi0 has X-norm exactly 1
         return abs(self.amplitude)
-
-    def scaled(self, lam: float) -> "Psi0Profile":
-        return Psi0Profile(self.spec, self.amplitude * lam)
 
 
 class SinSquaredLog:
@@ -117,7 +123,8 @@ class SinSquaredLog:
 
     @property
     def sup(self) -> float:
-        return 1.0 + self.eps
+        # g ranges over [eps, 1 + eps]
+        return max(abs(1.0 + self.eps), abs(self.eps))
 
 
 class ConstantModulation:
@@ -165,24 +172,21 @@ class LogBlockModulation:
         return max(abs(self.c1), abs(self.c2))
 
 
-class ModulatedProfile:
-    def __init__(self, spec: SectorSpec, g, amplitude: float = 1.0):
+class ModulatedProfile(_RadialProfile):
+    """psi0 times g(log|x| + shift)."""
+
+    def __init__(self, spec: SectorSpec, g, amplitude: float = 1.0,
+                 shift: float = 0.0):
         self.spec = spec
         self.g = g
         self.amplitude = amplitude
+        self.shift = shift
         self.tail_degree = -(spec.gamma + spec.m)
-
-    def __call__(self, pts):
-        pts, r = _split_points(self.spec, pts)
-        out = self.amplitude * _psi0_signed(self.spec, pts)
-        ok = r > 0.0
-        out[ok] = out[ok] * self.g(np.log(r[ok]))
-        return out
 
     def radial(self, rho):
         """f with self(x) = x_1...x_m f(|x|)."""
         return (Psi0Profile(self.spec, self.amplitude).radial(rho)
-                * self.g(np.log(rho)))
+                * self.g(np.log(rho) + self.shift))
 
     def x_norm(self) -> float:
         sup_g = getattr(self.g, "sup", None)
@@ -191,21 +195,15 @@ class ModulatedProfile:
             sup_g = float(np.max(np.abs(self.g(s))))
         return abs(self.amplitude) * sup_g
 
-    def scaled(self, lam: float) -> "ModulatedProfile":
-        return ModulatedProfile(self.spec, self.g, self.amplitude * lam)
-
     def log_shifted(self, shift: float) -> "ModulatedProfile":
         """Profile with g replaced by s -> g(s + shift); this is the exact
         form of lam^(gamma+m) D_lam applied to the profile, shift = log lam."""
-        g = self.g
-        shifted = lambda s, _g=g, _d=shift: _g(np.asarray(s) + _d)
-        shifted.sup = getattr(g, "sup", None)
-        if shifted.sup is None:
-            del shifted.sup
-        return ModulatedProfile(self.spec, shifted, self.amplitude)
+        new = copy.copy(self)
+        new.shift = self.shift + shift
+        return new
 
 
-class GaussianDerivativeProfile:
+class GaussianDerivativeProfile(_RadialProfile):
     def __init__(self, spec: SectorSpec, t0: float, amplitude: float = 1.0):
         if t0 <= 0.0:
             raise ValueError("t0 must be positive")
@@ -213,9 +211,6 @@ class GaussianDerivativeProfile:
         self.t0 = t0
         self.amplitude = amplitude
         self.tail_degree = None  # Gaussian tail, faster than any power
-
-    def __call__(self, pts):
-        return self.amplitude * eval_gaussian_derivative(self.spec, self.t0, pts)
 
     def radial(self, rho):
         """f with self(x) = x_1...x_m f(|x|)."""
@@ -225,15 +220,12 @@ class GaussianDerivativeProfile:
                 * np.exp(-np.asarray(rho) ** 2 / (4.0 * t0)))
 
     def x_norm(self) -> float:
-        # the ratio against psi0 is that of the radial forms, which
-        # vanishes at 0 and infinity; scan its max
-        r = np.geomspace(1e-3, 30.0 * np.sqrt(self.t0), 4000)
-        return float(np.max(np.abs(self.radial(r))
-                            / Psi0Profile(self.spec).radial(r)))
-
-    def scaled(self, lam: float) -> "GaussianDerivativeProfile":
-        return GaussianDerivativeProfile(self.spec, self.t0,
-                                         self.amplitude * lam)
+        # the ratio against psi0 is that of the radial forms, a constant
+        # times r^k e^{-r^2/4t0} with k = gamma + 2m: its peak is at
+        # r^2 = 2 t0 k
+        spec = self.spec
+        r = np.sqrt(2.0 * self.t0 * (spec.gamma + 2 * spec.m))
+        return float(abs(self.radial(r)) / Psi0Profile(spec).radial(r))
 
 
 class ConstantProfile:

@@ -29,7 +29,6 @@ def _manifest_dict(**over):
 
 def test_manifest_roundtrip():
     d = _manifest_dict(experiment="sweep", lambdas=[1.0, 2.0], horizon=20.0,
-                       tolerances={"cross_method": 1e-3},
                        profile={"kind": "psi0", "amplitude": 2.0})
     man = RunManifest.from_dict(d)
     again = RunManifest.from_dict(man.to_dict())
@@ -50,21 +49,10 @@ def test_manifest_rejections():
     with pytest.raises(ConfigError):
         RunManifest.from_dict(_manifest_dict(
             spec={"N": 1, "m": 1, "gamma": 0.5, "alpha": "-"}))
-    with pytest.raises(ConfigError):
-        RunManifest.from_dict(_manifest_dict(tolerances={"x": 0.0}))
-    # a tolerance must be a finite positive number: an infinite one passes
-    # its gate whatever the disagreement
-    for bad in (0.0, float("inf"), float("nan"), "1e-3"):
-        with pytest.raises(ConfigError,
-                           match="'cross_method' must be positive"):
-            RunManifest.from_dict(_manifest_dict(
-                tolerances={"cross_method": bad}))
-    # a tolerance no experiment reads is refused, each name given
-    with pytest.raises(ConfigError) as info:
+    # a manifest sets no tolerance: semigroup_checks' gates are fixed
+    with pytest.raises(ConfigError, match="'tolerances'"):
         RunManifest.from_dict(_manifest_dict(
-            tolerances={"cross_methd": 1e-3, "picard": 1e-9}))
-    for key in ("'tolerances.cross_methd'", "'tolerances.picard'"):
-        assert key in str(info.value)
+            tolerances={"cross_method": 1e-3}))
     # misspelt or retired keys are refused, each one named, at every level
     with pytest.raises(ConfigError, match="'horizn'"):
         RunManifest.from_dict(_manifest_dict(horizn=0.5))
@@ -125,8 +113,12 @@ def test_manifest_rejections():
     ("sweep", {"lambdas": [1.0, float("nan")]}, "lambdas"),
     ("tmax", {"grid": {"L": float("nan"), "n": 64}}, "L="),
     ("tmax", {"grid": {"L": float("inf"), "n": 64}}, "L="),
-    ("semigroup_checks", {"tolerances": {"cross_method": float("inf")}},
-     "'cross_method'"),
+    # a Gaussian derivative of zero or negative width: refused before
+    # output_dir is made
+    ("tmax", {"profile": {"kind": "gaussian_derivative", "t0": 0}},
+     "'profile.t0'"),
+    ("tmax", {"profile": {"kind": "gaussian_derivative", "t0": -1}},
+     "'profile.t0'"),
 ])
 def test_manifest_refuses_values_that_earn_no_verdict(tmp_path, capsys,
                                                       experiment, over, key):
@@ -153,10 +145,10 @@ _SPEC = {"N": 1, "m": 1, "gamma": 0.5, "alpha": 0.5}
     # nor a bool: "m": true ran as m = 1
     ({"spec": {**_SPEC, "m": True}}, "'spec.m'"),
     ({"spec": {**_SPEC, "sign_a": True}}, "'spec.sign_a'"),
-    # "profile" and "tolerances" are objects: a string profile failed with
-    # dict()'s message, a list of pairs made a tolerances dict
+    # "profile" is an object: a string profile failed with dict()'s
+    # message; its kind and modulation are names
     ({"profile": "psi0"}, "'profile'"),
-    ({"tolerances": [["cross_method", 1e-3]]}, "'tolerances'"),
+    ({"profile": {"kind": 1}}, "unknown profile kind 1"),
     # "lambdas" and "grid.axes" are arrays: "12" ran as lambdas [1.0, 2.0]
     ({"lambdas": "12"}, "'lambdas'"),
     ({"grid": {"L": 4.0, "n": 16, "axes": "a"}}, "'grid.axes'"),
@@ -168,8 +160,8 @@ _SPEC = {"N": 1, "m": 1, "gamma": 0.5, "alpha": 0.5}
     ({"horizon": "20"}, "'horizon'"),
     ({"t0": True}, "'t0'"),
     ({"lambdas": ["0.5", True]}, "'lambdas'"),
-    # a bool is an int, so true passed the tolerance check as 1
-    ({"tolerances": {"cross_method": True}}, "'cross_method' must be"),
+    ({"profile": {"kind": "modulated_psi0", "modulation": ["log_blocks"]}},
+     "unknown modulation ['log_blocks']"),
     ({"profile": {"kind": "psi0", "amplitude": "2"}}, "'profile.amplitude'"),
     ({"profile": {"kind": "modulated_psi0", "eps": True}}, "'profile.eps'"),
 ])
@@ -193,12 +185,11 @@ def test_manifest_takes_integral_numbers_as_integers():
 def test_manifest_reads_integral_ints_as_reals():
     man = RunManifest.from_dict(_manifest_dict(
         spec={**_SPEC, "alpha": 1}, grid={"L": 4, "n": 16}, horizon=20,
-        t0=1, lambdas=[1, 2], tolerances={"cross_method": 1}))
+        t0=1, lambdas=[1, 2]))
     assert man.spec.alpha == 1.0 and type(man.spec.alpha) is float
     assert type(man.grid.L) is float
     assert type(man.horizon) is float and type(man.t0) is float
     assert all(type(x) is float for x in man.lambdas)
-    assert type(man.tolerances["cross_method"]) is float
 
 
 @pytest.mark.parametrize("d", [

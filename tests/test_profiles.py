@@ -136,6 +136,20 @@ def test_log_shifted_profile():
     assert shifted.x_norm() == pytest.approx(1.05)
 
 
+@pytest.mark.parametrize("g", [SinSquaredLog(0.05, 0.4),
+                               LogBlockModulation(1.0, 3.0),
+                               lambda s: np.cos(s) + 0.5])
+def test_log_shifts_compose(g):
+    # two log shifts are the one by their sum, and leave the X-norm alone
+    spec = SectorSpec(2, 1, 1.0, 0.5)
+    p = ModulatedProfile(spec, g, 1.5)
+    a, b = 0.8, -2.3
+    twice, once = p.log_shifted(a).log_shifted(b), p.log_shifted(a + b)
+    pts = np.random.default_rng(3).uniform(0.05, 20.0, (200, 2))
+    assert np.allclose(twice(pts), once(pts), rtol=1e-13, atol=0)
+    assert twice.x_norm() == p.x_norm()
+
+
 def test_profiles_respect_weighted_bound():
     # every built-in: |f| <= K * x1...xm |x|^-(gamma+2m) at nodes
     spec = SectorSpec(2, 1, 1.0, 0.5)
@@ -146,10 +160,14 @@ def test_profiles_respect_weighted_bound():
         (Psi0Profile(spec, 2.0), 2.0),
         (ModulatedProfile(spec, SinSquaredLog(0.05)), 1.05),
         (ModulatedProfile(spec, LogBlockModulation(1.0, 2.0)), 2.0),
+        # eps < -1/2: sup |g| is |eps|, not 1 + eps
+        (ModulatedProfile(spec, SinSquaredLog(-0.7)), 0.7),
+        (ModulatedProfile(spec, SinSquaredLog(-2.0)), 2.0),
         (GaussianDerivativeProfile(spec, 0.5),
          GaussianDerivativeProfile(spec, 0.5).x_norm()),
     ]
     for prof, K in profiles:
+        assert prof.x_norm() == pytest.approx(K, rel=1e-12)
         assert np.all(np.abs(prof(pts)) <= K * psi0v * (1 + 1e-10))
 
 
@@ -161,6 +179,27 @@ def test_x_norms():
         == pytest.approx(2.2)
     assert ModulatedProfile(spec, ConstantModulation(3.0)).x_norm() \
         == pytest.approx(3.0)
+    # g = sin^2 + eps ranges over [eps, 1 + eps]
+    assert ModulatedProfile(spec, SinSquaredLog(-0.7)).x_norm() \
+        == pytest.approx(0.7)
+    assert ModulatedProfile(spec, SinSquaredLog(-2.0), -1.5).x_norm() \
+        == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("t0", [0.5, 1e-7])
+def test_gaussian_derivative_x_norm_closed_form(t0):
+    # the ratio to psi0 peaks at r* = sqrt(2 t0 k), k = gamma + 2m, where
+    # it is |A| (4 pi t0)^(-N/2) (2 t0)^(-m) / c (2 t0 k)^(k/2) e^(-k/2);
+    # at t0 = 1e-7 the peak lies at r* = 7.1e-4
+    spec = SectorSpec(1, 1, 0.5, 0.5)
+    k = spec.gamma + 2 * spec.m
+    exact = (2.0 * (4 * np.pi * t0) ** -0.5 * (2 * t0) ** -1 / 0.5
+             * (2 * t0 * k) ** (k / 2) * np.exp(-k / 2))
+    prof = GaussianDerivativeProfile(spec, t0, -2.0)
+    assert prof.x_norm() == pytest.approx(exact, rel=1e-13)
+    r = np.geomspace(1e-6, 1e3, 20001) * np.sqrt(t0)
+    assert np.max(np.abs(prof.radial(r)) / Psi0Profile(spec).radial(r)) \
+        <= prof.x_norm() * (1 + 1e-12)
 
 
 def test_log_block_modulation_structure():
